@@ -9,8 +9,8 @@
 # corrupt WAL tails) and recovering via both strategies; recovered tables
 # must match a no-crash oracle byte for byte. A failure prints the (seed,
 # strategy, k, mode) tuple to re-run with --gtest_filter. The overload
-# suite (`overload`) drives every admission policy at parallelism 1/2/4
-# over a forced memory budget plus the sink-retry and quarantine fault
+# suite (`overload`) drives every admission policy over a forced memory
+# budget plus the sink-retry and quarantine fault
 # drills; exact accounting and oracle equivalence are asserted while
 # ASan+UBSan watch the shed/requeue paths. The network suite (`net`)
 # exercises the TCP front-end — corrupt frames, slow-consumer policies,
@@ -23,7 +23,7 @@
 # promotes the standby, and requires the resumed subscriber's transcript
 # to match a no-failover oracle byte for byte. After the ASan+UBSan pass,
 # the
-# concurrency suite (label `concurrency`: parallel ingest on disjoint
+# concurrency suite (label `concurrency`: concurrent ingest on disjoint
 # streams vs. the control plane, the concurrent-vs-serial-oracle
 # differential, columnar ingest under DDL churn, network client fan-in)
 # plus the vectorize label run again under TSAN — lock-hierarchy

@@ -68,8 +68,8 @@ struct FaultPolicy {
 /// sneak another durable write in after the crash instant.
 ///
 /// Known points: wal.append, wal.sync, disk.write, channel.sink,
-/// checkpoint.write, shard.enqueue, net.accept, net.read, net.write,
-/// net.connect (client-side, before the socket is created), repl.ship
+/// checkpoint.write, net.accept, net.read, net.write, net.connect
+/// (client-side, before the socket is created), repl.ship
 /// (primary, before a REPL_FETCH is answered), repl.ack (primary, before
 /// the fetch offset is recorded as acknowledged), repl.apply (standby,
 /// before a shipped slice is applied). The registry is open — arming an

@@ -18,15 +18,16 @@ int64_t EstimateValueBytes(const Value& v);
 int64_t EstimateRowBytes(const Row& row);
 
 /// Central byte-accounting ledger for everything the streaming runtime
-/// buffers: window operator rows, shared-slice aggregator groups, shard
-/// SPSC queue chunks, and reorder-buffer rows. Components charge on
-/// retain and release on evict/drop; the admission controller in
-/// StreamRuntime::Ingest consults held() vs. the budget to decide whether
-/// a batch (or part of one) gets in.
+/// buffers: window operator rows, shared-slice aggregator groups,
+/// in-flight ingest batches, reorder-buffer rows, and network send
+/// queues. Components charge on retain and release on evict/drop; the
+/// admission controller in StreamRuntime::Ingest consults held() vs. the
+/// budget to decide whether a batch (or part of one) gets in.
 ///
-/// Thread-safe: shard workers charge/release concurrently with the
-/// coordinator, so all tallies are atomics. A budget of 0 means
-/// unlimited (the default — existing tests and workloads see no change).
+/// Thread-safe: streams ingest concurrently and network connections
+/// charge their send queues from their own threads, so all tallies are
+/// atomics. A budget of 0 means unlimited (the default — existing tests
+/// and workloads see no change).
 ///
 /// The governor never blocks or fails a charge: enforcement happens only
 /// at admission time, at batch granularity. That keeps every interior
@@ -38,12 +39,11 @@ class MemoryGovernor {
   enum class Account {
     kWindow = 0,     // WindowOperator buffered rows
     kAggregator,     // SliceAggregator group keys + states
-    kShardQueue,     // in-flight ShardChunk rows
     kReorder,        // ReorderBuffer pending rows
     kNetSendQueue,   // frames queued for network subscribers
     kIngestBatch,    // in-flight vectorized ColumnBatch ingest payloads
   };
-  static constexpr int kNumAccounts = 6;
+  static constexpr int kNumAccounts = 5;
 
   /// 0 = unlimited.
   void SetBudget(int64_t bytes) {

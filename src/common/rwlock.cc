@@ -177,9 +177,4 @@ void OrderedMutex::unlock() {
   mu_.unlock();
 }
 
-bool OrderedMutex::held_by_me() const {
-  auto it = g_ordered_depths.find(this);
-  return it != g_ordered_depths.end() && it->second > 0;
-}
-
 }  // namespace streamrel

@@ -22,11 +22,10 @@ namespace streamrel {
 enum class LockRank : int {
   kEngine = 0,   // catalog/DDL reader-writer lock (Database)
   kSys = 1,      // sys_* introspection-table refresh
-  kShard = 2,    // shared worker fleet (partition-parallel ingest)
-  kStream = 3,   // per-stream ingest locks
-  kDml = 4,      // table-write serialization (DML + channel sinks)
+  kStream = 2,   // per-stream ingest locks
+  kDml = 3,      // table-write serialization (DML + channel sinks)
 };
-inline constexpr int kNumLockRanks = 5;
+inline constexpr int kNumLockRanks = 4;
 
 /// Debug-build lock-order assertions. Thread-local hold counts per rank;
 /// acquiring a lock whose rank is lower than one already held aborts with
@@ -130,9 +129,10 @@ class ExclusiveLockGuard {
 };
 
 /// A ranked recursive mutex with contention counters: the per-stream
-/// ingest locks (rank kStream, same-rank nesting allowed for cascades)
-/// and the shard-fleet / DML locks. Recursive because delivery callbacks
-/// may legitimately re-enter the runtime on the thread that drives ingest.
+/// ingest locks (rank kStream, same-rank nesting allowed for cascades),
+/// the sys-refresh lock and the DML lock. Recursive because delivery
+/// callbacks may legitimately re-enter the runtime on the thread that
+/// drives ingest.
 class OrderedMutex {
  public:
   OrderedMutex(LockRank rank, bool allow_same_rank, const char* name)
@@ -142,12 +142,6 @@ class OrderedMutex {
 
   void lock();
   void unlock();
-  /// True iff the calling thread currently holds this mutex. Entry points
-  /// use this to skip re-acquisition on nested re-entry (a delivery
-  /// callback re-entering Ingest already holds the shard lock, and taking
-  /// it again "fresh" would violate the rank order against the stream
-  /// lock the thread also holds).
-  bool held_by_me() const;
 
   int64_t acquisitions() const {
     return acquisitions_.load(std::memory_order_relaxed);

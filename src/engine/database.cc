@@ -680,10 +680,6 @@ EngineStats Database::StatsSnapshot() {
       ->Set(sys_mu_.acquisitions());
   metrics->GetGauge("engine", "lock", "sys_contended")
       ->Set(sys_mu_.contended());
-  metrics->GetGauge("engine", "lock", "shard_acquisitions")
-      ->Set(runtime_.shard_lock()->acquisitions());
-  metrics->GetGauge("engine", "lock", "shard_contended")
-      ->Set(runtime_.shard_lock()->contended());
   metrics->GetGauge("engine", "lock", "dml_acquisitions")
       ->Set(runtime_.dml_lock()->acquisitions());
   metrics->GetGauge("engine", "lock", "dml_contended")
@@ -967,19 +963,7 @@ Result<QueryResult> Database::ExecuteSet(const sql::SetStmt& stmt) {
     result.message = "SET VECTORIZE " + stmt.text_value;
     return result;
   }
-  if (stmt.option != "parallelism") {
-    return Status::InvalidArgument("unknown SET option '" + stmt.option +
-                                   "'");
-  }
-  if (stmt.value < 1 ||
-      stmt.value > stream::StreamRuntime::kMaxParallelism) {
-    return Status::InvalidArgument(
-        "PARALLELISM must be between 1 and " +
-        std::to_string(stream::StreamRuntime::kMaxParallelism));
-  }
-  RETURN_IF_ERROR(runtime_.SetParallelism(static_cast<int>(stmt.value)));
-  result.message = "SET PARALLELISM " + std::to_string(stmt.value);
-  return result;
+  return Status::InvalidArgument("unknown SET option '" + stmt.option + "'");
 }
 
 Result<QueryResult> Database::ExecuteSetFault(const sql::SetFaultStmt& stmt) {

@@ -182,7 +182,7 @@ enum class StatementKind {
   kExplain,
   kTransaction,  // BEGIN / COMMIT / ROLLBACK
   kShowStats,    // SHOW STATS [FOR CQ|STREAM|CHANNEL <name>]
-  kSet,          // SET PARALLELISM <n>
+  kSet,          // SET MEMORY LIMIT <bytes>, SET VECTORIZE ON|OFF, ...
   kSetFault,     // SET FAULT '<point>' <policy> | SET FAULT RESET
   kShowFaults,   // SHOW FAULTS
   kSubscribe,    // SUBSCRIBE TO <stream|cq>   (network sessions only)
@@ -302,16 +302,15 @@ struct UnsubscribeStmt : Statement {
 };
 
 /// SET <option> <value>: engine-level runtime options.
-///   SET PARALLELISM <n>                — worker-shard count for ingest
 ///   SET MEMORY LIMIT <bytes>           — governor budget (0 = unlimited)
 ///   SET OVERLOAD POLICY <stream> BLOCK|SHED_NEWEST|SHED_OLDEST
 ///   SET RETRY LIMIT <n>                — sink delivery attempts (1..1000)
 ///   SET RETRY BACKOFF <micros>         — base retry backoff
+///   SET VECTORIZE ON|OFF               — columnar ingest (OFF = row body)
 struct SetStmt : Statement {
-  std::string option;      // lowercased, e.g. "parallelism", "memory_limit",
-                           // "overload_policy", "retry_limit",
-                           // "retry_backoff", "vectorize"
-  int64_t value = 0;       // numeric operand (parallelism, bytes, attempts)
+  std::string option;      // lowercased: "memory_limit", "overload_policy",
+                           // "retry_limit", "retry_backoff", "vectorize"
+  int64_t value = 0;       // numeric operand (bytes, attempts, micros)
   std::string target;      // object operand: stream name for OVERLOAD POLICY
   std::string text_value;  // symbolic operand: policy name or ON/OFF,
                            // uppercased

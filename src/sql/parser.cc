@@ -264,12 +264,8 @@ class Parser {
       }
       return StatementPtr(std::move(stmt));
     }
-    if (stmt->option != "parallelism") {
-      return Result<StatementPtr>(
-          Error("unknown SET option '" + option + "'"));
-    }
-    ASSIGN_OR_RETURN(stmt->value, ExpectInteger("value"));
-    return StatementPtr(std::move(stmt));
+    return Result<StatementPtr>(
+        Error("unknown SET option '" + option + "'"));
   }
 
   /// SET FAULT RESET

@@ -54,14 +54,6 @@ const std::vector<SliceAggregator*>& SliceAggregatorRegistry::ForStream(
   return by_stream_[ToLower(stream_name)];
 }
 
-std::vector<SliceAggregator*> SliceAggregatorRegistry::MutablePipelines() {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<SliceAggregator*> out;
-  out.reserve(aggregators_.size());
-  for (auto& [key, entry] : aggregators_) out.push_back(entry.aggregator.get());
-  return out;
-}
-
 std::vector<SliceAggregatorRegistry::PipelineRef>
 SliceAggregatorRegistry::Pipelines() const {
   std::lock_guard<std::mutex> lock(mu_);

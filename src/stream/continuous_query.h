@@ -62,10 +62,6 @@ class SliceAggregatorRegistry {
   };
   std::vector<PipelineRef> Pipelines() const;
 
-  /// Every live pipeline, mutable (the runtime re-shards them when the
-  /// parallelism level changes).
-  std::vector<SliceAggregator*> MutablePipelines();
-
  private:
   struct Entry {
     std::string stream;
@@ -110,8 +106,7 @@ class ContinuousQuery {
   const std::string& stream_name() const { return stream_name_; }
   const WindowSpec& window() const { return window_; }
   bool is_shared() const { return shared_agg_ != nullptr; }
-  /// The shared pipeline this CQ reads (null on the generic path). The
-  /// runtime uses it to keep shard counts in step with SET PARALLELISM.
+  /// The shared pipeline this CQ reads (null on the generic path).
   SliceAggregator* shared_aggregator() const { return shared_agg_; }
 
   /// Registers a delivery callback; the returned id can later detach it

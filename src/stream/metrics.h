@@ -93,7 +93,7 @@ class Histogram {
 /// samples (metric_count, metric_total, metric_min/max/p50/p95/p99).
 struct MetricSample {
   std::string scope;   // "engine" | "stream" | "cq" | "channel" |
-                       // "aggregator" | "shard" | "recovery" | "overload"
+                       // "aggregator" | "recovery" | "overload"
   std::string name;    // object name; "" for engine-wide metrics
   std::string metric;  // e.g. "rows_ingested", "eval_micros_p95"
   int64_t value = 0;

@@ -6,7 +6,6 @@
 
 #include "common/fault_injector.h"
 #include "common/string_util.h"
-#include "exec/operators.h"
 
 namespace streamrel::stream {
 
@@ -21,14 +20,6 @@ const char* OverloadPolicyName(OverloadPolicy policy) {
   }
   return "?";
 }
-
-namespace {
-/// Rows per shard chunk: large enough that queue traffic is rare, small
-/// enough that absorption overlaps the coordinator's stamping loop.
-constexpr size_t kShardChunkRows = 256;
-/// In-flight chunks per worker before Push blocks (backpressure bound).
-constexpr size_t kShardQueueCapacity = 16;
-}  // namespace
 
 StreamRuntime::StreamRuntime(catalog::Catalog* catalog,
                              storage::TransactionManager* txns,
@@ -113,12 +104,6 @@ Result<ContinuousQuery*> StreamRuntime::CreateCq(const std::string& name,
   RETURN_IF_ERROR(AttachCqSubscription(ptr));
   if (ptr->is_shared()) {
     ptr->shared_aggregator()->BindGovernor(&governor_);
-  }
-  // A CQ created while parallel may have opened a fresh pipeline; give it
-  // the same shard fan-out as the rest of the engine.
-  if (ptr->is_shared() &&
-      ptr->shared_aggregator()->shard_count() != workers_.size()) {
-    RETURN_IF_ERROR(ptr->shared_aggregator()->SetShardCount(workers_.size()));
   }
   ptr->BindMetrics(metrics_.GetCounter("cq", key, "windows_closed"),
                    metrics_.GetCounter("cq", key, "rows_emitted"),
@@ -301,42 +286,58 @@ Status StreamRuntime::ProcessClosed(Subscription* sub,
 Status StreamRuntime::Ingest(const std::string& stream,
                              const std::vector<Row>& rows,
                              int64_t system_time) {
-  return IngestEntry(stream, rows, system_time, /*quarantine_flush=*/false);
-}
-
-Status StreamRuntime::Ingest(const std::string& stream,
-                             exec::ColumnBatch&& batch, int64_t system_time) {
-  return IngestLocked(stream, [&](StreamState* state) {
+  return IngestLocked(stream, system_time, [&](StreamState* state) {
+    const size_t arity = state->info->schema.num_columns();
+    // A batch with any wrong-arity row takes the row body whole, so its
+    // quarantine order, qtime and detail text are the row body's.
+    const bool arity_ok =
+        std::all_of(rows.begin(), rows.end(),
+                    [arity](const Row& row) { return row.size() == arity; });
+    if (!UseColumnar(*state, arity_ok)) {
+      return IngestImpl(state, rows, system_time, /*quarantine_flush=*/false);
+    }
+    exec::ColumnBatch batch(arity);
+    batch.Reserve(rows.size());
+    for (const Row& row : rows) batch.AppendRow(row);
     return IngestColumnarImpl(state, std::move(batch), system_time);
   });
 }
 
-Status StreamRuntime::IngestEntry(const std::string& stream,
-                                  const std::vector<Row>& rows,
-                                  int64_t system_time,
-                                  bool quarantine_flush) {
-  return IngestLocked(stream, [&](StreamState* state) {
-    return IngestImpl(state, rows, system_time, quarantine_flush);
+Status StreamRuntime::Ingest(const std::string& stream,
+                             exec::ColumnBatch&& batch, int64_t system_time) {
+  return IngestLocked(stream, system_time, [&](StreamState* state) {
+    // When the vectorized path cannot run, materialize once and take the
+    // row body (an arity-mismatched batch then quarantines each row
+    // exactly as a row vector would).
+    if (!UseColumnar(*state, batch.num_columns() ==
+                                 state->info->schema.num_columns())) {
+      return IngestImpl(state, batch.MaterializeAll(), system_time,
+                        /*quarantine_flush=*/false);
+    }
+    return IngestColumnarImpl(state, std::move(batch), system_time);
   });
 }
 
 Status StreamRuntime::IngestLocked(
-    const std::string& stream,
+    const std::string& stream, int64_t system_time,
     const std::function<Status(StreamState*)>& body) {
   StreamState* state = GetState(stream);
   if (state == nullptr) {
     RETURN_IF_ERROR(RegisterStream(stream));
     state = GetState(stream);
   }
-  // Lock order (DESIGN decision 11): shard fleet before any stream lock.
-  // The worker fleet and its replica pipelines are shared engine-wide, so
-  // parallel ingest batches take turns on the shard lock; at the default
-  // PARALLELISM 1 there is no fleet and disjoint streams only contend on
-  // their own ingest locks. A nested re-entry (a delivery callback
-  // ingesting into another stream) already holds the shard lock and must
-  // not retake it "fresh" below the stream rank it also holds.
-  const bool take_shard = !workers_.empty() && !shard_mu_.held_by_me();
-  if (take_shard) shard_mu_.lock();
+  // Batch-level contract violations stay hard errors; only per-row data
+  // problems divert to the quarantine stream.
+  const catalog::StreamInfo* info = state->info;
+  if (info->is_derived) {
+    return Status::InvalidArgument(
+        "cannot ingest into derived stream '" + info->name +
+        "'; it is computed by its defining query");
+  }
+  if (info->cqtime_system && system_time == INT64_MIN) {
+    return Status::InvalidArgument(
+        "stream '" + info->name + "' has CQTIME SYSTEM; pass an ingest time");
+  }
   Status status;
   std::vector<PendingQuarantine> flush_batch;
   {
@@ -349,8 +350,7 @@ Status StreamRuntime::IngestLocked(
       state->pending_quarantine.clear();
     }
   }
-  if (take_shard) shard_mu_.unlock();
-  // Dead-letter rows publish only after this stream's locks are released:
+  // Dead-letter rows publish only after this stream's lock is released:
   // the flush is an ordinary ingest into the dead-letter stream and must
   // start from a clean lock state.
   if (!flush_batch.empty()) FlushQuarantine(std::move(flush_batch));
@@ -361,37 +361,15 @@ Status StreamRuntime::IngestImpl(StreamState* state,
                                  const std::vector<Row>& rows,
                                  int64_t system_time, bool quarantine_flush) {
   catalog::StreamInfo* info = state->info;
-  if (info->is_derived) {
-    return Status::InvalidArgument(
-        "cannot ingest into derived stream '" + info->name +
-        "'; it is computed by its defining query");
-  }
-  // Batch-level contract violations stay hard errors; only per-row data
-  // problems divert to the quarantine stream.
-  if (info->cqtime_system && system_time == INT64_MIN) {
-    return Status::InvalidArgument(
-        "stream '" + info->name + "' has CQTIME SYSTEM; pass an ingest time");
-  }
   size_t admit_begin = 0;
   size_t admit_end = rows.size();
-  AdmitBatch(state, rows, &admit_begin, &admit_end, quarantine_flush);
-  // Quarantine flushes stay on the row path: they are single-row
-  // housekeeping batches and must never recurse into quarantine capture.
-  const bool want_vectorized =
-      vectorize_.load(std::memory_order_relaxed) && !quarantine_flush;
-  if (!workers_.empty()) {
-    if (want_vectorized) {
-      vec_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-    }
-    return IngestParallel(state, rows, system_time, admit_begin, admit_end,
-                          quarantine_flush);
-  }
-  if (want_vectorized) {
-    if (CanVectorize(*state)) {
-      return IngestRowsVectorized(state, rows, system_time, admit_begin,
-                                  admit_end);
-    }
-    vec_fallbacks_.fetch_add(1, std::memory_order_relaxed);
+  // Dead-letter capture must not itself be refused: quarantine flushes
+  // bypass admission (their buffered footprint is still accounted).
+  if (!quarantine_flush) {
+    AdmitBatch(
+        state, rows.size(),
+        [&rows](size_t i) { return EstimateRowBytes(rows[i]); },
+        &admit_begin, &admit_end);
   }
   const size_t arity = info->schema.num_columns();
   std::vector<WindowBatch> closed;
@@ -444,9 +422,8 @@ Status StreamRuntime::IngestImpl(StreamState* state,
       stamped[info->cqtime_column] = Value::Timestamp(ts);
     }
 
-    const int64_t seq = state->ingest_seq++;
     for (SliceAggregator* agg : registry_.ForStream(info->name)) {
-      RETURN_IF_ERROR(agg->AddRow(ts, stamped, seq));
+      RETURN_IF_ERROR(agg->AddRow(ts, stamped));
     }
     for (Subscription& sub : state->subs) {
       if (sub.feed_rows) {
@@ -458,364 +435,46 @@ Status StreamRuntime::IngestImpl(StreamState* state,
       RETURN_IF_ERROR(ProcessClosed(&sub, &closed));
     }
     state->watermark.store(ts, std::memory_order_relaxed);
-    rows_ingested_.fetch_add(1, std::memory_order_relaxed);
-    state->overload.rows_admitted.fetch_add(1, std::memory_order_relaxed);
     admitted.push_back(std::move(stamped));
   }
-  const int64_t final_wm = state->watermark.load(std::memory_order_relaxed);
-  if (metrics_.enabled() && !admitted.empty()) {
-    const int64_t n = static_cast<int64_t>(admitted.size());
-    state->rows_ingested_metric->Add(n);
-    engine_rows_metric_->Add(n);
-    state->watermark_metric->Set(final_wm);
-  }
-
-  // Evict slices no live window can reference.
-  for (SliceAggregator* agg : registry_.ForStream(info->name)) {
-    agg->EvictBefore(final_wm - agg->max_visible());
-  }
-  // Raw-stream channels archive ingested rows directly (commit time =
-  // current watermark). Transient sink failures (WAL/table hiccups) are
-  // retried with backoff; OnRawRows restores its watermark on failure, so
-  // a retry re-delivers exactly the undelivered group.
-  for (Channel* channel : state->channels) {
-    RETURN_IF_ERROR(WithSinkRetry(
-        [&] { return channel->OnRawRows(final_wm, admitted); }));
-  }
-  // Index loop: a delivery callback may re-enter the engine and mutate
-  // the subscription list.
-  for (size_t i = 0; i < state->client_subs.size(); ++i) {
-    RETURN_IF_ERROR(state->client_subs[i].callback(final_wm, admitted));
-  }
-  return Status::OK();
+  return FinishIngest(state, admitted.size(),
+                      [&admitted] { return std::move(admitted); });
 }
 
-Status StreamRuntime::IngestParallel(StreamState* state,
-                                     const std::vector<Row>& rows,
-                                     int64_t system_time, size_t admit_begin,
-                                     size_t admit_end,
-                                     bool quarantine_flush) {
-  catalog::StreamInfo* info = state->info;
-  const size_t arity = info->schema.num_columns();
-  // Resolved on the coordinator and re-resolved after every window close:
-  // a delivery callback may re-enter the engine and create a CQ on this
-  // stream, growing (and reallocating) the registry's pipeline vector.
-  // Workers are always drained before callbacks run, so nothing holds the
-  // old pointer when that happens.
-  const std::vector<SliceAggregator*>* pipelines =
-      &registry_.ForStream(info->name);
-  // Partitioning key: the first grouped pipeline's GROUP BY expressions.
-  // Rows of one group always land on the same worker, so that pipeline's
-  // per-group slice states are built in exact arrival order (bit-identical
-  // to serial execution, even for floating-point states). Pipelines keyed
-  // differently may see a group's rows split across workers; their
-  // partials are still merged exactly at window close (AggState::Merge).
-  // With no grouped pipeline (scalar aggregates only) rows round-robin.
-  const std::vector<exec::BoundExprPtr>* routing = nullptr;
-  auto pick_routing = [&]() {
-    routing = nullptr;
-    for (SliceAggregator* p : *pipelines) {
-      if (!p->group_exprs().empty()) {
-        routing = &p->group_exprs();
-        break;
-      }
-    }
-  };
-  pick_routing();
-  const size_t nworkers = workers_.size();
-  std::vector<std::vector<ShardRow>> pending(nworkers);
-
-  // Queued chunks are charged to the governor (kShardQueue) at enqueue;
-  // the worker releases the charge once the chunk is absorbed.
-  auto charge_chunk = [&](const std::vector<ShardRow>& chunk_rows) {
-    int64_t bytes = 0;
-    for (const ShardRow& sr : chunk_rows) bytes += EstimateRowBytes(sr.row);
-    governor_.Add(MemoryGovernor::Account::kShardQueue, bytes);
-    return bytes;
-  };
-  auto flush = [&]() -> Status {
-    for (size_t w = 0; w < nworkers; ++w) {
-      if (pending[w].empty()) continue;
-      RETURN_IF_ERROR(FaultInjector::Instance().Hit("shard.enqueue"));
-      int64_t bytes = charge_chunk(pending[w]);
-      workers_[w]->Push(
-          ShardChunk{pipelines, std::move(pending[w]), &governor_, bytes});
-      pending[w].clear();
-    }
-    return Status::OK();
-  };
-  // Drains every worker and surfaces the first shard-side error. Run
-  // before evaluating window closes (merges must see complete partials)
-  // and before returning (callers may inspect state right after Ingest).
-  auto barrier = [&]() -> Status {
-    RETURN_IF_ERROR(flush());
-    for (auto& w : workers_) w->WaitIdle();
-    for (auto& w : workers_) RETURN_IF_ERROR(w->TakeError());
-    return Status::OK();
-  };
-  // On a validation error mid-batch, rows before the bad one must still be
-  // absorbed (the serial path processes row by row), so drain first.
-  auto fail = [&](Status status) -> Status {
-    Status drained = barrier();
-    return status.ok() ? drained : status;
-  };
-
-  std::vector<WindowBatch> closed;
-  std::vector<Row> admitted;
-  admitted.reserve(admit_end - admit_begin);
-  for (size_t i = admit_begin; i < admit_end; ++i) {
-    const Row& row = rows[i];
-    // Row-level validation runs on the coordinator with exactly the serial
-    // path's checks, so quarantine decisions are identical at every
-    // parallelism level.
-    if (row.size() != arity) {
-      QuarantineRow(state, "arity",
-                    "row arity " + std::to_string(row.size()) +
-                        " does not match stream '" + info->name + "' (" +
-                        std::to_string(arity) + " columns)",
-                    row, quarantine_flush);
-      continue;
-    }
-    int64_t ts;
-    if (info->cqtime_system) {
-      ts = system_time;
-    } else {
-      const Value& tv = row[info->cqtime_column];
-      if (tv.is_null()) {
-        QuarantineRow(state, "null_cqtime", "NULL CQTIME value", row,
-                      quarantine_flush);
-        continue;
-      }
-      if (tv.type() == DataType::kTimestamp) {
-        ts = tv.AsTimestampMicros();
-      } else if (tv.type() == DataType::kInt64) {
-        ts = tv.AsInt64();
-      } else {
-        QuarantineRow(state, "bad_cqtime_type",
-                      std::string("CQTIME column must be a timestamp, got ") +
-                          DataTypeToString(tv.type()),
-                      row, quarantine_flush);
-        continue;
-      }
-    }
-    const int64_t wm = state->watermark.load(std::memory_order_relaxed);
-    if (wm != INT64_MIN && ts < wm) {
-      QuarantineRow(state, "late",
-                    "ts " + std::to_string(ts) +
-                        " is behind stream watermark " + std::to_string(wm),
-                    row, quarantine_flush);
-      continue;
-    }
-    Row stamped = row;
-    if (info->cqtime_system) {
-      stamped[info->cqtime_column] = Value::Timestamp(ts);
-    }
-
-    const int64_t seq = state->ingest_seq++;
-    if (!pipelines->empty()) {
-      size_t target = static_cast<size_t>(seq) % nworkers;
-      if (routing != nullptr) {
-        exec::EvalContext ctx;
-        std::vector<Value> keys;
-        keys.reserve(routing->size());
-        bool keyed = true;
-        for (const auto& g : *routing) {
-          Result<Value> v = g->Eval(stamped, ctx);
-          if (!v.ok()) {
-            // Routing is best-effort: if the key errors, any worker will
-            // reproduce the real evaluation error (or the row is filtered
-            // out and the error never existed serially either).
-            keyed = false;
-            break;
-          }
-          keys.push_back(v.TakeValue());
-        }
-        if (keyed) target = exec::HashValues(keys) % nworkers;
-      }
-      pending[target].push_back(ShardRow{ts, seq, stamped});
-      if (pending[target].size() >= kShardChunkRows) {
-        Status st = FaultInjector::Instance().Hit("shard.enqueue");
-        if (!st.ok()) return fail(std::move(st));
-        int64_t bytes = charge_chunk(pending[target]);
-        workers_[target]->Push(ShardChunk{pipelines,
-                                          std::move(pending[target]),
-                                          &governor_, bytes});
-        pending[target].clear();
-      }
-    }
-
-    for (Subscription& sub : state->subs) {
-      Status status;
-      if (sub.feed_rows) {
-        status = sub.window_op->AddRow(ts, stamped, &closed);
-      } else {
-        sub.window_op->StartAt(ts);
-        status = sub.window_op->AdvanceTime(ts, &closed);
-      }
-      if (!status.ok()) return fail(std::move(status));
-      if (!closed.empty()) {
-        // Merge-at-window-close: every row of this batch so far is in its
-        // shard before any close is evaluated. Later rows in the batch
-        // cannot contaminate the merge — their timestamps are at or past
-        // the close, outside every closing window's slices.
-        RETURN_IF_ERROR(barrier());
-        RETURN_IF_ERROR(ProcessClosed(&sub, &closed));
-        pipelines = &registry_.ForStream(info->name);
-        pick_routing();
-      }
-    }
-    state->watermark.store(ts, std::memory_order_relaxed);
-    rows_ingested_.fetch_add(1, std::memory_order_relaxed);
-    state->overload.rows_admitted.fetch_add(1, std::memory_order_relaxed);
-    admitted.push_back(std::move(stamped));
-  }
-  RETURN_IF_ERROR(barrier());
-  const int64_t final_wm = state->watermark.load(std::memory_order_relaxed);
-  if (metrics_.enabled() && !admitted.empty()) {
-    const int64_t n = static_cast<int64_t>(admitted.size());
-    state->rows_ingested_metric->Add(n);
-    engine_rows_metric_->Add(n);
-    state->watermark_metric->Set(final_wm);
-  }
-  UpdateShardMetrics();
-
-  // Evict slices no live window can reference (workers are idle: eviction
-  // walks shard state from the coordinator).
-  for (SliceAggregator* agg : registry_.ForStream(info->name)) {
-    agg->EvictBefore(final_wm - agg->max_visible());
-  }
-  for (Channel* channel : state->channels) {
-    RETURN_IF_ERROR(WithSinkRetry(
-        [&] { return channel->OnRawRows(final_wm, admitted); }));
-  }
-  // Index loop: a delivery callback may re-enter the engine and mutate
-  // the subscription list.
-  for (size_t i = 0; i < state->client_subs.size(); ++i) {
-    RETURN_IF_ERROR(state->client_subs[i].callback(final_wm, admitted));
-  }
-  return Status::OK();
-}
-
-bool StreamRuntime::CanVectorize(const StreamState& state) const {
-  for (const Subscription& sub : state.subs) {
-    // Row-buffering subscribers (generic CQs, row/slice windows) need every
-    // row delivered individually; only watermark-driven time windows can be
-    // replayed from the timestamp array.
-    if (sub.feed_rows ||
-        sub.window_op->spec().kind != WindowSpec::Kind::kTime) {
-      return false;
-    }
-  }
-  return true;
-}
-
-Status StreamRuntime::IngestRowsVectorized(StreamState* state,
-                                           const std::vector<Row>& rows,
-                                           int64_t system_time, size_t begin,
-                                           size_t end) {
-  catalog::StreamInfo* info = state->info;
-  const size_t arity = info->schema.num_columns();
-  exec::ColumnBatch batch(arity);
-  batch.Reserve(end - begin);
-  std::vector<int64_t> ts;
-  ts.reserve(end - begin);
-  const int64_t seq_base = state->ingest_seq;
-  for (size_t i = begin; i < end; ++i) {
-    const Row& row = rows[i];
-    // Validation order, checks, and messages are byte-for-byte the row
-    // path's, so quarantine output is identical in both modes.
-    if (row.size() != arity) {
-      QuarantineRow(state, "arity",
-                    "row arity " + std::to_string(row.size()) +
-                        " does not match stream '" + info->name + "' (" +
-                        std::to_string(arity) + " columns)",
-                    row, /*quarantine_flush=*/false);
-      continue;
-    }
-    int64_t t;
-    if (info->cqtime_system) {
-      t = system_time;
-    } else {
-      const Value& tv = row[info->cqtime_column];
-      if (tv.is_null()) {
-        QuarantineRow(state, "null_cqtime", "NULL CQTIME value", row,
-                      /*quarantine_flush=*/false);
-        continue;
-      }
-      if (tv.type() == DataType::kTimestamp) {
-        t = tv.AsTimestampMicros();
-      } else if (tv.type() == DataType::kInt64) {
-        t = tv.AsInt64();
-      } else {
-        QuarantineRow(state, "bad_cqtime_type",
-                      std::string("CQTIME column must be a timestamp, got ") +
-                          DataTypeToString(tv.type()),
-                      row, /*quarantine_flush=*/false);
-        continue;
-      }
-    }
-    const int64_t wm = state->watermark.load(std::memory_order_relaxed);
-    if (wm != INT64_MIN && t < wm) {
-      QuarantineRow(state, "late",
-                    "ts " + std::to_string(t) +
-                        " is behind stream watermark " + std::to_string(wm),
-                    row, /*quarantine_flush=*/false);
-      continue;
-    }
-    batch.AppendRow(row);
-    if (info->cqtime_system) {
-      batch.StampTimestamp(info->cqtime_column,
-                           static_cast<exec::RowIndex>(batch.row_count() - 1),
-                           t);
-    }
-    ts.push_back(t);
-    ++state->ingest_seq;
-    // The row path advances the watermark per admitted row; the quarantine
-    // qtime and late checks for the rest of this batch read it.
-    state->watermark.store(t, std::memory_order_relaxed);
-  }
-  exec::SelectionVector sel(batch.row_count());
-  for (size_t i = 0; i < sel.size(); ++i) {
-    sel[i] = static_cast<exec::RowIndex>(i);
-  }
-  return VectorizedDispatch(state, batch, sel, ts, seq_base);
+bool StreamRuntime::UseColumnar(const StreamState& state, bool arity_ok) {
+  if (!vectorize_.load(std::memory_order_relaxed)) return false;
+  // Row-buffering subscribers (generic CQs, row/slice windows) need every
+  // row delivered individually; only watermark-driven time windows can be
+  // replayed from the timestamp array.
+  const bool time_driven = std::all_of(
+      state.subs.begin(), state.subs.end(), [](const Subscription& sub) {
+        return !sub.feed_rows &&
+               sub.window_op->spec().kind == WindowSpec::Kind::kTime;
+      });
+  if (arity_ok && time_driven) return true;
+  vec_fallbacks_.fetch_add(1, std::memory_order_relaxed);
+  return false;
 }
 
 Status StreamRuntime::IngestColumnarImpl(StreamState* state,
                                          exec::ColumnBatch&& batch,
                                          int64_t system_time) {
   catalog::StreamInfo* info = state->info;
-  if (info->is_derived) {
-    return Status::InvalidArgument(
-        "cannot ingest into derived stream '" + info->name +
-        "'; it is computed by its defining query");
-  }
-  if (info->cqtime_system && system_time == INT64_MIN) {
-    return Status::InvalidArgument(
-        "stream '" + info->name + "' has CQTIME SYSTEM; pass an ingest time");
-  }
-  // When the vectorized path cannot run, materialize once and take the
-  // row-at-a-time oracle (an arity-mismatched batch then quarantines each
-  // row exactly as the row path would).
-  if (!vectorize_.load(std::memory_order_relaxed) || !workers_.empty() ||
-      !CanVectorize(*state) ||
-      batch.num_columns() != info->schema.num_columns()) {
-    if (vectorize_.load(std::memory_order_relaxed)) {
-      vec_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-    }
-    return IngestImpl(state, batch.MaterializeAll(), system_time,
-                      /*quarantine_flush=*/false);
-  }
-
   size_t admit_begin = 0;
   size_t admit_end = batch.row_count();
-  AdmitBatchColumnar(state, batch, &admit_begin, &admit_end);
+  // row_bytes(i) equals EstimateRowBytes of the materialized row by
+  // construction, so admission decides exactly what the row body would.
+  AdmitBatch(
+      state, batch.row_count(),
+      [&batch](size_t i) {
+        return batch.row_bytes(static_cast<exec::RowIndex>(i));
+      },
+      &admit_begin, &admit_end);
 
   const size_t n_rows = admit_end - admit_begin;
   exec::SelectionVector sel(n_rows);
   std::vector<int64_t> ts(n_rows);
   size_t out = 0;
-  const int64_t seq_base = state->ingest_seq;
   Row scratch;  // materialized only for quarantined rows
   const size_t tcol = info->cqtime_column;
   // When the CQTIME column is uniformly typed (the wire decode's common
@@ -826,7 +485,7 @@ Status StreamRuntime::IngestColumnarImpl(StreamState* state,
       ucq == DataType::kTimestamp || ucq == DataType::kInt64;
   // `wm` mirrors state->watermark; the atomic is still stored per admitted
   // row so QuarantineRow (which reads it for the dead-letter qtime) sees
-  // exactly what the row-at-a-time oracle would have published.
+  // exactly what the row body would have published.
   int64_t wm = state->watermark.load(std::memory_order_relaxed);
   for (size_t i = admit_begin; i < admit_end; ++i) {
     const exec::RowIndex row = static_cast<exec::RowIndex>(i);
@@ -873,15 +532,13 @@ Status StreamRuntime::IngestColumnarImpl(StreamState* state,
   }
   sel.resize(out);
   ts.resize(out);
-  state->ingest_seq = seq_base + static_cast<int64_t>(out);
-  return VectorizedDispatch(state, batch, sel, ts, seq_base);
+  return VectorizedDispatch(state, batch, sel, ts);
 }
 
 Status StreamRuntime::VectorizedDispatch(StreamState* state,
                                          const exec::ColumnBatch& batch,
                                          const exec::SelectionVector& sel,
-                                         const std::vector<int64_t>& ts,
-                                         int64_t seq_base) {
+                                         const std::vector<int64_t>& ts) {
   catalog::StreamInfo* info = state->info;
   // The in-flight columnar payload is charged as one batch, not per row;
   // released when the batch has been fully dispatched (the slices and
@@ -929,7 +586,7 @@ Status StreamRuntime::VectorizedDispatch(StreamState* state,
   // calls collapse to the rows that can close a window — plus the final
   // row, which fixes up the operators' last-seen timestamp. Pipelines
   // absorb rows [absorbed, p] right before row p's closes are evaluated,
-  // so every close merges exactly the rows the serial path would have.
+  // so every close merges exactly the rows the row body would have.
   int64_t due = next_due();
   size_t absorbed = 0;
   size_t p = 0;
@@ -946,8 +603,7 @@ Status StreamRuntime::VectorizedDispatch(StreamState* state,
       p = first < n - 1 ? first : n - 1;
     }
     for (SliceAggregator* agg : *pipelines) {
-      RETURN_IF_ERROR(agg->AddBatch(batch, sel, ts, seq_base, absorbed,
-                                    p + 1));
+      RETURN_IF_ERROR(agg->AddBatch(batch, sel, ts, absorbed, p + 1));
     }
     absorbed = p + 1;
     for (Subscription& sub : state->subs) {
@@ -960,105 +616,54 @@ Status StreamRuntime::VectorizedDispatch(StreamState* state,
     ++p;
   }
   for (SliceAggregator* agg : *pipelines) {
-    RETURN_IF_ERROR(agg->AddBatch(batch, sel, ts, seq_base, absorbed, n));
+    RETURN_IF_ERROR(agg->AddBatch(batch, sel, ts, absorbed, n));
   }
 
+  // The hot path (shared CQs only) never rebuilds a Row.
+  return FinishIngest(state, n, [&] {
+    std::vector<Row> admitted(n);
+    for (size_t q = 0; q < n; ++q) batch.MaterializeRow(sel[q], &admitted[q]);
+    return admitted;
+  });
+}
+
+Status StreamRuntime::FinishIngest(
+    StreamState* state, size_t n,
+    const std::function<std::vector<Row>()>& admitted) {
   const int64_t final_wm = state->watermark.load(std::memory_order_relaxed);
   if (n > 0) {
-    rows_ingested_.fetch_add(static_cast<int64_t>(n),
-                             std::memory_order_relaxed);
-    state->overload.rows_admitted.fetch_add(static_cast<int64_t>(n),
-                                            std::memory_order_relaxed);
-  }
-  if (metrics_.enabled() && n > 0) {
-    state->rows_ingested_metric->Add(static_cast<int64_t>(n));
-    engine_rows_metric_->Add(static_cast<int64_t>(n));
-    state->watermark_metric->Set(final_wm);
+    const int64_t count = static_cast<int64_t>(n);
+    rows_ingested_.fetch_add(count, std::memory_order_relaxed);
+    state->overload.rows_admitted.fetch_add(count, std::memory_order_relaxed);
+    if (metrics_.enabled()) {
+      state->rows_ingested_metric->Add(count);
+      engine_rows_metric_->Add(count);
+      state->watermark_metric->Set(final_wm);
+    }
   }
 
   // Evict slices no live window can reference.
-  for (SliceAggregator* agg : registry_.ForStream(info->name)) {
+  for (SliceAggregator* agg : registry_.ForStream(state->info->name)) {
     agg->EvictBefore(final_wm - agg->max_visible());
   }
-  // Channels and client subscriptions consume Row batches; materialize the
-  // admitted rows once, and only when someone is listening — the hot path
-  // (shared CQs only) never rebuilds a Row.
-  if (!state->channels.empty() || !state->client_subs.empty()) {
-    std::vector<Row> admitted;
-    admitted.reserve(n);
-    for (size_t p = 0; p < n; ++p) {
-      Row r;
-      batch.MaterializeRow(sel[p], &r);
-      admitted.push_back(std::move(r));
-    }
-    for (Channel* channel : state->channels) {
-      RETURN_IF_ERROR(WithSinkRetry(
-          [&] { return channel->OnRawRows(final_wm, admitted); }));
-    }
-    // Index loop: a delivery callback may re-enter the engine and mutate
-    // the subscription list.
-    for (size_t i = 0; i < state->client_subs.size(); ++i) {
-      RETURN_IF_ERROR(state->client_subs[i].callback(final_wm, admitted));
-    }
+  if (state->channels.empty() && state->client_subs.empty()) {
+    return Status::OK();
+  }
+  const std::vector<Row> rows = admitted();
+  // Raw-stream channels archive ingested rows directly (commit time =
+  // current watermark). Transient sink failures (WAL/table hiccups) are
+  // retried with backoff; OnRawRows restores its watermark on failure, so
+  // a retry re-delivers exactly the undelivered group.
+  for (Channel* channel : state->channels) {
+    RETURN_IF_ERROR(
+        WithSinkRetry([&] { return channel->OnRawRows(final_wm, rows); }));
+  }
+  // Index loop: a delivery callback may re-enter the engine and mutate
+  // the subscription list.
+  for (size_t i = 0; i < state->client_subs.size(); ++i) {
+    RETURN_IF_ERROR(state->client_subs[i].callback(final_wm, rows));
   }
   return Status::OK();
-}
-
-Status StreamRuntime::SetParallelism(int n) {
-  if (n < 1 || n > kMaxParallelism) {
-    return Status::InvalidArgument(
-        "PARALLELISM must be between 1 and " +
-        std::to_string(kMaxParallelism));
-  }
-  if (n == parallelism_.load(std::memory_order_relaxed)) return Status::OK();
-  // The caller holds the engine lock exclusive, so no ingest is in flight
-  // and the workers are idle; re-shard every pipeline (folding any
-  // existing shard state back into the parents) before changing the
-  // worker fleet.
-  const size_t shard_count = n > 1 ? static_cast<size_t>(n) : 0;
-  for (SliceAggregator* agg : registry_.MutablePipelines()) {
-    RETURN_IF_ERROR(agg->SetShardCount(shard_count));
-  }
-  workers_.clear();
-  for (size_t i = 0; i < shard_cells_.size(); ++i) {
-    metrics_.RemoveObject("shard", "worker" + std::to_string(i));
-  }
-  shard_cells_.clear();
-  parallelism_.store(n, std::memory_order_relaxed);
-  for (size_t i = 0; i < shard_count; ++i) {
-    workers_.emplace_back(
-        std::make_unique<ShardWorker>(i, kShardQueueCapacity));
-    const std::string name = "worker" + std::to_string(i);
-    ShardMetricCells cells;
-    cells.rows = metrics_.GetCounter("shard", name, "rows_absorbed");
-    cells.chunks = metrics_.GetCounter("shard", name, "chunks");
-    cells.backpressure_waits =
-        metrics_.GetCounter("shard", name, "backpressure_waits");
-    cells.queue_high_water =
-        metrics_.GetGauge("shard", name, "queue_high_water");
-    shard_cells_.push_back(cells);
-  }
-  metrics_.GetGauge("engine", "runtime", "parallelism")->Set(n);
-  return Status::OK();
-}
-
-void StreamRuntime::UpdateShardMetrics() {
-  if (!metrics_.enabled()) return;
-  // Leaf mutex: the delta fold runs from ingest barriers (shard lock held)
-  // and from gauge refreshes (no shard lock), possibly concurrently.
-  std::lock_guard<std::mutex> lock(shard_metrics_mu_);
-  for (size_t i = 0; i < workers_.size(); ++i) {
-    ShardMetricCells& cells = shard_cells_[i];
-    const ShardWorker& w = *workers_[i];
-    cells.rows->Add(w.rows_processed() - cells.last_rows);
-    cells.last_rows = w.rows_processed();
-    cells.chunks->Add(w.chunks_processed() - cells.last_chunks);
-    cells.last_chunks = w.chunks_processed();
-    cells.backpressure_waits->Add(w.backpressure_waits() -
-                                  cells.last_backpressure);
-    cells.last_backpressure = w.backpressure_waits();
-    cells.queue_high_water->Set(w.max_queue_depth());
-  }
 }
 
 Status StreamRuntime::AdvanceTime(const std::string& stream,
@@ -1068,35 +673,22 @@ Status StreamRuntime::AdvanceTime(const std::string& stream,
     RETURN_IF_ERROR(RegisterStream(stream));
     state = GetState(stream);
   }
-  // Same lock order as IngestEntry: eviction below walks shard replica
-  // state, so the fleet must be quiesced (holding the shard lock implies
-  // idle workers) before the stream lock is taken.
-  const bool take_shard = !workers_.empty() && !shard_mu_.held_by_me();
-  if (take_shard) shard_mu_.lock();
-  Status status = Status::OK();
-  {
-    std::lock_guard<OrderedMutex> stream_lock(state->mu);
-    const int64_t wm = state->watermark.load(std::memory_order_relaxed);
-    if (wm != INT64_MIN && watermark < wm) {
-      status = Status::InvalidArgument("watermark regression");
-    } else {
-      std::vector<WindowBatch> closed;
-      for (Subscription& sub : state->subs) {
-        status = sub.window_op->AdvanceTime(watermark, &closed);
-        if (status.ok()) status = ProcessClosed(&sub, &closed);
-        if (!status.ok()) break;
-      }
-      if (status.ok()) {
-        state->watermark.store(watermark, std::memory_order_relaxed);
-        if (metrics_.enabled()) state->watermark_metric->Set(watermark);
-        for (SliceAggregator* agg : registry_.ForStream(state->info->name)) {
-          agg->EvictBefore(watermark - agg->max_visible());
-        }
-      }
-    }
+  std::lock_guard<OrderedMutex> stream_lock(state->mu);
+  const int64_t wm = state->watermark.load(std::memory_order_relaxed);
+  if (wm != INT64_MIN && watermark < wm) {
+    return Status::InvalidArgument("watermark regression");
   }
-  if (take_shard) shard_mu_.unlock();
-  return status;
+  std::vector<WindowBatch> closed;
+  for (Subscription& sub : state->subs) {
+    RETURN_IF_ERROR(sub.window_op->AdvanceTime(watermark, &closed));
+    RETURN_IF_ERROR(ProcessClosed(&sub, &closed));
+  }
+  state->watermark.store(watermark, std::memory_order_relaxed);
+  if (metrics_.enabled()) state->watermark_metric->Set(watermark);
+  for (SliceAggregator* agg : registry_.ForStream(state->info->name)) {
+    agg->EvictBefore(watermark - agg->max_visible());
+  }
+  return Status::OK();
 }
 
 Status StreamRuntime::PublishBatch(const std::string& stream, int64_t close,
@@ -1282,22 +874,15 @@ Status StreamRuntime::EnsureQuarantineStream(const std::string& stream) {
   return RegisterStream(qname);
 }
 
-void StreamRuntime::AdmitBatch(StreamState* state,
-                               const std::vector<Row>& rows, size_t* begin,
-                               size_t* end, bool quarantine_flush) {
+void StreamRuntime::AdmitBatch(
+    StreamState* state, size_t n,
+    const std::function<int64_t(size_t)>& row_bytes, size_t* begin,
+    size_t* end) {
   *begin = 0;
-  *end = rows.size();
-  // Dead-letter capture must not itself be refused: quarantine flushes
-  // bypass admission (their buffered footprint is still accounted).
-  if (rows.empty() || quarantine_flush || governor_.budget() == 0) {
-    return;
-  }
-  std::vector<int64_t> bytes(rows.size());
+  *end = n;
+  if (n == 0 || governor_.budget() == 0) return;
   int64_t total = 0;
-  for (size_t i = 0; i < rows.size(); ++i) {
-    bytes[i] = EstimateRowBytes(rows[i]);
-    total += bytes[i];
-  }
+  for (size_t i = 0; i < n; ++i) total += row_bytes(i);
   const int64_t headroom = governor_.headroom();
   if (total <= headroom) return;
   switch (state->policy) {
@@ -1309,8 +894,8 @@ void StreamRuntime::AdmitBatch(StreamState* state,
       // that sheds the newest arrivals.
       int64_t acc = 0;
       size_t keep = 0;
-      while (keep < rows.size() && acc + bytes[keep] <= headroom) {
-        acc += bytes[keep];
+      while (keep < n && acc + row_bytes(keep) <= headroom) {
+        acc += row_bytes(keep);
         ++keep;
       }
       *end = keep;
@@ -1321,27 +906,23 @@ void StreamRuntime::AdmitBatch(StreamState* state,
       // the batch's timestamp order for the admitted remainder.
       int64_t acc = 0;
       size_t keep = 0;
-      while (keep < rows.size() &&
-             acc + bytes[rows.size() - 1 - keep] <= headroom) {
-        acc += bytes[rows.size() - 1 - keep];
+      while (keep < n && acc + row_bytes(n - 1 - keep) <= headroom) {
+        acc += row_bytes(n - 1 - keep);
         ++keep;
       }
-      *begin = rows.size() - keep;
+      *begin = n - keep;
       break;
     }
   }
-  state->overload.rows_shed.fetch_add(
-      static_cast<int64_t>(rows.size() - (*end - *begin)),
-      std::memory_order_relaxed);
+  state->overload.rows_shed.fetch_add(static_cast<int64_t>(n - (*end - *begin)),
+                                      std::memory_order_relaxed);
 }
 
 void StreamRuntime::BlockForHeadroom(StreamState* state, int64_t total) {
-  // Backpressure: drain in-flight shard chunks (the only charge
-  // another thread can free), then wait out the bounded budget for
-  // headroom. BLOCK is lossless — after the timeout the batch is
-  // admitted regardless, trading latency (counted), never rows.
+  // Backpressure: wait out the bounded budget for headroom. BLOCK is
+  // lossless — after the timeout the batch is admitted regardless, trading
+  // latency (counted), never rows.
   const auto start = std::chrono::steady_clock::now();
-  for (auto& w : workers_) w->WaitIdle();
   constexpr int64_t kPollMicros = 200;
   const int64_t timeout =
       block_timeout_micros_.load(std::memory_order_relaxed);
@@ -1358,57 +939,6 @@ void StreamRuntime::BlockForHeadroom(StreamState* state, int64_t total) {
           std::chrono::steady_clock::now() - start)
           .count(),
       std::memory_order_relaxed);
-}
-
-void StreamRuntime::AdmitBatchColumnar(StreamState* state,
-                                       const exec::ColumnBatch& batch,
-                                       size_t* begin, size_t* end) {
-  *begin = 0;
-  *end = batch.row_count();
-  if (batch.empty() || governor_.budget() == 0) return;
-  // row_bytes(i) equals EstimateRowBytes of the materialized row by
-  // construction, so every policy decision below matches what AdmitBatch
-  // would have decided for the same rows.
-  const int64_t total = batch.total_row_bytes();
-  const int64_t headroom = governor_.headroom();
-  if (total <= headroom) return;
-  const size_t n = batch.row_count();
-  switch (state->policy) {
-    case OverloadPolicy::kBlock:
-      BlockForHeadroom(state, total);
-      return;
-    case OverloadPolicy::kShedNewest: {
-      // Keep the longest prefix that fits: older rows win under a policy
-      // that sheds the newest arrivals.
-      int64_t acc = 0;
-      size_t keep = 0;
-      while (keep < n &&
-             acc + batch.row_bytes(static_cast<exec::RowIndex>(keep)) <=
-                 headroom) {
-        acc += batch.row_bytes(static_cast<exec::RowIndex>(keep));
-        ++keep;
-      }
-      *end = keep;
-      break;
-    }
-    case OverloadPolicy::kShedOldest: {
-      // Keep the longest suffix that fits; shedding the head preserves
-      // the batch's timestamp order for the admitted remainder.
-      int64_t acc = 0;
-      size_t keep = 0;
-      while (keep < n &&
-             acc + batch.row_bytes(
-                       static_cast<exec::RowIndex>(n - 1 - keep)) <=
-                 headroom) {
-        acc += batch.row_bytes(static_cast<exec::RowIndex>(n - 1 - keep));
-        ++keep;
-      }
-      *begin = n - keep;
-      break;
-    }
-  }
-  state->overload.rows_shed.fetch_add(
-      static_cast<int64_t>(n - (*end - *begin)), std::memory_order_relaxed);
 }
 
 void StreamRuntime::QuarantineRow(StreamState* state, const char* reason,
@@ -1439,8 +969,11 @@ void StreamRuntime::FlushQuarantine(std::vector<PendingQuarantine> batch) {
   for (PendingQuarantine& q : batch) {
     Status status = EnsureQuarantineStream(q.stream);
     if (status.ok()) {
-      status = IngestEntry(QuarantineName(q.stream), {std::move(q.row)},
-                           INT64_MIN, /*quarantine_flush=*/true);
+      status = IngestLocked(
+          QuarantineName(q.stream), INT64_MIN, [&](StreamState* state) {
+            return IngestImpl(state, {std::move(q.row)}, INT64_MIN,
+                              /*quarantine_flush=*/true);
+          });
     }
     if (!status.ok()) {
       quarantine_dropped_.fetch_add(1, std::memory_order_relaxed);
@@ -1526,8 +1059,6 @@ void StreamRuntime::RefreshMetricsGauges() {
       ->Set(static_cast<int64_t>(channels_.size()));
   metrics_.GetGauge("engine", "runtime", "shared_pipelines")
       ->Set(static_cast<int64_t>(registry_.pipeline_count()));
-  metrics_.GetGauge("engine", "runtime", "parallelism")
-      ->Set(parallelism_.load(std::memory_order_relaxed));
   metrics_.GetGauge("engine", "vectorize", "enabled")
       ->Set(vectorize() ? 1 : 0);
   metrics_.GetGauge("engine", "vectorize", "batches")
@@ -1536,7 +1067,6 @@ void StreamRuntime::RefreshMetricsGauges() {
       ->Set(vec_rows_.load(std::memory_order_relaxed));
   metrics_.GetGauge("engine", "vectorize", "fallbacks")
       ->Set(vec_fallbacks_.load(std::memory_order_relaxed));
-  UpdateShardMetrics();
 
   {
     // maps_mu_ is held across the walk so a concurrent lazy registration
@@ -1576,8 +1106,6 @@ void StreamRuntime::RefreshMetricsGauges() {
       ->Set(governor_.held(MemoryGovernor::Account::kWindow));
   metrics_.GetGauge("overload", "governor", "bytes_aggregator")
       ->Set(governor_.held(MemoryGovernor::Account::kAggregator));
-  metrics_.GetGauge("overload", "governor", "bytes_shard_queue")
-      ->Set(governor_.held(MemoryGovernor::Account::kShardQueue));
   metrics_.GetGauge("overload", "governor", "bytes_reorder")
       ->Set(governor_.held(MemoryGovernor::Account::kReorder));
   metrics_.GetGauge("overload", "governor", "bytes_net_send_queue")

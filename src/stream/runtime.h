@@ -19,7 +19,6 @@
 #include "stream/channel.h"
 #include "stream/continuous_query.h"
 #include "stream/metrics.h"
-#include "stream/shard_pool.h"
 #include "stream/window_operator.h"
 
 namespace streamrel::stream {
@@ -39,23 +38,18 @@ const char* OverloadPolicyName(OverloadPolicy policy);
 /// window closes as the watermark advances, cascades derived-stream
 /// batches downstream, and drives channels into active tables.
 ///
-/// With SET PARALLELISM n (n > 1) the expensive per-row work — updating
-/// the shared slice-aggregation pipelines — is hash-partitioned across n
-/// worker shards, each owning replica pipeline state; the ingest thread
-/// remains the coordinator, and at every window close it barriers the
-/// workers and merges their partial aggregates, so downstream consumers
-/// observe exactly the serial semantics.
+/// Ingest is one serial pass per batch: the production body is columnar
+/// (IngestColumnarImpl + VectorizedDispatch); the row-at-a-time body
+/// (IngestImpl) serves generic and ROWS-window subscribers and is the
+/// reference the vectorized path is tested against (SET VECTORIZE OFF).
 ///
 /// Threading (DESIGN decision 11). Structural mutation (create/drop/
-/// subscribe/set-parallelism) happens only under the Database's exclusive
-/// engine lock; data-plane entry points run under a shared hold. Within a
-/// shared hold:
+/// subscribe/set) happens only under the Database's exclusive engine
+/// lock; data-plane entry points run under a shared hold. Within a shared
+/// hold:
 ///   - Ingest/AdvanceTime serialize per stream on that stream's ranked
 ///     OrderedMutex (rank kStream), so disjoint streams ingest fully
 ///     concurrently;
-///   - when the worker fleet exists (PARALLELISM > 1) ingest first takes
-///     the shard-fleet lock (rank kShard), because the workers and their
-///     replica pipelines are shared engine-wide;
 ///   - channel sinks take the DML lock (rank kDml) per delivery attempt,
 ///     serializing against SQL writes to the same tables;
 ///   - the stream map itself is guarded by an unranked leaf mutex held
@@ -124,17 +118,19 @@ class StreamRuntime {
   /// Ingests ordered rows into a raw stream. CQTIME USER streams read each
   /// row's timestamp column; CQTIME SYSTEM streams are stamped with
   /// `system_time` (required > current watermark). Serializes on the
-  /// stream's own ingest lock; disjoint streams proceed in parallel.
+  /// stream's own ingest lock; disjoint streams proceed in parallel. The
+  /// rows are converted to a ColumnBatch and take the columnar body unless
+  /// the vectorized path cannot run (see the ColumnBatch overload).
   Status Ingest(const std::string& stream, const std::vector<Row>& rows,
                 int64_t system_time = INT64_MIN);
 
   /// Columnar ingest: same contract as the row overload, but the rows
   /// arrive already in columnar layout (the network INGEST_BATCH decoder
   /// fills a ColumnBatch directly, skipping Row materialization). When
-  /// the vectorized path cannot run — SET VECTORIZE OFF, PARALLELISM > 1,
-  /// a row-buffering subscriber, or an arity mismatch — the batch is
-  /// materialized once and takes the row-at-a-time oracle path, so the
-  /// observable output is identical either way.
+  /// the vectorized path cannot run — SET VECTORIZE OFF, a row-buffering
+  /// subscriber, or an arity mismatch — the batch is materialized once and
+  /// takes the row-at-a-time body, so the observable output is identical
+  /// either way.
   Status Ingest(const std::string& stream, exec::ColumnBatch&& batch,
                 int64_t system_time = INT64_MIN);
 
@@ -149,25 +145,9 @@ class StreamRuntime {
   /// (heap + indexes + WAL) stay consistent under concurrency.
   OrderedMutex* dml_mutex() { return &dml_mu_; }
 
-  // --- partition-parallel execution ------------------------------------------
-
-  /// Sets the worker-shard count for ingest (SET PARALLELISM n). 1 (the
-  /// default) runs fully single-threaded — the serial hot path is
-  /// untouched. For n > 1, every shared pipeline is split into n shard
-  /// replicas and n workers are started; existing shard state is folded
-  /// back first, so the switch is transparent to running CQs. Callers hold
-  /// the engine lock exclusive (no ingest is in flight).
-  Status SetParallelism(int n);
-  int parallelism() const {
-    return parallelism_.load(std::memory_order_relaxed);
-  }
-
-  /// Upper bound for SET PARALLELISM (sanity cap, not a tuning target).
-  static constexpr int kMaxParallelism = 64;
-
   // --- vectorized execution ---------------------------------------------------
 
-  /// SET VECTORIZE ON|OFF. ON (the default) routes eligible serial ingest
+  /// SET VECTORIZE ON|OFF. ON (the default) routes eligible ingest
   /// through the columnar batch path; OFF forces the row-at-a-time oracle
   /// everywhere, which the differential suites compare against. Mutated
   /// only under the exclusive engine lock.
@@ -186,8 +166,8 @@ class StreamRuntime {
     return vec_rows_.load(std::memory_order_relaxed);
   }
   /// Ingest calls that wanted the vectorized path (VECTORIZE ON) but had
-  /// to fall back to the row path (parallel fleet, row-buffering
-  /// subscriber, non-time window, or arity-mismatched columnar batch).
+  /// to fall back to the row path (row-buffering subscriber, non-time
+  /// window, or arity-mismatched input).
   int64_t vectorize_fallbacks() const {
     return vec_fallbacks_.load(std::memory_order_relaxed);
   }
@@ -195,7 +175,7 @@ class StreamRuntime {
   // --- overload protection ----------------------------------------------------
 
   /// The engine-wide byte ledger (window buffers, aggregator groups,
-  /// shard queues, reorder buffers charge into it).
+  /// in-flight batches, reorder buffers charge into it).
   MemoryGovernor* governor() { return &governor_; }
   const MemoryGovernor* governor() const { return &governor_; }
 
@@ -307,7 +287,6 @@ class StreamRuntime {
 
   /// Lock-contention accounting for the internal ranked locks, surfaced
   /// under `engine/lock` in SHOW STATS.
-  const OrderedMutex* shard_lock() const { return &shard_mu_; }
   const OrderedMutex* dml_lock() const { return &dml_mu_; }
   /// Sums acquisitions/contended over every per-stream ingest lock.
   void StreamLockStats(int64_t* acquisitions, int64_t* contended) const;
@@ -340,10 +319,6 @@ class StreamRuntime {
     /// Watermark is written only by the ingest-lock holder but read by
     /// observability and admission paths that hold no stream lock.
     std::atomic<int64_t> watermark{INT64_MIN};
-    /// Global arrival sequence number of the next ingested row; shards use
-    /// it to restore exact arrival order when merging partial aggregates.
-    /// Guarded by `mu`.
-    int64_t ingest_seq = 0;
     std::vector<Subscription> subs;
     std::vector<Channel*> channels;        // owned by channels_
     struct ClientSub {
@@ -390,82 +365,66 @@ class StreamRuntime {
 
   Status AttachCqSubscription(ContinuousQuery* cq);
 
-  /// The locking wrapper around IngestImpl: registers the stream if
-  /// needed, takes the shard-fleet lock (when workers exist and the thread
-  /// does not already hold it) then the stream's ingest lock, and flushes
-  /// the stream's pending dead-letter rows after releasing both.
-  /// `quarantine_flush` marks re-entry from FlushQuarantine: admission is
-  /// bypassed and rejected rows are dropped (counted) instead of recursing.
-  Status IngestEntry(const std::string& stream, const std::vector<Row>& rows,
-                     int64_t system_time, bool quarantine_flush);
-
-  /// Shared locking skeleton for every ingest flavor: registers the stream
-  /// if needed, takes the shard-fleet lock (when workers exist and the
-  /// thread does not already hold it) then the stream's ingest lock, runs
-  /// `body`, and flushes the stream's pending dead-letter rows after
-  /// releasing both locks.
-  Status IngestLocked(const std::string& stream,
+  /// Locking skeleton for every ingest: registers the stream if needed,
+  /// takes the stream's ingest lock, rejects batch-level contract
+  /// violations (derived stream, CQTIME SYSTEM without an ingest time),
+  /// runs `body`, and flushes the stream's pending dead-letter rows after
+  /// releasing the lock.
+  Status IngestLocked(const std::string& stream, int64_t system_time,
                       const std::function<Status(StreamState*)>& body);
 
+  /// Row-at-a-time ingest body: for streams with row-buffering
+  /// subscribers, for arity-mismatched input, under SET VECTORIZE OFF (the
+  /// reference the vectorized path is compared against), and for
+  /// dead-letter flushes. `quarantine_flush` marks re-entry from
+  /// FlushQuarantine: admission is bypassed and rejected rows are dropped
+  /// (counted) instead of recursing.
   Status IngestImpl(StreamState* state, const std::vector<Row>& rows,
                     int64_t system_time, bool quarantine_flush);
 
   // --- vectorized ingest (columnar hot path) ---------------------------------
 
-  /// True when every subscription on the stream is watermark-driven (a
-  /// shared-aggregation CQ over a time window): the vectorized path can
-  /// then replay window-close scheduling from the timestamp array alone.
-  bool CanVectorize(const StreamState& state) const;
+  /// Picks the ingest body: true (columnar) when VECTORIZE is ON, every
+  /// subscription on the stream is watermark-driven (a shared-aggregation
+  /// CQ over a time window, so window-close scheduling can be replayed
+  /// from the timestamp array alone), and `arity_ok` (every row has the
+  /// schema's arity). A refusal under VECTORIZE ON counts as a fallback.
+  bool UseColumnar(const StreamState& state, bool arity_ok);
 
-  /// Vectorized twin of the serial IngestImpl row loop, pass 1: validates
-  /// and quarantines rows [begin, end) with exactly the row path's checks
-  /// and messages, stamps CQTIME SYSTEM, columnarizes the admitted rows,
-  /// and hands the batch to VectorizedDispatch.
-  Status IngestRowsVectorized(StreamState* state,
-                              const std::vector<Row>& rows,
-                              int64_t system_time, size_t begin, size_t end);
-
-  /// Columnar-source ingest body (network INGEST_BATCH): batch-level
-  /// checks, columnar admission, then pass 1 over the batch's own cells.
-  /// Falls back to IngestImpl on a materialized copy when the vectorized
-  /// path cannot run.
+  /// Columnar ingest body: columnar admission, then pass 1 (validation and
+  /// quarantine, CQTIME SYSTEM stamping) over the batch's own cells, then
+  /// VectorizedDispatch. Callers have checked UseColumnar.
   Status IngestColumnarImpl(StreamState* state, exec::ColumnBatch&& batch,
                             int64_t system_time);
 
-  /// Pass 2: absorbs admitted rows batch[sel[p]] (timestamps ts[p],
-  /// ingest seq seq_base + p) into the shared pipelines batch-at-a-time,
-  /// replaying window-close scheduling so every subscriber observes the
-  /// exact per-row serial semantics, then runs the standard ingest tail
-  /// (metrics, eviction, channels, client subscriptions).
+  /// Pass 2: absorbs admitted rows batch[sel[p]] (timestamps ts[p]) into
+  /// the shared pipelines batch-at-a-time, replaying window-close
+  /// scheduling so every subscriber observes the exact per-row semantics,
+  /// then runs FinishIngest.
   Status VectorizedDispatch(StreamState* state,
                             const exec::ColumnBatch& batch,
                             const exec::SelectionVector& sel,
-                            const std::vector<int64_t>& ts, int64_t seq_base);
+                            const std::vector<int64_t>& ts);
 
-  /// Columnar twin of AdmitBatch: identical policy decisions, using the
-  /// batch's precomputed per-row byte estimates (exact parity with
-  /// EstimateRowBytes by construction).
-  void AdmitBatchColumnar(StreamState* state, const exec::ColumnBatch& batch,
-                          size_t* begin, size_t* end);
+  /// The ingest tail shared by both bodies: counts the `n` admitted rows,
+  /// evicts slices no live window can reference, and hands the admitted
+  /// rows to raw-stream channels and client subscriptions. `admitted`
+  /// builds those rows and runs only when a channel or client
+  /// subscription listens.
+  Status FinishIngest(StreamState* state, size_t n,
+                      const std::function<std::vector<Row>()>& admitted);
 
-  /// BLOCK-policy wait shared by both admission flavors: drains in-flight
-  /// shard chunks, then polls for `total` bytes of headroom within the
+  /// Admission pre-pass over an n-row batch whose row i is estimated at
+  /// `row_bytes(i)` bytes: decides the contiguous [*begin, *end) slice
+  /// that gets in under the current policy/headroom and counts the rest as
+  /// shed. No-op (full batch) when under budget.
+  void AdmitBatch(StreamState* state, size_t n,
+                  const std::function<int64_t(size_t)>& row_bytes,
+                  size_t* begin, size_t* end);
+
+  /// BLOCK-policy wait: polls for `total` bytes of headroom within the
   /// block timeout, charging the wait to the stream's blocked_micros.
   void BlockForHeadroom(StreamState* state, int64_t total);
-
-  /// Parallel twin of the Ingest row loop: stamps/validates on the
-  /// coordinator, hash-partitions rows to the worker shards, and barriers
-  /// before evaluating any window close so merges see complete partials.
-  /// Runs with the shard-fleet lock held.
-  Status IngestParallel(StreamState* state, const std::vector<Row>& rows,
-                        int64_t system_time, size_t begin, size_t end,
-                        bool quarantine_flush);
-
-  /// Admission pre-pass: decides the contiguous [*begin, *end) slice of
-  /// `rows` that gets in under the current policy/headroom and counts the
-  /// rest as shed. No-op (full batch) when under budget.
-  void AdmitBatch(StreamState* state, const std::vector<Row>& rows,
-                  size_t* begin, size_t* end, bool quarantine_flush);
 
   /// Records one rejected row into the stream's pending dead-letter batch
   /// (flushed when the outermost ingest on the stream returns).
@@ -482,11 +441,6 @@ class StreamRuntime {
   /// deterministic jitter between them. Each attempt runs under the DML
   /// lock; backoff sleeps run with it released.
   Status WithSinkRetry(const std::function<Status()>& op);
-
-  /// Folds the workers' cumulative stats into the `shard` scope metrics
-  /// (delta counters; serialized internally so concurrent gauge refreshes
-  /// and ingest barriers do not double-count).
-  void UpdateShardMetrics();
 
   catalog::Catalog* catalog_;
   storage::TransactionManager* txns_;
@@ -506,12 +460,6 @@ class StreamRuntime {
   MetricsRegistry metrics_;
   Counter* engine_rows_metric_ = nullptr;  // engine-wide ingest total
 
-  /// Serializes use of the shared worker fleet (rank kShard): replica
-  /// pipeline state is engine-wide, so parallel ingest batches take turns.
-  /// Taken before any stream lock; holding it implies the workers are
-  /// idle between batches (IngestParallel barriers before returning).
-  OrderedMutex shard_mu_{LockRank::kShard, /*allow_same_rank=*/false,
-                         "shard fleet"};
   /// Serializes table writes (rank kDml): SQL DML and channel sinks.
   OrderedMutex dml_mu_{LockRank::kDml, /*allow_same_rank=*/false,
                        "table dml"};
@@ -530,26 +478,6 @@ class StreamRuntime {
   std::atomic<int64_t> vec_batches_{0};
   std::atomic<int64_t> vec_rows_{0};
   std::atomic<int64_t> vec_fallbacks_{0};
-
-  std::atomic<int> parallelism_{1};
-  /// Cached `shard` scope metric cells plus the last folded-in worker
-  /// totals (workers expose cumulative stats; the registry gets deltas).
-  struct ShardMetricCells {
-    Counter* rows = nullptr;
-    Counter* chunks = nullptr;
-    Counter* backpressure_waits = nullptr;
-    Gauge* queue_high_water = nullptr;
-    int64_t last_rows = 0;
-    int64_t last_chunks = 0;
-    int64_t last_backpressure = 0;
-  };
-  /// Leaf mutex for the delta fold in UpdateShardMetrics (callable from an
-  /// ingest barrier and from concurrent SHOW STATS refreshes).
-  mutable std::mutex shard_metrics_mu_;
-  std::vector<ShardMetricCells> shard_cells_;
-  /// Declared after registry_ so workers (which reference pipeline shard
-  /// state while draining) are joined before the registry is destroyed.
-  std::vector<std::unique_ptr<ShardWorker>> workers_;
 };
 
 }  // namespace streamrel::stream

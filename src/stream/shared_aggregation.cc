@@ -1,7 +1,5 @@
 #include "stream/shared_aggregation.h"
 
-#include <algorithm>
-
 #include "exec/operators.h"
 
 namespace streamrel::stream {
@@ -12,11 +10,6 @@ SliceAggregator::SliceAggregator(int64_t slice_width_micros,
     : slice_width_(slice_width_micros),
       filter_(std::move(filter)),
       group_exprs_(std::move(group_exprs)) {}
-
-SliceAggregator::SliceAggregator(const SliceAggregator* parent)
-    : slice_width_(parent->slice_width_),
-      governor_(parent->governor_),
-      parent_(parent) {}
 
 SliceAggregator::~SliceAggregator() { ReleaseAllCharges(); }
 
@@ -48,29 +41,14 @@ void SliceAggregator::ReleaseAllCharges() {
 }
 
 void SliceAggregator::BindGovernor(MemoryGovernor* governor) {
-  if (governor_ != governor) {
-    if (governor_ != nullptr) {
-      governor_->Release(MemoryGovernor::Account::kAggregator, bytes_held_);
-    }
-    governor_ = governor;
-    if (governor_ != nullptr) {
-      governor_->Add(MemoryGovernor::Account::kAggregator, bytes_held_);
-    }
+  if (governor_ == governor) return;
+  if (governor_ != nullptr) {
+    governor_->Release(MemoryGovernor::Account::kAggregator, bytes_held_);
   }
-  for (auto& shard : shards_) shard->BindGovernor(governor);
-}
-
-bool SliceAggregator::HasAbsorbed() const {
-  if (rows_absorbed_.load(std::memory_order_relaxed) > 0 || !slices_.empty()) {
-    return true;
+  governor_ = governor;
+  if (governor_ != nullptr) {
+    governor_->Add(MemoryGovernor::Account::kAggregator, bytes_held_);
   }
-  for (const auto& shard : shards_) {
-    if (shard->rows_absorbed_.load(std::memory_order_relaxed) > 0 ||
-        !shard->slices_.empty()) {
-      return true;
-    }
-  }
-  return false;
 }
 
 Result<std::vector<size_t>> SliceAggregator::RegisterCalls(
@@ -117,10 +95,9 @@ bool SliceAggregator::CanAccept(
 }
 
 Result<std::vector<exec::AggStatePtr>> SliceAggregator::NewStates() const {
-  const std::vector<exec::AggregateCall>& all = calls();
   std::vector<exec::AggStatePtr> states;
-  states.reserve(all.size());
-  for (const exec::AggregateCall& call : all) {
+  states.reserve(calls_.size());
+  for (const exec::AggregateCall& call : calls_) {
     ASSIGN_OR_RETURN(exec::AggStatePtr state,
                      exec::MakeAggState(call.function, call.star,
                                         call.distinct));
@@ -130,8 +107,7 @@ Result<std::vector<exec::AggStatePtr>> SliceAggregator::NewStates() const {
 }
 
 SliceAggregator::Group* SliceAggregator::FindOrCreateGroup(
-    Slice* slice, std::vector<Value> keys, int64_t first_seq,
-    Status* status) {
+    Slice* slice, std::vector<Value> keys, Status* status) {
   size_t h = exec::HashValues(keys);
   const size_t found = slice->lookup.Find(h, [&](size_t idx) {
     return exec::ValuesEqual(slice->groups[idx].keys, keys);
@@ -140,7 +116,6 @@ SliceAggregator::Group* SliceAggregator::FindOrCreateGroup(
   slice->lookup.Insert(h, slice->groups.size());
   Group g;
   g.keys = std::move(keys);
-  g.first_seq = first_seq;
   auto states = NewStates();
   if (!states.ok()) {
     *status = states.status();
@@ -152,10 +127,10 @@ SliceAggregator::Group* SliceAggregator::FindOrCreateGroup(
   return &slice->groups.back();
 }
 
-Status SliceAggregator::AddRow(int64_t ts, const Row& row, int64_t seq) {
+Status SliceAggregator::AddRow(int64_t ts, const Row& row) {
   exec::EvalContext ctx;  // cq_close is not available pre-aggregation
-  if (filter() != nullptr) {
-    ASSIGN_OR_RETURN(bool keep, exec::EvalPredicate(*filter(), row, ctx));
+  if (filter_ != nullptr) {
+    ASSIGN_OR_RETURN(bool keep, exec::EvalPredicate(*filter_, row, ctx));
     if (!keep) return Status::OK();
   }
   int64_t q = ts / slice_width_;
@@ -166,17 +141,16 @@ Status SliceAggregator::AddRow(int64_t ts, const Row& row, int64_t seq) {
   Slice& slice = slice_it->second;
 
   std::vector<Value> keys;
-  keys.reserve(group_exprs().size());
-  for (const auto& g : group_exprs()) {
+  keys.reserve(group_exprs_.size());
+  for (const auto& g : group_exprs_) {
     ASSIGN_OR_RETURN(Value v, g->Eval(row, ctx));
     keys.push_back(std::move(v));
   }
   Status status;
-  Group* group = FindOrCreateGroup(&slice, std::move(keys), seq, &status);
+  Group* group = FindOrCreateGroup(&slice, std::move(keys), &status);
   if (group == nullptr) return status;
-  const std::vector<exec::AggregateCall>& all = calls();
-  for (size_t i = 0; i < all.size(); ++i) {
-    if (all[i].argument == nullptr) {
+  for (size_t i = 0; i < calls_.size(); ++i) {
+    if (calls_[i].argument == nullptr) {
       exec::AggState* s = group->states[i].get();
       if (int64_t* slot = s->unconditional_count_slot()) {
         ++*slot;  // count(*): equivalent to Update, minus the dispatch
@@ -185,7 +159,7 @@ Status SliceAggregator::AddRow(int64_t ts, const Row& row, int64_t seq) {
       }
       continue;
     }
-    ASSIGN_OR_RETURN(Value arg, all[i].argument->Eval(row, ctx));
+    ASSIGN_OR_RETURN(Value arg, calls_[i].argument->Eval(row, ctx));
     group->states[i]->Update(arg);
   }
   rows_absorbed_.fetch_add(1, std::memory_order_relaxed);
@@ -193,12 +167,12 @@ Status SliceAggregator::AddRow(int64_t ts, const Row& row, int64_t seq) {
 }
 
 void SliceAggregator::EnsureBatchKernels() {
-  const std::vector<exec::AggregateCall>& all = calls();
+  const std::vector<exec::AggregateCall>& all = calls_;
   if (kernels_ != nullptr && kernels_->args.size() == all.size()) return;
   auto k = std::make_unique<BatchKernels>();
-  k->filter = exec::VectorPredicate::Compile(filter());
+  k->filter = exec::VectorPredicate::Compile(filter_.get());
   k->keys_columnar = true;
-  for (const auto& g : group_exprs()) {
+  for (const auto& g : group_exprs_) {
     if (g->kind != exec::BoundExprKind::kColumn) {
       k->keys_columnar = false;
       k->key_cols.clear();
@@ -223,8 +197,8 @@ void SliceAggregator::EnsureBatchKernels() {
 
 Status SliceAggregator::AddBatch(const exec::ColumnBatch& batch,
                                  const exec::SelectionVector& sel,
-                                 const std::vector<int64_t>& ts,
-                                 int64_t seq_base, size_t from, size_t to) {
+                                 const std::vector<int64_t>& ts, size_t from,
+                                 size_t to) {
   if (from >= to) return Status::OK();
   EnsureBatchKernels();
   const BatchKernels& k = *kernels_;
@@ -335,7 +309,6 @@ Status SliceAggregator::AddBatch(const exec::ColumnBatch& batch,
         for (size_t c = 0; c < num_keys; ++c) {
           g.keys.push_back(batch.GetValue(key_cols[c], row));
         }
-        g.first_seq = seq_base + static_cast<int64_t>(p);
         ASSIGN_OR_RETURN(g.states, NewStates());
         slice->groups.push_back(std::move(g));
         ChargeSlice(slice, GroupBytes(slice->groups.back()));
@@ -343,15 +316,14 @@ Status SliceAggregator::AddBatch(const exec::ColumnBatch& batch,
       }
     } else {
       std::vector<Value> keys;
-      keys.reserve(group_exprs().size());
+      keys.reserve(group_exprs_.size());
       const Row& r = materialized(row);
-      for (const auto& g : group_exprs()) {
+      for (const auto& g : group_exprs_) {
         ASSIGN_OR_RETURN(Value v, g->Eval(r, ctx));
         keys.push_back(std::move(v));
       }
       Status status;
-      group = FindOrCreateGroup(slice, std::move(keys),
-                                seq_base + static_cast<int64_t>(p), &status);
+      group = FindOrCreateGroup(slice, std::move(keys), &status);
       if (group == nullptr) return status;
     }
 
@@ -410,12 +382,12 @@ Result<std::vector<Row>> SliceAggregator::ComputeWindow(
   // Which union slots to merge/finalize, in output order.
   std::vector<size_t> all;
   if (slots == nullptr) {
-    all.resize(calls().size());
+    all.resize(calls_.size());
     for (size_t i = 0; i < all.size(); ++i) all[i] = i;
     slots = &all;
   }
   for (size_t slot : *slots) {
-    if (slot >= calls().size()) {
+    if (slot >= calls_.size()) {
       return Status::Internal("aggregate slot out of range");
     }
   }
@@ -448,51 +420,16 @@ Result<std::vector<Row>> SliceAggregator::ComputeWindow(
     return Status::OK();
   };
 
-  if (shards_.empty()) {
-    // Single-threaded pipeline: slices in time order, groups in insertion
-    // (= arrival) order.
-    for (auto it = slices_.lower_bound(open);
-         it != slices_.end() && it->first < close; ++it) {
-      for (const Group& g : it->second.groups) {
-        RETURN_IF_ERROR(absorb(g));
-      }
-    }
-  } else {
-    // Partition-parallel pipeline: gather each slice's partial groups from
-    // the parent (pre-shard history) and every shard, then absorb them in
-    // global arrival order (first_seq). Within one slice a shard's
-    // insertion order already follows its rows' seqs, and each row lives in
-    // exactly one shard, so the stable sort reconstructs the exact order a
-    // single-threaded pass would have created the groups in.
-    struct Entry {
-      int64_t first_seq;
-      const Group* group;
-    };
-    std::map<int64_t, std::vector<Entry>> by_slice;
-    auto gather = [&](const SliceAggregator& src) {
-      for (auto it = src.slices_.lower_bound(open);
-           it != src.slices_.end() && it->first < close; ++it) {
-        auto& entries = by_slice[it->first];
-        for (const Group& g : it->second.groups) {
-          entries.push_back(Entry{g.first_seq, &g});
-        }
-      }
-    };
-    gather(*this);
-    for (const auto& shard : shards_) gather(*shard);
-    for (auto& [start, entries] : by_slice) {
-      std::stable_sort(entries.begin(), entries.end(),
-                       [](const Entry& a, const Entry& b) {
-                         return a.first_seq < b.first_seq;
-                       });
-      for (const Entry& e : entries) {
-        RETURN_IF_ERROR(absorb(*e.group));
-      }
+  // Slices in time order, groups in insertion (= arrival) order.
+  for (auto it = slices_.lower_bound(open);
+       it != slices_.end() && it->first < close; ++it) {
+    for (const Group& g : it->second.groups) {
+      RETURN_IF_ERROR(absorb(g));
     }
   }
 
   // Scalar aggregation emits one row even for an empty window.
-  if (merged.empty() && group_exprs().empty()) {
+  if (merged.empty() && group_exprs_.empty()) {
     Group g;
     ASSIGN_OR_RETURN(std::vector<exec::AggStatePtr> fresh, NewStates());
     g.states.reserve(slots->size());
@@ -520,91 +457,6 @@ void SliceAggregator::EvictBefore(int64_t ts) {
     slices_.erase(slices_.begin());
     live_slice_count_.fetch_sub(1, std::memory_order_relaxed);
   }
-  for (auto& shard : shards_) shard->EvictBefore(ts);
-}
-
-size_t SliceAggregator::live_slices() const {
-  int64_t n = live_slice_count_.load(std::memory_order_relaxed);
-  for (const auto& shard : shards_) {
-    n += shard->live_slice_count_.load(std::memory_order_relaxed);
-  }
-  return static_cast<size_t>(n);
-}
-
-int64_t SliceAggregator::rows_absorbed() const {
-  int64_t n = rows_absorbed_.load(std::memory_order_relaxed);
-  for (const auto& shard : shards_) {
-    n += shard->rows_absorbed_.load(std::memory_order_relaxed);
-  }
-  return n;
-}
-
-Status SliceAggregator::FoldShardsIn() {
-  struct Entry {
-    int64_t first_seq;
-    const Group* group;
-  };
-  std::map<int64_t, std::vector<Entry>> by_slice;
-  for (const auto& shard : shards_) {
-    for (const auto& [start, slice] : shard->slices_) {
-      auto& entries = by_slice[start];
-      for (const Group& g : slice.groups) {
-        entries.push_back(Entry{g.first_seq, &g});
-      }
-    }
-    rows_absorbed_.fetch_add(
-        shard->rows_absorbed_.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
-  }
-  for (auto& [start, entries] : by_slice) {
-    std::stable_sort(entries.begin(), entries.end(),
-                     [](const Entry& a, const Entry& b) {
-                       return a.first_seq < b.first_seq;
-                     });
-    auto [dst_it, dst_created] = slices_.try_emplace(start);
-    if (dst_created) live_slice_count_.fetch_add(1, std::memory_order_relaxed);
-    Slice& dst = dst_it->second;
-    for (const Entry& e : entries) {
-      size_t h = exec::HashValues(e.group->keys);
-      const size_t found = dst.lookup.Find(h, [&](size_t idx) {
-        return exec::ValuesEqual(dst.groups[idx].keys, e.group->keys);
-      });
-      Group* target =
-          found != GroupIndex::kNone ? &dst.groups[found] : nullptr;
-      if (target == nullptr) {
-        dst.lookup.Insert(h, dst.groups.size());
-        Group copy;
-        copy.keys = e.group->keys;
-        copy.first_seq = e.group->first_seq;
-        copy.states.reserve(e.group->states.size());
-        for (const auto& state : e.group->states) {
-          copy.states.push_back(state->Clone());
-        }
-        dst.groups.push_back(std::move(copy));
-        ChargeSlice(&dst, GroupBytes(dst.groups.back()));
-        continue;
-      }
-      for (size_t i = 0; i < target->states.size(); ++i) {
-        RETURN_IF_ERROR(target->states[i]->Merge(*e.group->states[i]));
-      }
-    }
-  }
-  shards_.clear();
-  return Status::OK();
-}
-
-Status SliceAggregator::SetShardCount(size_t n) {
-  if (parent_ != nullptr) {
-    return Status::Internal("shard replicas cannot themselves be sharded");
-  }
-  RETURN_IF_ERROR(FoldShardsIn());
-  if (n >= 2) {
-    shards_.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      shards_.emplace_back(new SliceAggregator(this));
-    }
-  }
-  return Status::OK();
 }
 
 }  // namespace streamrel::stream

@@ -99,16 +99,6 @@ class GroupIndex {
 ///
 /// The aggregate-call list is the union across member CQs; each member gets
 /// a slot mapping from its calls into the union.
-///
-/// Partition-parallel execution: a pipeline can be split into N *shard*
-/// replicas (SetShardCount). Each replica shares the parent's filter,
-/// group expressions, and call union (read-only at evaluation time) but
-/// owns its own slice map, so N worker threads can absorb disjoint row
-/// partitions concurrently. At window close, ComputeWindow on the parent
-/// merges the shards' per-slice partial states; each group's position in
-/// the output follows the global first-seen ingest sequence number, so the
-/// merged relation is exactly what single-threaded absorption would have
-/// produced (aggregate states Merge associatively; see AggState).
 class SliceAggregator {
  public:
   /// `filter` (nullable) and `group_exprs` are bound against the stream
@@ -119,8 +109,8 @@ class SliceAggregator {
   ~SliceAggregator();
 
   /// Charges group-state bytes (kAggregator account) to `governor` from
-  /// now on, propagating to existing and future shard replicas. Existing
-  /// state is charged immediately; nullptr detaches and releases.
+  /// now on. Existing state is charged immediately; nullptr detaches and
+  /// releases.
   void BindGovernor(MemoryGovernor* governor);
 
   /// Registers a member CQ's aggregate calls; calls with a display name
@@ -136,26 +126,23 @@ class SliceAggregator {
   /// union.
   bool CanAccept(const std::vector<exec::AggregateCall>& calls) const;
 
-  /// Absorbs one stream row into its slice (ts / slice_width). `seq` is the
-  /// row's global per-stream ingest sequence number; a group remembers the
-  /// seq of its first row per slice so sharded partials can be merged back
-  /// in exact arrival order.
-  Status AddRow(int64_t ts, const Row& row, int64_t seq = 0);
+  /// Absorbs one stream row into its slice (ts / slice_width). A slice
+  /// keeps its groups in first-arrival order.
+  Status AddRow(int64_t ts, const Row& row);
 
   /// Batch-at-a-time absorption: folds rows batch[sel[p]] for p in
   /// [from, to) into their slices. `ts[p]` is row sel[p]'s CQTIME (the
   /// caller guarantees it is non-decreasing over the range — arrival
-  /// order), and the row's ingest sequence number is `seq_base + p`.
-  /// Produces byte-identical aggregator state to calling AddRow once per
-  /// row in order: the filter, slice bucketing, group hash/equality, and
-  /// state updates all reuse or exactly mirror the row-path kernels.
+  /// order). Produces byte-identical aggregator state to calling AddRow
+  /// once per row in order: the filter, slice bucketing, group
+  /// hash/equality, and state updates all reuse or exactly mirror the
+  /// row-path kernels.
   /// Group keys and aggregate arguments that are plain column references
   /// run columnar (no Row materialization on the hot path); anything
   /// else falls back to evaluating on a scratch row.
   Status AddBatch(const exec::ColumnBatch& batch,
                   const exec::SelectionVector& sel,
-                  const std::vector<int64_t>& ts, int64_t seq_base,
-                  size_t from, size_t to);
+                  const std::vector<int64_t>& ts, size_t from, size_t to);
 
   /// Produces the aggregated relation for the window [close - visible,
   /// close). With `slots == nullptr`, rows are laid out as
@@ -164,39 +151,23 @@ class SliceAggregator {
   /// a member CQ passes its slot mapping so it never pays for aggregates
   /// other members registered. With no group keys, exactly one row is
   /// produced (possibly from zero input). `visible` must be a multiple of
-  /// the slice width. When shard replicas exist, partials from the parent
-  /// and every shard are merged.
+  /// the slice width.
   Result<std::vector<Row>> ComputeWindow(
       int64_t close, int64_t visible,
       const std::vector<size_t>* slots = nullptr) const;
 
-  /// Drops slices (own and shards') that no member window can reference.
+  /// Drops slices that no member window can reference.
   void EvictBefore(int64_t ts);
 
-  // --- sharding --------------------------------------------------------------
-
-  /// Re-partitions the pipeline for `n` parallel workers: existing shard
-  /// state (if any) is folded back into the parent exactly once, then
-  /// `n` fresh replicas are created (none for n <= 1, returning the
-  /// pipeline to single-threaded operation). Callers must guarantee no
-  /// worker is touching the shards (the runtime barriers first).
-  Status SetShardCount(size_t n);
-  size_t shard_count() const { return shards_.size(); }
-  /// Worker `i`'s replica. Only that worker may call AddRow on it.
-  SliceAggregator* shard(size_t i) { return shards_[i].get(); }
-
-  /// The bound GROUP BY expressions (parent config; empty for scalar
-  /// aggregation). The runtime evaluates these to hash-partition rows.
-  const std::vector<exec::BoundExprPtr>& group_exprs() const {
-    return parent_ != nullptr ? parent_->group_exprs() : group_exprs_;
-  }
-
   int64_t slice_width() const { return slice_width_; }
-  size_t union_call_count() const { return calls().size(); }
-  /// Live slices across the parent and all shards.
-  size_t live_slices() const;
-  /// Rows absorbed across the parent and all shards.
-  int64_t rows_absorbed() const;
+  size_t union_call_count() const { return calls_.size(); }
+  size_t live_slices() const {
+    return static_cast<size_t>(
+        live_slice_count_.load(std::memory_order_relaxed));
+  }
+  int64_t rows_absorbed() const {
+    return rows_absorbed_.load(std::memory_order_relaxed);
+  }
   /// CQs that have attached to this pipeline (RegisterCalls count). One
   /// means dedicated; more means the per-row work is genuinely shared.
   int64_t member_cqs() const { return member_cqs_; }
@@ -212,9 +183,6 @@ class SliceAggregator {
   struct Group {
     std::vector<Value> keys;
     std::vector<exec::AggStatePtr> states;
-    /// Ingest seq of the first row that created this group in this slice;
-    /// total order across shards (each row lands in exactly one shard).
-    int64_t first_seq = 0;
   };
   struct Slice {
     std::vector<Group> groups;
@@ -224,30 +192,18 @@ class SliceAggregator {
     int64_t bytes = 0;
   };
 
-  /// Shard replica: shares the parent's filter/group/call configuration,
-  /// owns only its slice map.
-  explicit SliceAggregator(const SliceAggregator* parent);
-
-  const exec::BoundExpr* filter() const {
-    return parent_ != nullptr ? parent_->filter() : filter_.get();
+  /// True once any row or slice exists — the point after which the call
+  /// union is frozen.
+  bool HasAbsorbed() const {
+    return rows_absorbed() > 0 || !slices_.empty();
   }
-  const std::vector<exec::AggregateCall>& calls() const {
-    return parent_ != nullptr ? parent_->calls() : calls_;
-  }
-  /// True once any row or slice exists anywhere in the pipeline (parent or
-  /// shards) — the point after which the call union is frozen.
-  bool HasAbsorbed() const;
 
   Result<std::vector<exec::AggStatePtr>> NewStates() const;
 
   /// Locates or creates `keys`' group in `slice`, preserving insertion
-  /// order; `first_seq` is recorded on creation.
+  /// order.
   Group* FindOrCreateGroup(Slice* slice, std::vector<Value> keys,
-                           int64_t first_seq, Status* status);
-
-  /// Merges every shard's slices back into the parent's own slice map (in
-  /// global first-seen order) and discards the shards.
-  Status FoldShardsIn();
+                           Status* status);
 
   /// Compiled batch kernels, built lazily on first AddBatch. The call
   /// union freezes once absorption starts (RegisterCalls refuses new
@@ -280,9 +236,8 @@ class SliceAggregator {
   std::vector<exec::BoundExprPtr> group_exprs_;
   std::vector<exec::AggregateCall> calls_;  // the union
   std::map<int64_t, Slice> slices_;         // keyed by slice start time
-  // Atomics: bumped under the owning stream's ingest lock (or by the
-  // owning shard worker), but read by concurrent SHOW STATS holding only
-  // the shared engine lock. live_slice_count_ mirrors slices_.size() so
+  // Atomics: bumped under the owning stream's ingest lock, but read by
+  // concurrent SHOW STATS holding only the shared engine lock. live_slice_count_ mirrors slices_.size() so
   // observability never has to walk the map a writer may be growing.
   std::atomic<int64_t> rows_absorbed_{0};
   std::atomic<int64_t> live_slice_count_{0};
@@ -293,12 +248,8 @@ class SliceAggregator {
   int64_t bytes_held_ = 0;
   std::unique_ptr<BatchKernels> kernels_;  // see EnsureBatchKernels
   /// AddBatch-local hash staging, kept across calls to avoid reallocating
-  /// per batch. Safe: AddBatch runs single-threaded per aggregator (the
-  /// stream ingest path for the parent, one worker per shard replica).
+  /// per batch. Safe: AddBatch runs under the stream's ingest lock.
   std::vector<size_t> hash_scratch_;
-
-  const SliceAggregator* parent_ = nullptr;  // set on shard replicas
-  std::vector<std::unique_ptr<SliceAggregator>> shards_;
 };
 
 }  // namespace streamrel::stream

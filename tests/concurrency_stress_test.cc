@@ -1,6 +1,6 @@
 // Concurrency stress: multiple producer threads hammer Ingest on separate
 // streams while a control thread concurrently runs SHOW STATS, drops and
-// re-creates a CQ, and toggles SET PARALLELISM. Under the engine's
+// re-creates a CQ, and runs SET statements. Under the engine's
 // reader-writer lock hierarchy (DESIGN decision 11) the producers run
 // concurrently — each under the shared engine lock plus its own stream's
 // ingest lock — while DDL/SET statements serialize exclusively. The suite
@@ -49,7 +49,6 @@ TEST(ConcurrencyStressTest, IngestVsControlPlane) {
             " <VISIBLE '1 minute'> GROUP BY url");
     ASSERT_TRUE(cq.ok()) << cq.status().ToString();
   }
-  MustExecute(&db, "SET PARALLELISM 2");
 
   std::atomic<bool> failed{false};
   auto record_failure = [&failed](const Status& st) {
@@ -95,10 +94,10 @@ TEST(ConcurrencyStressTest, IngestVsControlPlane) {
         record_failure(churn.status());
       }
 
-      // Toggle the worker fleet: folds shard state back and re-splits it
+      // Flip the row-vector ingest body (columnar vs row-at-a-time)
       // between batches of concurrent ingest.
       record_failure(
-          db.Execute("SET PARALLELISM " + std::to_string(1 + i % 4))
+          db.Execute(i % 2 == 0 ? "SET VECTORIZE OFF" : "SET VECTORIZE ON")
               .status());
     }
   });
@@ -127,7 +126,8 @@ TEST(ConcurrencyStressTest, IngestVsControlPlane) {
 
 // Columnar ingest under concurrent DDL/SET churn: producers push
 // ColumnBatches (the vectorized hot path) while a control thread flips
-// SET VECTORIZE ON/OFF, churns a CQ, re-shards, and walks SHOW STATS.
+// SET VECTORIZE ON/OFF and SET MEMORY LIMIT, churns a CQ, and walks SHOW
+// STATS.
 // Path selection reads the vectorize flag and the stream's subscription
 // shapes under the same locks as row ingest, so TSAN (scripts/sanitize.sh
 // thread) must see no races, and no rows may be lost on either path.
@@ -194,11 +194,9 @@ TEST(ConcurrencyStressTest, VectorizedIngestUnderDdl) {
         record_failure(churn.status());
       }
 
-      // Re-sharding forces the columnar path to fall back (workers take
-      // row batches) and back again — both transitions under live ingest.
-      record_failure(
-          db.Execute("SET PARALLELISM " + std::to_string(1 + i % 2))
-              .status());
+      // One more exclusive statement between batches of live ingest (an
+      // unlimited budget, so nothing is shed).
+      record_failure(db.Execute("SET MEMORY LIMIT 0").status());
     }
     record_failure(db.Execute("SET VECTORIZE ON").status());
   });
@@ -246,7 +244,6 @@ TEST(ConcurrencyStressTest, OverloadControlPlaneUnderIngest) {
             " <VISIBLE '1 hour'>");
     ASSERT_TRUE(cq.ok()) << cq.status().ToString();
   }
-  MustExecute(&db, "SET PARALLELISM 2");
   db.runtime()->SetBlockTimeoutMicros(200);
 
   std::atomic<bool> failed{false};
@@ -350,7 +347,6 @@ std::vector<std::vector<std::string>> RunPipelines(bool concurrent) {
                         " <VISIBLE '1 minute'> GROUP BY url");
     EXPECT_TRUE(cq.ok()) << cq.status().ToString();
   }
-  MustExecute(&db, "SET PARALLELISM 2");
 
   // One capture per stream. A subscription callback fires on the thread
   // driving that stream's ingest while holding its ingest lock; with one
@@ -454,7 +450,6 @@ TEST(ConcurrencyStressTest, LockGaugesExposed) {
   EXPECT_GE(gauge("shared_contended"), 0);
   EXPECT_GE(gauge("exclusive_wait_micros"), 0);
   EXPECT_GE(gauge("sys_acquisitions"), 0);
-  EXPECT_GE(gauge("shard_acquisitions"), 0);
   EXPECT_GE(gauge("dml_acquisitions"), 0);
 }
 
@@ -469,10 +464,10 @@ TEST(ConcurrencyStressTest, LockGaugesExposed) {
 // case): a hot standby's fetch loop drains the primary's synced WAL over
 // the real wire protocol while producers ingest through a windowed
 // channel, a DML thread writes logged transactions, and a control thread
-// churns a CQ, re-shards, and walks SHOW STATS. ReadSynced on the primary
-// and AppendShipped/apply on the standby must be race-free against all of
-// it, and after the dust settles the promoted standby must hold exactly
-// the primary's durable tables.
+// churns a CQ, flips SET VECTORIZE, and walks SHOW STATS. ReadSynced on the
+// primary and AppendShipped/apply on the standby must be race-free against
+// all of it, and after the dust settles the promoted standby must hold
+// exactly the primary's durable tables.
 TEST(ConcurrencyStressTest, WalShippingConcurrentWithIngestAndDdl) {
   const char* kHaDdl =
       "CREATE STREAM clicks (url varchar, ts timestamp CQTIME USER, "
@@ -532,7 +527,7 @@ TEST(ConcurrencyStressTest, WalShippingConcurrentWithIngestAndDdl) {
                          .status());
     }
   });
-  // Control plane: CQ churn, re-sharding, and full stats walks while the
+  // Control plane: CQ churn, SET churn, and full stats walks while the
   // standby's applies contend for the same exclusive engine lock remotely.
   std::thread control([&primary, &record_failure]() {
     for (int i = 0; i < 25; ++i) {
@@ -544,9 +539,10 @@ TEST(ConcurrencyStressTest, WalShippingConcurrentWithIngestAndDdl) {
       } else {
         record_failure(churn.status());
       }
-      record_failure(
-          primary.Execute("SET PARALLELISM " + std::to_string(1 + i % 3))
-              .status());
+      record_failure(primary
+                         .Execute(i % 2 == 0 ? "SET VECTORIZE OFF"
+                                             : "SET VECTORIZE ON")
+                         .status());
     }
   });
 

@@ -1,10 +1,10 @@
 // Crash-recovery torture suite: randomized workloads (CQs, channels into
-// active tables, DML, mid-stream SET PARALLELISM) run once without faults
-// as the oracle, then re-run with an injected crash at sampled k-th
-// fault-point hits. Each crash is followed by WAL tail damage
-// (clean/torn/corrupt, rotating), a restart, one of the two recovery
-// strategies, and a re-feed of the unpersisted suffix of the stream. The
-// recovered tables must match the oracle byte for byte.
+// active tables, DML) run once without faults as the oracle, then re-run
+// with an injected crash at sampled k-th fault-point hits. Each crash is
+// followed by WAL tail damage (clean/torn/corrupt, rotating), a restart,
+// one of the two recovery strategies, and a re-feed of the unpersisted
+// suffix of the stream. The recovered tables must match the oracle byte
+// for byte.
 //
 // Reproduce a failure from the SCOPED_TRACE output, e.g.
 //   seed=17 strategy=checkpoint k=9 mode=2
@@ -55,15 +55,12 @@ struct Op {
     kEvents,         // ingest a batch into events
     kAdvanceClicks,  // heartbeat clicks to a minute boundary
     kAdvanceEvents,  // heartbeat events to a minute boundary
-    kSql,            // DML (or SET PARALLELISM) via Execute
+    kSql,            // DML via Execute
   };
   Kind kind;
   std::vector<Row> rows;
   int64_t advance_to = 0;
   std::string sql;
-  /// SQL whose effect is not WAL-durable (SET PARALLELISM): re-run it
-  /// unconditionally after recovery instead of only from the crashed op on.
-  bool rerun_always = false;
 };
 
 Row Click(const std::string& url, int64_t ts, int64_t bytes) {
@@ -77,7 +74,7 @@ Row Event(int64_t k, int64_t ts, int64_t v) {
 /// increasing and never fall on a minute boundary (777us offset), so every
 /// row belongs to exactly one tumbling window and a channel watermark
 /// cleanly splits rows into persisted (< W) and unpersisted (> W).
-std::vector<Op> MakeWorkload(int seed, bool with_parallelism) {
+std::vector<Op> MakeWorkload(int seed) {
   std::mt19937 rng(static_cast<uint32_t>(seed) * 2654435761u + 17);
   std::vector<Op> ops;
   // Per-stream position in whole seconds; actual ts = sec*kSec + 777.
@@ -87,15 +84,12 @@ std::vector<Op> MakeWorkload(int seed, bool with_parallelism) {
   int64_t next_audit_id = 1;
   int dml_phase = 0;
 
-  if (with_parallelism) {
-    ops.push_back(Op{Op::kSql, {}, 0, "SET PARALLELISM 4", true});
-  }
   const int n_ops = 12 + static_cast<int>(rng() % 6);
   for (int i = 0; i < n_ops; ++i) {
     switch (rng() % 5) {
       case 0:
       case 1: {  // clicks batch
-        Op op{Op::kClicks, {}, 0, "", false};
+        Op op{Op::kClicks, {}, 0, ""};
         const int n = 1 + static_cast<int>(rng() % 3);
         for (int r = 0; r < n; ++r) {
           clicks_sec += 1 + static_cast<int64_t>(rng() % 40);
@@ -106,7 +100,7 @@ std::vector<Op> MakeWorkload(int seed, bool with_parallelism) {
         break;
       }
       case 2: {  // events batch
-        Op op{Op::kEvents, {}, 0, "", false};
+        Op op{Op::kEvents, {}, 0, ""};
         const int n = 1 + static_cast<int>(rng() % 3);
         for (int r = 0; r < n; ++r) {
           events_sec += 1 + static_cast<int64_t>(rng() % 40);
@@ -123,10 +117,7 @@ std::vector<Op> MakeWorkload(int seed, bool with_parallelism) {
         const int64_t minute = sec / 60 + 1 + static_cast<int64_t>(rng() % 2);
         sec = minute * 60 + 1 + static_cast<int64_t>(rng() % 30);
         ops.push_back(Op{clicks ? Op::kAdvanceClicks : Op::kAdvanceEvents,
-                         {},
-                         minute * kMin,
-                         "",
-                         false});
+                         {}, minute * kMin, ""});
         break;
       }
       case 4: {  // DML against the audit table
@@ -149,7 +140,7 @@ std::vector<Op> MakeWorkload(int seed, bool with_parallelism) {
                                               1, next_audit_id - 1));
             break;
         }
-        ops.push_back(Op{Op::kSql, {}, 0, std::move(sql), false});
+        ops.push_back(Op{Op::kSql, {}, 0, std::move(sql)});
         break;
       }
     }
@@ -157,8 +148,8 @@ std::vector<Op> MakeWorkload(int seed, bool with_parallelism) {
   // Close every window so the oracle's final state is fully persisted.
   const int64_t final_minute =
       std::max(clicks_sec, events_sec) / 60 + 2;
-  ops.push_back(Op{Op::kAdvanceClicks, {}, final_minute * kMin, "", false});
-  ops.push_back(Op{Op::kAdvanceEvents, {}, final_minute * kMin, "", false});
+  ops.push_back(Op{Op::kAdvanceClicks, {}, final_minute * kMin, ""});
+  ops.push_back(Op{Op::kAdvanceEvents, {}, final_minute * kMin, ""});
   return ops;
 }
 
@@ -328,7 +319,7 @@ std::vector<std::string> RecoverAndRefeed(
         // synced) and were rebuilt by replay; re-running them would
         // double-apply. The crashed op and everything after never
         // committed.
-        if (op.rerun_always || i >= crash_op) MustExecute(db.get(), op.sql);
+        if (i >= crash_op) MustExecute(db.get(), op.sql);
         break;
       }
     }
@@ -341,7 +332,7 @@ std::vector<std::string> RecoverAndRefeed(
 void TortureOne(int seed, Strategy strategy) {
   FaultInjector& injector = FaultInjector::Instance();
   injector.Reset();
-  const std::vector<Op> ops = MakeWorkload(seed, /*with_parallelism=*/false);
+  const std::vector<Op> ops = MakeWorkload(seed);
   const int ckpt_period =
       strategy == Strategy::kCheckpoint ? 3 + seed % 4 : 0;
 
@@ -459,7 +450,7 @@ TEST_P(ExactlyOnceProperty, NoDuplicateWindowsAcrossCrash) {
   const int seed = GetParam();
   FaultInjector& injector = FaultInjector::Instance();
   injector.Reset();
-  const std::vector<Op> ops = MakeWorkload(seed, /*with_parallelism=*/false);
+  const std::vector<Op> ops = MakeWorkload(seed);
 
   // Count the workload's hits, then crash at a seed-derived position.
   int64_t total_hits = 0;
@@ -505,77 +496,6 @@ TEST_P(ExactlyOnceProperty, NoDuplicateWindowsAcrossCrash) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ExactlyOnceProperty,
                          ::testing::Range(100, 200));
-
-// --- recovery x parallelism ----------------------------------------------
-
-class RecoveryUnderParallelism : public ::testing::TestWithParam<int> {
- protected:
-  ~RecoveryUnderParallelism() override {
-    FaultInjector::Instance().Reset();
-  }
-};
-
-/// Crash while SET PARALLELISM 4 is active; recover and compare against a
-/// serial no-crash oracle. Partition-parallel ingest must not change what
-/// becomes durable or how recovery rebuilds it.
-TEST_P(RecoveryUnderParallelism, MatchesSerialOracle) {
-  const int seed = GetParam();
-  FaultInjector& injector = FaultInjector::Instance();
-  injector.Reset();
-  const std::vector<Op> parallel_ops =
-      MakeWorkload(seed, /*with_parallelism=*/true);
-  // The serial oracle runs the identical workload minus the SET op.
-  std::vector<Op> serial_ops(parallel_ops.begin() + 1, parallel_ops.end());
-
-  std::vector<std::string> expected;
-  {
-    engine::Database oracle;
-    MustExecute(&oracle, kDdl);
-    for (const Op& op : serial_ops) {
-      Status st = ApplyOp(&oracle, op);
-      ASSERT_TRUE(st.ok()) << st.ToString();
-    }
-    expected = TableState(&oracle);
-  }
-
-  int64_t total_hits = 0;
-  {
-    engine::Database db;
-    MustExecute(&db, kDdl);
-    injector.EnableCounting(true);
-    ASSERT_EQ(RunUntilCrash(&db, parallel_ops, 0, nullptr), -1);
-    total_hits = injector.totals().hits;
-    injector.Reset();
-  }
-  ASSERT_GT(total_hits, 0);
-
-  // A few crash positions spread across the run.
-  for (int64_t k : {int64_t{1}, total_hits / 2, total_hits}) {
-    if (k < 1) continue;
-    SCOPED_TRACE("failing seed=" + std::to_string(seed) +
-                 " k=" + std::to_string(k) + " (parallel)");
-    auto disk = std::make_shared<storage::SimulatedDisk>();
-    auto wal = std::make_shared<storage::WriteAheadLog>(disk);
-    int crash_op;
-    {
-      auto db = std::make_unique<engine::Database>(disk, wal);
-      MustExecute(db.get(), kDdl);
-      injector.Reset();
-      injector.ArmCrashAtGlobalHit(k);
-      crash_op = RunUntilCrash(db.get(), parallel_ops, 0, nullptr);
-      ASSERT_GE(crash_op, 0) << "crash did not fire";
-    }
-    injector.Reset();
-    wal->SimulateCrash(static_cast<storage::CrashMode>(k % 3));
-
-    std::vector<std::string> actual = RecoverAndRefeed(
-        disk, wal, parallel_ops, crash_op, Strategy::kActiveTables);
-    EXPECT_EQ(actual, expected);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, RecoveryUnderParallelism,
-                         ::testing::Range(200, 220));
 
 // --- SQL surface ---------------------------------------------------------
 

@@ -1,8 +1,8 @@
 // Overload-protection torture suite (ctest label: overload).
 //
 // One seeded workload is replayed under every admission policy (BLOCK,
-// SHED_NEWEST, SHED_OLDEST) at parallelism 1, 2, and 4, against a memory
-// budget sized from the engine's own byte model so that the shed policies
+// SHED_NEWEST, SHED_OLDEST) against a memory budget sized from the
+// engine's own byte model so that the shed policies
 // must drop well over 30% of the input. Each run is held to:
 //   - exact accounting: admitted + shed + quarantined == pushed, per batch
 //     and in total — nothing is ever dropped silently;
@@ -20,7 +20,6 @@
 #include <algorithm>
 #include <random>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "common/fault_injector.h"
@@ -36,8 +35,7 @@ namespace {
 constexpr int64_t kSec = kMicrosPerSecond;
 
 // The row-buffering CQ that drives memory pressure (raw rows held for the
-// whole visible extent) plus a scalar aggregate that exercises the shard
-// fan-out under parallelism.
+// whole visible extent) plus a shared scalar aggregate.
 const char kBufferCq[] =
     "SELECT v, ts, pad FROM s <VISIBLE '1 hour'>";
 const char kScalarCq[] =
@@ -86,20 +84,12 @@ int64_t BatchWindowBytes(const std::vector<Row>& batch) {
   return bytes;
 }
 
-struct PolicyParam {
-  stream::OverloadPolicy policy;
-  int parallelism;
-};
-
-class OverloadPolicyTest
-    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+class OverloadPolicyTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(OverloadPolicyTest, AccountingPeakAndOracle) {
   const stream::OverloadPolicy policy =
-      static_cast<stream::OverloadPolicy>(std::get<0>(GetParam()));
-  const int parallelism = std::get<1>(GetParam());
-  SCOPED_TRACE(std::string("policy ") + stream::OverloadPolicyName(policy) +
-               " parallelism " + std::to_string(parallelism));
+      static_cast<stream::OverloadPolicy>(GetParam());
+  SCOPED_TRACE(std::string("policy ") + stream::OverloadPolicyName(policy));
 
   auto batches = MakeBatches(/*seed=*/17, /*n_batches=*/80);
   int64_t total_bytes = 0;
@@ -125,7 +115,6 @@ TEST_P(OverloadPolicyTest, AccountingPeakAndOracle) {
   CaptureCq(&db, "buffer", kBufferCq, &events);
   CaptureCq(&db, "scalar", kScalarCq, &events);
   if (HasFatalFailure()) return;
-  MustExecute(&db, "SET PARALLELISM " + std::to_string(parallelism));
   MustExecute(&db, "SET MEMORY LIMIT " + std::to_string(budget));
   MustExecute(&db, std::string("SET OVERLOAD POLICY s ") +
                        stream::OverloadPolicyName(policy));
@@ -212,12 +201,9 @@ TEST_P(OverloadPolicyTest, AccountingPeakAndOracle) {
 
 INSTANTIATE_TEST_SUITE_P(
     Policies, OverloadPolicyTest,
-    ::testing::Combine(
-        ::testing::Values(
-            static_cast<int>(stream::OverloadPolicy::kBlock),
-            static_cast<int>(stream::OverloadPolicy::kShedNewest),
-            static_cast<int>(stream::OverloadPolicy::kShedOldest)),
-        ::testing::Values(1, 2, 4)));
+    ::testing::Values(static_cast<int>(stream::OverloadPolicy::kBlock),
+                      static_cast<int>(stream::OverloadPolicy::kShedNewest),
+                      static_cast<int>(stream::OverloadPolicy::kShedOldest)));
 
 TEST(OverloadAccountingTest, QuarantinedRowsCountInTheIdentity) {
   engine::Database db;

@@ -353,6 +353,7 @@ TEST(ParserTest, SetOverloadForms) {
   EXPECT_FALSE(ParseSingleStatement("SET MEMORY LIMIT big").ok());
   EXPECT_FALSE(ParseSingleStatement("SET OVERLOAD POLICY s DROP_ALL").ok());
   EXPECT_FALSE(ParseSingleStatement("SET RETRY SPEED 9").ok());
+  EXPECT_FALSE(ParseSingleStatement("SET PARALLELISM 2").ok());
 }
 
 TEST(ParserTest, DottedObjectNames) {

@@ -1,13 +1,14 @@
 // Vectorized-vs-row-at-a-time differential testing for the columnar ingest
-// hot path: the same randomized workload is replayed with VECTORIZE OFF at
-// PARALLELISM 1 (the row-at-a-time oracle) and with VECTORIZE ON at
-// PARALLELISM 1, 2, and 4, and every observable output — each CQ's
-// per-window delivery (close time, row contents, row order), channel-fed
-// active-table state, quarantine-stream contents, and admission counters —
-// must be byte-identical across all runs. Workloads mix CQTIME USER and
-// CQTIME SYSTEM streams, out-of-order arrivals through a reorder-buffer
-// slack, row-vector and columnar (ColumnBatch) ingest, malformed rows on
-// both paths, mid-stream VECTORIZE toggles, and mid-stream re-sharding.
+// hot path: the same randomized workload is replayed with VECTORIZE OFF
+// (the row-at-a-time oracle) and with VECTORIZE ON, and every observable
+// output — each CQ's per-window delivery (close time, row contents, row
+// order), channel-fed active-table state, quarantine-stream contents, and
+// admission counters — must be byte-identical across the two runs.
+// Workloads mix CQTIME USER and CQTIME SYSTEM streams, out-of-order
+// arrivals through a reorder-buffer slack, row-vector and columnar
+// (ColumnBatch) ingest, malformed rows on both paths (including a
+// row-vector batch that mixes good rows with a wrong-arity one), and
+// mid-stream VECTORIZE toggles.
 
 #include <gtest/gtest.h>
 
@@ -64,17 +65,12 @@ void CaptureQuarantine(engine::Database* db, const std::string& stream,
 /// Replays the seed's workload. `vectorize` picks the ingest path under
 /// test; the OFF run is the row-at-a-time oracle. Void so ASSERT_* can
 /// abort the run; check HasFatalFailure() after calling.
-void RunWorkload(int seed, bool vectorize, int parallelism,
-                 Transcript* transcript) {
+void RunWorkload(int seed, bool vectorize, Transcript* transcript) {
   std::mt19937 rng(static_cast<uint32_t>(seed) * 2654435761u + 29);
   Transcript& out = *transcript;
   engine::Database db;
 
   MustExecute(&db, vectorize ? "SET VECTORIZE ON" : "SET VECTORIZE OFF");
-  if (parallelism > 1) {
-    MustExecute(&db,
-                "SET PARALLELISM " + std::to_string(parallelism));
-  }
 
   MustExecute(&db,
               "CREATE STREAM clicks (url varchar, ts timestamp CQTIME USER, "
@@ -136,6 +132,7 @@ void RunWorkload(int seed, bool vectorize, int parallelism,
   MustExecute(&db, "CREATE CHANNEL ch FROM url_counts INTO archive APPEND");
 
   CaptureQuarantine(&db, "clicks", &out);
+  CaptureQuarantine(&db, "sysload", &out);
   CaptureQuarantine(&db, "events", &out);
   if (::testing::Test::HasFatalFailure()) return;
 
@@ -186,7 +183,9 @@ void RunWorkload(int seed, bool vectorize, int parallelism,
     }
 
     // System-time batches alternate row-vector and columnar ingest; the
-    // two forms must be indistinguishable downstream.
+    // two forms must be indistinguishable downstream. Some row-vector
+    // batches carry a wrong-arity row between good rows: the whole batch
+    // then takes the row body, and the torn row quarantines in place.
     if (rng() % 3 == 0 && sys_sent < n_sys_batches) {
       sys_time += static_cast<int64_t>(rng() % (3 * kSec));
       const int batch_rows = 1 + static_cast<int>(rng() % 4);
@@ -197,6 +196,13 @@ void RunWorkload(int seed, bool vectorize, int parallelism,
                             Value::String("h" + std::to_string(rng() % 4)),
                             Value::Int64(static_cast<int64_t>(rng() % 100))});
       }
+      const bool torn = !columnar && batch_rows >= 2 && rng() % 3 == 0;
+      if (torn) {
+        const auto at = 1 + static_cast<int>(rng() % (batch_rows - 1));
+        batch.insert(batch.begin() + at,
+                     Row{Value::String("torn-h"), Value::Int64(1)});
+      }
+      const int64_t fallbacks = db.runtime()->vectorize_fallbacks();
       Status st;
       if (columnar) {
         exec::ColumnBatch cb(3);
@@ -207,6 +213,10 @@ void RunWorkload(int seed, bool vectorize, int parallelism,
         st = db.Ingest("sysload", batch, sys_time);
       }
       ASSERT_TRUE(st.ok()) << st.ToString();
+      if (torn && db.runtime()->vectorize()) {
+        // The partly good batch took the row body whole.
+        EXPECT_EQ(db.runtime()->vectorize_fallbacks(), fallbacks + 1);
+      }
       ++sys_sent;
     }
 
@@ -270,10 +280,9 @@ void RunWorkload(int seed, bool vectorize, int parallelism,
         " shed=" + std::to_string(counters.rows_shed));
   }
 
-  // The run under test must actually exercise the columnar path: serial
-  // VECTORIZE ON runs vectorize every eligible batch (parallel runs fall
-  // back by design and count it).
-  if (vectorize && parallelism == 1 && !toggle_midstream) {
+  // The run under test must actually exercise the columnar path:
+  // VECTORIZE ON runs vectorize every eligible batch.
+  if (vectorize && !toggle_midstream) {
     EXPECT_GT(db.runtime()->vectorized_batches(), 0);
     EXPECT_GT(db.runtime()->vectorized_rows(), 0);
   }
@@ -288,17 +297,14 @@ TEST_P(VectorizeDifferentialTest, VectorizedAndRowRunsAgree) {
   const int seed = GetParam();
   SCOPED_TRACE("failing seed: " + std::to_string(seed));
   Transcript oracle;
-  RunWorkload(seed, /*vectorize=*/false, /*parallelism=*/1, &oracle);
+  RunWorkload(seed, /*vectorize=*/false, &oracle);
   if (::testing::Test::HasFatalFailure()) return;
   ASSERT_FALSE(oracle.events.empty());
-  for (int parallelism : {1, 2, 4}) {
-    SCOPED_TRACE("VECTORIZE ON, parallelism " + std::to_string(parallelism));
-    Transcript vectorized;
-    RunWorkload(seed, /*vectorize=*/true, parallelism, &vectorized);
-    if (HasFatalFailure()) return;
-    EXPECT_EQ(oracle.events, vectorized.events);
-    EXPECT_EQ(oracle.archive, vectorized.archive);
-  }
+  Transcript vectorized;
+  RunWorkload(seed, /*vectorize=*/true, &vectorized);
+  if (HasFatalFailure()) return;
+  EXPECT_EQ(oracle.events, vectorized.events);
+  EXPECT_EQ(oracle.archive, vectorized.archive);
 }
 
 // 200 seeds: the acceptance bar for the vectorized hot path. Each seed
