@@ -6,17 +6,20 @@
 # Builds into build-tsan/ or build-asan/ (separate from the normal build/)
 # so sanitized and plain object files never mix, then runs ctest. Any extra
 # arguments are forwarded to ctest (e.g. -R vectorize_differential_test). The
-# full suite includes the crash-recovery, overload, vectorize, and
-# failover (`ha`: 100-seed primary-kill/promote torture with
-# byte-identical subscriber transcripts) torture tests; scripts/torture.sh
-# runs just those (labels `torture` + `overload` + `net` + `vectorize` +
-# `ha`) under ASan+UBSan. `thread` mode additionally covers the
+# full suite, in both modes, includes the crash-recovery, overload,
+# vectorize, shared-close (`shared`: 100-seed shared-vs-unshared
+# differential) and failover (`ha`: 100-seed primary-kill/promote torture
+# with byte-identical subscriber transcripts) torture tests;
+# scripts/torture.sh runs just those (labels `torture` + `overload` + `net`
+# + `vectorize` + `ha` + `shared`) under ASan+UBSan. `thread` mode
+# additionally covers the
 # concurrency suite (label `concurrency`: concurrent ingest vs. control
 # plane, overload budget/policy flips mid-ingest, the
 # concurrent-vs-serial-oracle differential, columnar ingest under DDL
 # churn, network client fan-in, WAL shipping concurrent with ingest and
-# DDL) and the vectorize differential under TSAN — the lock-hierarchy
-# proof runs, per DESIGN decision 11.
+# DDL, shared closes under member churn) and the vectorize and shared
+# differentials under TSAN — the lock-hierarchy proof runs, per DESIGN
+# decision 11.
 set -euo pipefail
 
 MODE="${1:-thread}"

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Runs the torture suites (ctest labels `torture` and `overload`) under
-# ASan+UBSan.
+# Runs the torture suites (ctest labels `torture`, `overload`, `net`,
+# `vectorize`, `ha` and `shared`) under ASan+UBSan, then the concurrency,
+# vectorize, ha and shared labels under TSAN.
 #
 #   scripts/torture.sh [ctest-args...]
 #
@@ -21,12 +22,15 @@
 # 100 seeded workloads through WAL shipping to a hot standby, kills the
 # primary at a sampled fault-point hit (clean/torn/corrupt tails),
 # promotes the standby, and requires the resumed subscriber's transcript
-# to match a no-failover oracle byte for byte. After the ASan+UBSan pass,
-# the
+# to match a no-failover oracle byte for byte. The shared-close suite
+# (`shared`) replays 100 seeded dashboards whose CQs share window merges
+# and evaluations, byte-identical to the same SQL run unshared. After the
+# ASan+UBSan pass, the
 # concurrency suite (label `concurrency`: concurrent ingest on disjoint
 # streams vs. the control plane, the concurrent-vs-serial-oracle
-# differential, columnar ingest under DDL churn, network client fan-in)
-# plus the vectorize label run again under TSAN — lock-hierarchy
+# differential, columnar ingest under DDL churn, shared closes under
+# member churn, network client fan-in)
+# plus the vectorize and shared labels run again under TSAN — lock-hierarchy
 # violations (DESIGN decision 11) and loop-/worker-/delivery-thread races
 # surface there, not under ASan. Extra arguments are forwarded to ctest,
 # e.g.
@@ -48,9 +52,10 @@ cmake --build "$BUILD_DIR" -j "$(nproc)"
 export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_stack_use_after_return=1}"
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1}"
 
-(cd "$BUILD_DIR" && ctest --output-on-failure -L "torture|overload|net|vectorize|ha" "$@")
+(cd "$BUILD_DIR" && ctest --output-on-failure -L "torture|overload|net|vectorize|ha|shared" "$@")
 
-# TSAN leg: the concurrency and ha labels only (the full-suite TSAN run
+# TSAN leg: the concurrency, vectorize, ha and shared labels only (the
+# full-suite TSAN run
 # is scripts/sanitize.sh thread). Races between the ingest threads, the
 # server's event loop + request workers, WAL shipping, and delivery
 # callbacks are precisely what these tests provoke.
@@ -62,4 +67,4 @@ cmake --build "$TSAN_BUILD_DIR" -j "$(nproc)"
 
 export TSAN_OPTIONS="${TSAN_OPTIONS:-second_deadlock_stack=1}"
 
-(cd "$TSAN_BUILD_DIR" && ctest --output-on-failure -L "concurrency|vectorize|ha" "$@")
+(cd "$TSAN_BUILD_DIR" && ctest --output-on-failure -L "concurrency|vectorize|ha|shared" "$@")

@@ -48,6 +48,19 @@ Result<SliceAggregatorRegistry::Registration> SliceAggregatorRegistry::Attach(
   return reg;
 }
 
+std::string SliceAggregatorRegistry::Detach(SliceAggregator* aggregator) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (aggregator->RemoveMember() > 0) return "";
+  for (auto it = aggregators_.begin(); it != aggregators_.end(); ++it) {
+    if (it->second.aggregator.get() != aggregator) continue;
+    std::erase(by_stream_[it->second.stream], aggregator);
+    std::string key = it->first;
+    aggregators_.erase(it);
+    return key;
+  }
+  return "";
+}
+
 const std::vector<SliceAggregator*>& SliceAggregatorRegistry::ForStream(
     const std::string& stream_name) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -101,6 +114,26 @@ bool ContainsCqClose(const sql::Expr& e) {
     if (ContainsCqClose(*c)) return true;
   }
   return false;
+}
+
+// Program-key encoding: every field goes through Value::Serialize, whose
+// output is self-delimiting and bit-exact, so equal keys mean equal
+// programs (1 vs 1.0, 0.0 vs -0.0 and 'a,b' vs 'a','b' all differ).
+void AppendKey(int64_t v, std::string* key) { Value::Int64(v).Serialize(key); }
+
+void AppendExprKey(const exec::BoundExpr& e, std::string* key) {
+  AppendKey(static_cast<int64_t>(e.kind), key);
+  AppendKey(static_cast<int64_t>(e.type), key);
+  e.literal.Serialize(key);
+  AppendKey(static_cast<int64_t>(e.column_index), key);
+  AppendKey(static_cast<int64_t>(e.unary_op), key);
+  AppendKey(static_cast<int64_t>(e.binary_op), key);
+  Value::String(e.function_name).Serialize(key);
+  AppendKey(static_cast<int64_t>(e.cast_type), key);
+  AppendKey(e.is_not ? 1 : 0, key);
+  AppendKey(e.case_has_else ? 1 : 0, key);
+  AppendKey(static_cast<int64_t>(e.children.size()), key);
+  for (const auto& child : e.children) AppendExprKey(*child, key);
 }
 
 }  // namespace
@@ -244,6 +277,24 @@ Result<std::unique_ptr<ContinuousQuery>> ContinuousQuery::Build(
     cq->order_keys_ = std::move(order_keys);
     cq->limit_ = stmt.limit.value_or(-1);
     cq->offset_ = stmt.offset.value_or(0);
+    std::string& key = cq->program_key_;
+    AppendKey(window.visible, &key);
+    AppendKey(static_cast<int64_t>(group_count), &key);
+    AppendKey(static_cast<int64_t>(cq->slot_mapping_.size()), &key);
+    for (size_t slot : cq->slot_mapping_) {
+      AppendKey(static_cast<int64_t>(slot), &key);
+    }
+    AppendKey(static_cast<int64_t>(cq->projections_.size()), &key);
+    for (const auto& p : cq->projections_) AppendExprKey(*p, &key);
+    AppendKey(cq->having_ != nullptr ? 1 : 0, &key);
+    if (cq->having_ != nullptr) AppendExprKey(*cq->having_, &key);
+    AppendKey(static_cast<int64_t>(cq->order_keys_.size()), &key);
+    for (const SharedOrderKey& ok : cq->order_keys_) {
+      AppendKey(ok.ascending ? 1 : 0, &key);
+      AppendExprKey(*ok.expr, &key);
+    }
+    AppendKey(cq->limit_, &key);
+    AppendKey(cq->offset_, &key);
     return cq;
   };
 
@@ -276,14 +327,16 @@ Result<std::unique_ptr<ContinuousQuery>> ContinuousQuery::Build(
 
 // --- Execution ---------------------------------------------------------------
 
-Status ContinuousQuery::OnWindowClose(const WindowBatch& batch) {
+Status ContinuousQuery::OnWindowClose(const WindowBatch& batch,
+                                      CloseMemo* memo) {
   windows_evaluated_.fetch_add(1, std::memory_order_relaxed);
   auto start = std::chrono::steady_clock::now();
-  std::vector<Row> out;
+  std::vector<Row> own;
+  const std::vector<Row>* out = &own;
   if (shared_agg_ != nullptr) {
-    RETURN_IF_ERROR(EvaluateShared(batch.close_micros, &out));
+    ASSIGN_OR_RETURN(out, EvaluateShared(batch.close_micros, memo, &own));
   } else {
-    RETURN_IF_ERROR(EvaluateGeneric(batch, &out));
+    RETURN_IF_ERROR(EvaluateGeneric(batch, &own));
   }
   int64_t eval_micros =
       std::chrono::duration_cast<std::chrono::microseconds>(
@@ -293,12 +346,12 @@ Status ContinuousQuery::OnWindowClose(const WindowBatch& batch) {
   if (windows_metric_ != nullptr) windows_metric_->Add();
   if (eval_metric_ != nullptr) eval_metric_->Record(eval_micros);
   if (batch.close_micros > emit_watermark_.load(std::memory_order_relaxed)) {
-    rows_emitted_.fetch_add(static_cast<int64_t>(out.size()),
+    rows_emitted_.fetch_add(static_cast<int64_t>(out->size()),
                             std::memory_order_relaxed);
     if (rows_metric_ != nullptr) {
-      rows_metric_->Add(static_cast<int64_t>(out.size()));
+      rows_metric_->Add(static_cast<int64_t>(out->size()));
     }
-    RETURN_IF_ERROR(Deliver(batch.close_micros, out));
+    RETURN_IF_ERROR(Deliver(batch.close_micros, *out));
   }
   return Status::OK();
 }
@@ -321,12 +374,61 @@ Status ContinuousQuery::EvaluateGeneric(const WindowBatch& batch,
   return Status::OK();
 }
 
-Status ContinuousQuery::EvaluateShared(int64_t close, std::vector<Row>* out) {
-  // Ask the shared pipeline for exactly this CQ's aggregate slots, so we
-  // do not pay to merge/finalize states that other members registered.
-  ASSIGN_OR_RETURN(
-      std::vector<Row> local_rows,
-      shared_agg_->ComputeWindow(close, window_.visible, &slot_mapping_));
+Result<const std::vector<Row>*> ContinuousQuery::EvaluateShared(
+    int64_t close, CloseMemo* memo, std::vector<Row>* own) {
+  if (shared_agg_->member_cqs() < 2) {
+    // Dedicated pipeline: merge exactly this CQ's aggregate slots.
+    ASSIGN_OR_RETURN(
+        std::vector<Row> local,
+        shared_agg_->ComputeWindow(close, window_.visible, &slot_mapping_));
+    RETURN_IF_ERROR(PostAggregate(close, local, own));
+    return own;
+  }
+  for (const auto& e : memo->evals_) {
+    if (e->pipeline == shared_agg_ && e->close == close &&
+        e->program == program_key_) {
+      shared_agg_->NoteEvalReused();
+      return &e->rows;
+    }
+  }
+  const std::vector<Row>* merged = nullptr;
+  for (const auto& m : memo->merges_) {
+    if (m->pipeline == shared_agg_ && m->close == close &&
+        m->visible == window_.visible) {
+      merged = &m->rows;
+      break;
+    }
+  }
+  if (merged == nullptr) {
+    // First member to close this window: merge every union slot once.
+    ASSIGN_OR_RETURN(std::vector<Row> rows,
+                     shared_agg_->ComputeWindow(close, window_.visible));
+    memo->merges_.push_back(std::make_unique<CloseMemo::Merge>(
+        CloseMemo::Merge{shared_agg_, close, window_.visible,
+                         std::move(rows)}));
+    merged = &memo->merges_.back()->rows;
+  }
+  // Project this CQ's slots out of the union rows: the same values, in
+  // the same group order, that merging only those slots would produce.
+  std::vector<Row> local;
+  local.reserve(merged->size());
+  for (const Row& u : *merged) {
+    Row& row = local.emplace_back();
+    row.reserve(group_count_ + slot_mapping_.size());
+    row.insert(row.end(), u.begin(),
+               u.begin() + static_cast<ptrdiff_t>(group_count_));
+    for (size_t slot : slot_mapping_) row.push_back(u[group_count_ + slot]);
+  }
+  auto eval = std::make_unique<CloseMemo::Eval>(
+      CloseMemo::Eval{shared_agg_, close, program_key_, {}});
+  RETURN_IF_ERROR(PostAggregate(close, local, &eval->rows));
+  memo->evals_.push_back(std::move(eval));
+  return &memo->evals_.back()->rows;
+}
+
+Status ContinuousQuery::PostAggregate(int64_t close,
+                                      const std::vector<Row>& local,
+                                      std::vector<Row>* out) const {
   exec::EvalContext ctx;
   ctx.has_window = true;
   ctx.window_close_micros = close;
@@ -337,22 +439,21 @@ Status ContinuousQuery::EvaluateShared(int64_t close, std::vector<Row>* out) {
     std::vector<Value> sort_key;
   };
   std::vector<Keyed> kept;
-  kept.reserve(local_rows.size());
-  for (Row& local : local_rows) {
-    // Already laid out as [group keys..., this CQ's aggs...].
+  kept.reserve(local.size());
+  for (const Row& row : local) {
     if (having_ != nullptr) {
-      ASSIGN_OR_RETURN(bool keep, exec::EvalPredicate(*having_, local, ctx));
+      ASSIGN_OR_RETURN(bool keep, exec::EvalPredicate(*having_, row, ctx));
       if (!keep) continue;
     }
     Keyed k;
     k.output.reserve(projections_.size());
     for (const auto& p : projections_) {
-      ASSIGN_OR_RETURN(Value v, p->Eval(local, ctx));
+      ASSIGN_OR_RETURN(Value v, p->Eval(row, ctx));
       k.output.push_back(std::move(v));
     }
     k.sort_key.reserve(order_keys_.size());
     for (const auto& ok : order_keys_) {
-      ASSIGN_OR_RETURN(Value v, ok.expr->Eval(local, ctx));
+      ASSIGN_OR_RETURN(Value v, ok.expr->Eval(row, ctx));
       k.sort_key.push_back(std::move(v));
     }
     kept.push_back(std::move(k));

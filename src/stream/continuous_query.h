@@ -45,10 +45,16 @@ class SliceAggregatorRegistry {
                               std::vector<exec::BoundExprPtr> group_exprs,
                               std::vector<exec::AggregateCall> calls);
 
+  /// Removes one member from `aggregator`. The last member's departure
+  /// destroys the pipeline: it leaves ForStream (no more absorbing) and
+  /// releases its governor charge. Returns the destroyed pipeline's key,
+  /// or "" while members remain.
+  std::string Detach(SliceAggregator* aggregator);
+
   /// All pipelines attached to `stream_name` (ingest fan-out). The
   /// returned vector reference is node-stable across concurrent lookups
   /// (the map entry, once created, never moves) and is only mutated by
-  /// Attach, which runs under the exclusive engine lock.
+  /// Attach and Detach, which run under the exclusive engine lock.
   const std::vector<SliceAggregator*>& ForStream(
       const std::string& stream_name);
 
@@ -74,6 +80,39 @@ class SliceAggregatorRegistry {
   std::map<std::string, Entry> aggregators_;  // versioned signature -> entry
   std::map<std::string, int> versions_;
   std::map<std::string, std::vector<SliceAggregator*>> by_stream_;
+};
+
+/// The window-close work that shared-strategy CQs share within one close
+/// step (the closes that one admitted row, one AdvanceTime, or one
+/// published batch triggers across a stream's subscriptions). A pipeline
+/// with two or more live members merges each (close, VISIBLE) window once
+/// for its whole call union, and members whose post-aggregation programs
+/// are identical evaluate once and share the output rows. The close loop
+/// owns one memo per step, so nothing outlives the step. Entries are held
+/// by pointer and never move: a member's delivery callbacks read its
+/// entry's rows while they re-enter the engine.
+class CloseMemo {
+ public:
+  CloseMemo() = default;
+  CloseMemo(const CloseMemo&) = delete;
+  CloseMemo& operator=(const CloseMemo&) = delete;
+
+ private:
+  friend class ContinuousQuery;
+  struct Merge {
+    const SliceAggregator* pipeline;
+    int64_t close;
+    int64_t visible;
+    std::vector<Row> rows;  // [group keys..., every union aggregate...]
+  };
+  struct Eval {
+    const SliceAggregator* pipeline;
+    int64_t close;
+    std::string program;  // ContinuousQuery::program_key_
+    std::vector<Row> rows;
+  };
+  std::vector<std::unique_ptr<Merge>> merges_;
+  std::vector<std::unique_ptr<Eval>> evals_;
 };
 
 /// One running continuous query (the paper's CQ): a SELECT over a windowed
@@ -128,8 +167,10 @@ class ContinuousQuery {
 
   /// Generic path: evaluates the plan over one closed window's contents.
   /// Shared path: reads the shared aggregator as of the batch close (the
-  /// batch rows themselves are ignored — the aggregator already saw them).
-  Status OnWindowClose(const WindowBatch& batch);
+  /// batch rows themselves are ignored — the aggregator already saw them),
+  /// through the close step's `memo` when the pipeline has other live
+  /// members. Emit gating, delivery and the per-CQ counters stay per CQ.
+  Status OnWindowClose(const WindowBatch& batch, CloseMemo* memo);
 
   /// Windows with close <= `watermark` are evaluated but not delivered
   /// (used after recovery so already-persisted results are not re-emitted).
@@ -175,7 +216,15 @@ class ContinuousQuery {
   ContinuousQuery() = default;
 
   Status EvaluateGeneric(const WindowBatch& batch, std::vector<Row>* out);
-  Status EvaluateShared(int64_t close, std::vector<Row>* out);
+  /// Returns the rows to deliver: `*own` on a dedicated pipeline, else a
+  /// memo entry this or an identical member made.
+  Result<const std::vector<Row>*> EvaluateShared(int64_t close,
+                                                 CloseMemo* memo,
+                                                 std::vector<Row>* own);
+  /// HAVING, projection, ORDER BY and LIMIT/OFFSET over `local` rows laid
+  /// out as [group keys..., this CQ's aggregates...].
+  Status PostAggregate(int64_t close, const std::vector<Row>& local,
+                       std::vector<Row>* out) const;
   Status Deliver(int64_t close, const std::vector<Row>& rows);
 
   struct CallbackEntry {
@@ -217,6 +266,9 @@ class ContinuousQuery {
   std::vector<SharedOrderKey> order_keys_;
   int64_t limit_ = -1;
   int64_t offset_ = 0;
+  /// Exact encoding of everything above plus VISIBLE: members of one
+  /// pipeline with equal keys produce equal rows at every close.
+  std::string program_key_;
 };
 
 }  // namespace streamrel::stream

@@ -129,8 +129,14 @@ Status StreamRuntime::DropCq(const std::string& name) {
       }
     }
   }
+  SliceAggregator* pipeline = cq->shared_aggregator();
   cqs_.erase(it);
   metrics_.RemoveObject("cq", key);
+  if (pipeline != nullptr) {
+    // The last member's departure takes the pipeline's metrics with it.
+    const std::string dropped = registry_.Detach(pipeline);
+    if (!dropped.empty()) metrics_.RemoveObject("aggregator", dropped);
+  }
   return Status::OK();
 }
 
@@ -274,12 +280,17 @@ Status StreamRuntime::UnsubscribeStream(const std::string& stream,
   return Status::OK();
 }
 
-Status StreamRuntime::ProcessClosed(Subscription* sub,
-                                    std::vector<WindowBatch>* closed) {
-  for (WindowBatch& batch : *closed) {
-    RETURN_IF_ERROR(sub->cq->OnWindowClose(batch));
+template <typename Advance>
+Status StreamRuntime::CloseStep(StreamState* state, Advance&& advance) {
+  CloseMemo memo;
+  std::vector<WindowBatch> closed;
+  for (Subscription& sub : state->subs) {
+    RETURN_IF_ERROR(advance(sub, &closed));
+    for (const WindowBatch& batch : closed) {
+      RETURN_IF_ERROR(sub.cq->OnWindowClose(batch, &memo));
+    }
+    closed.clear();
   }
-  closed->clear();
   return Status::OK();
 }
 
@@ -372,7 +383,6 @@ Status StreamRuntime::IngestImpl(StreamState* state,
         &admit_begin, &admit_end);
   }
   const size_t arity = info->schema.num_columns();
-  std::vector<WindowBatch> closed;
   // Rows as actually admitted (CQTIME SYSTEM stamps the timestamp column);
   // channels and client subscriptions see these, not the raw input.
   std::vector<Row> admitted;
@@ -425,15 +435,12 @@ Status StreamRuntime::IngestImpl(StreamState* state,
     for (SliceAggregator* agg : registry_.ForStream(info->name)) {
       RETURN_IF_ERROR(agg->AddRow(ts, stamped));
     }
-    for (Subscription& sub : state->subs) {
-      if (sub.feed_rows) {
-        RETURN_IF_ERROR(sub.window_op->AddRow(ts, stamped, &closed));
-      } else {
-        sub.window_op->StartAt(ts);
-        RETURN_IF_ERROR(sub.window_op->AdvanceTime(ts, &closed));
-      }
-      RETURN_IF_ERROR(ProcessClosed(&sub, &closed));
-    }
+    RETURN_IF_ERROR(CloseStep(
+        state, [&](Subscription& sub, std::vector<WindowBatch>* closed) {
+          if (sub.feed_rows) return sub.window_op->AddRow(ts, stamped, closed);
+          sub.window_op->StartAt(ts);
+          return sub.window_op->AdvanceTime(ts, closed);
+        }));
     state->watermark.store(ts, std::memory_order_relaxed);
     admitted.push_back(std::move(stamped));
   }
@@ -565,7 +572,6 @@ Status StreamRuntime::VectorizedDispatch(StreamState* state,
   // the registry's pipeline vector.
   const std::vector<SliceAggregator*>* pipelines =
       &registry_.ForStream(info->name);
-  std::vector<WindowBatch> closed;
 
   // The earliest boundary at which any subscription acts. INT64_MIN when
   // some subscription has not started its close schedule yet (it must see
@@ -606,11 +612,11 @@ Status StreamRuntime::VectorizedDispatch(StreamState* state,
       RETURN_IF_ERROR(agg->AddBatch(batch, sel, ts, absorbed, p + 1));
     }
     absorbed = p + 1;
-    for (Subscription& sub : state->subs) {
-      sub.window_op->StartAt(ts[p]);
-      RETURN_IF_ERROR(sub.window_op->AdvanceTime(ts[p], &closed));
-      RETURN_IF_ERROR(ProcessClosed(&sub, &closed));
-    }
+    RETURN_IF_ERROR(CloseStep(
+        state, [&](Subscription& sub, std::vector<WindowBatch>* closed) {
+          sub.window_op->StartAt(ts[p]);
+          return sub.window_op->AdvanceTime(ts[p], closed);
+        }));
     pipelines = &registry_.ForStream(info->name);
     due = next_due();
     ++p;
@@ -678,11 +684,10 @@ Status StreamRuntime::AdvanceTime(const std::string& stream,
   if (wm != INT64_MIN && watermark < wm) {
     return Status::InvalidArgument("watermark regression");
   }
-  std::vector<WindowBatch> closed;
-  for (Subscription& sub : state->subs) {
-    RETURN_IF_ERROR(sub.window_op->AdvanceTime(watermark, &closed));
-    RETURN_IF_ERROR(ProcessClosed(&sub, &closed));
-  }
+  RETURN_IF_ERROR(CloseStep(
+      state, [&](Subscription& sub, std::vector<WindowBatch>* closed) {
+        return sub.window_op->AdvanceTime(watermark, closed);
+      }));
   state->watermark.store(watermark, std::memory_order_relaxed);
   if (metrics_.enabled()) state->watermark_metric->Set(watermark);
   for (SliceAggregator* agg : registry_.ForStream(state->info->name)) {
@@ -701,11 +706,10 @@ Status StreamRuntime::PublishBatch(const std::string& stream, int64_t close,
   // ingest lock; cascades form a forest, so locking the derived stream
   // under it cannot deadlock.
   std::lock_guard<OrderedMutex> stream_lock(state->mu);
-  std::vector<WindowBatch> closed;
-  for (Subscription& sub : state->subs) {
-    RETURN_IF_ERROR(sub.window_op->AddBatch(close, rows, &closed));
-    RETURN_IF_ERROR(ProcessClosed(&sub, &closed));
-  }
+  RETURN_IF_ERROR(CloseStep(
+      state, [&](Subscription& sub, std::vector<WindowBatch>* closed) {
+        return sub.window_op->AddBatch(close, rows, closed);
+      }));
   state->watermark.store(close, std::memory_order_relaxed);
   if (metrics_.enabled()) {
     state->batches_published_metric->Add();
@@ -1119,12 +1123,15 @@ void StreamRuntime::RefreshMetricsGauges() {
   metrics_.GetGauge("overload", "quarantine", "rows_dropped")
       ->Set(quarantine_dropped_.load(std::memory_order_relaxed));
 
-  // Shared pipelines are keyed by their versioned signature; the registry
-  // never drops one while the runtime lives, so refreshing in place is
-  // enough (no RemoveObject pass needed).
+  // Shared pipelines are keyed by their versioned signature; DropCq
+  // removes a pipeline's metrics when its last member leaves.
   for (const auto& ref : registry_.Pipelines()) {
     metrics_.GetGauge("aggregator", ref.key, "member_cqs")
         ->Set(ref.aggregator->member_cqs());
+    metrics_.GetGauge("aggregator", ref.key, "window_merges")
+        ->Set(ref.aggregator->window_merges());
+    metrics_.GetGauge("aggregator", ref.key, "evals_reused")
+        ->Set(ref.aggregator->evals_reused());
     metrics_.GetGauge("aggregator", ref.key, "rows_absorbed")
         ->Set(ref.aggregator->rows_absorbed());
     metrics_.GetGauge("aggregator", ref.key, "live_slices")

@@ -361,7 +361,12 @@ class StreamRuntime {
   Status PublishBatch(const std::string& stream, int64_t close,
                       const std::vector<Row>& rows);
 
-  Status ProcessClosed(Subscription* sub, std::vector<WindowBatch>* closed);
+  /// One close step: runs `advance(sub, &closed)` on each of `state`'s
+  /// subscriptions in order and evaluates the windows it closes through
+  /// one CloseMemo, which dies with the step. Every row, heartbeat and
+  /// published batch goes through here.
+  template <typename Advance>
+  Status CloseStep(StreamState* state, Advance&& advance);
 
   Status AttachCqSubscription(ContinuousQuery* cq);
 

@@ -377,6 +377,7 @@ Result<std::vector<Row>> SliceAggregator::ComputeWindow(
   if (visible % slice_width_ != 0) {
     return Status::Internal("window width is not a multiple of slice width");
   }
+  window_merges_.fetch_add(1, std::memory_order_relaxed);
   int64_t open = close - visible;
 
   // Which union slots to merge/finalize, in output order.

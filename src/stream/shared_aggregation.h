@@ -121,6 +121,10 @@ class SliceAggregator {
   Result<std::vector<size_t>> RegisterCalls(
       std::vector<exec::AggregateCall> calls);
 
+  /// Records that a member CQ left (dropped); returns the live members
+  /// that remain. The union keeps the leaver's calls.
+  int64_t RemoveMember() { return --member_cqs_; }
+
   /// True if RegisterCalls(calls) would succeed: either the pipeline has
   /// absorbed nothing yet, or every call's display name is already in the
   /// union.
@@ -151,7 +155,7 @@ class SliceAggregator {
   /// a member CQ passes its slot mapping so it never pays for aggregates
   /// other members registered. With no group keys, exactly one row is
   /// produced (possibly from zero input). `visible` must be a multiple of
-  /// the slice width.
+  /// the slice width. Every call counts one merge in window_merges().
   Result<std::vector<Row>> ComputeWindow(
       int64_t close, int64_t visible,
       const std::vector<size_t>* slots = nullptr) const;
@@ -168,9 +172,25 @@ class SliceAggregator {
   int64_t rows_absorbed() const {
     return rows_absorbed_.load(std::memory_order_relaxed);
   }
-  /// CQs that have attached to this pipeline (RegisterCalls count). One
-  /// means dedicated; more means the per-row work is genuinely shared.
+  /// Live member CQs (registered and not yet removed). One means
+  /// dedicated; more means the per-row work and the window close are
+  /// genuinely shared. Mutated only under the exclusive engine lock.
   int64_t member_cqs() const { return member_cqs_; }
+
+  /// Window merges performed (ComputeWindow calls): one per member close
+  /// on a dedicated pipeline, one per (close, VISIBLE) in a close step on
+  /// a shared one.
+  int64_t window_merges() const {
+    return window_merges_.load(std::memory_order_relaxed);
+  }
+  /// Member closes served from another member's identical evaluation in
+  /// the same close step.
+  int64_t evals_reused() const {
+    return evals_reused_.load(std::memory_order_relaxed);
+  }
+  void NoteEvalReused() {
+    evals_reused_.fetch_add(1, std::memory_order_relaxed);
+  }
 
   /// Records that a member window needs `visible` micros of history;
   /// eviction keeps max over members.
@@ -241,6 +261,8 @@ class SliceAggregator {
   // observability never has to walk the map a writer may be growing.
   std::atomic<int64_t> rows_absorbed_{0};
   std::atomic<int64_t> live_slice_count_{0};
+  mutable std::atomic<int64_t> window_merges_{0};
+  std::atomic<int64_t> evals_reused_{0};
   int64_t max_visible_ = 0;
   int64_t member_cqs_ = 0;
 

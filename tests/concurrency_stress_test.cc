@@ -410,6 +410,101 @@ TEST(ConcurrencyStressTest, ConcurrentIngestMatchesSerialOracle) {
   }
 }
 
+// Shared window closes under member churn: one producer ingests into a
+// stream whose 16 shared CQs (4 distinct definitions x 4 copies) merge
+// each window once and dedupe identical evaluations at every close, while
+// one thread walks SHOW STATS and another creates and drops a 17th member
+// of the same live pipeline. TSAN must see no race between the close
+// memo, the pipeline's live-member count and the stats walk; copies of
+// one definition must deliver identical transcripts.
+TEST(ConcurrencyStressTest, SharedClosesUnderMemberChurn) {
+  constexpr int kCqs = 16;
+  constexpr int kBatches = 120;
+  constexpr int kRowsPerBatch = 8;
+  static const char* kAggSets[] = {
+      "count(*)",
+      "count(*), sum(bytes)",
+      "count(*), min(bytes)",
+      "count(*), max(bytes)",
+  };
+  const std::string window =
+      " FROM sh <VISIBLE '20 seconds' ADVANCE '10 seconds'> GROUP BY url";
+
+  engine::Database db;
+  MustExecute(&db,
+              "CREATE STREAM sh (url varchar, ts timestamp CQTIME USER, "
+              "bytes bigint)");
+  std::vector<std::vector<std::string>> transcripts(kCqs);
+  const stream::SliceAggregator* pipeline = nullptr;
+  for (int i = 0; i < kCqs; ++i) {
+    auto cq = db.CreateContinuousQuery(
+        "sh" + std::to_string(i),
+        std::string("SELECT url, ") + kAggSets[i % 4] + window);
+    ASSERT_TRUE(cq.ok()) << cq.status().ToString();
+    ASSERT_TRUE((*cq)->is_shared());
+    pipeline = (*cq)->shared_aggregator();
+    std::vector<std::string>* out = &transcripts[i];
+    (*cq)->AddCallback([out](int64_t close, const std::vector<Row>& rows) {
+      out->push_back("@" + std::to_string(close));
+      for (const Row& row : rows) out->push_back(RowToString(row));
+      return Status::OK();
+    });
+  }
+
+  std::atomic<bool> failed{false};
+  std::atomic<bool> done{false};
+  auto record_failure = [&failed](const Status& st) {
+    if (!st.ok() && !failed.exchange(true)) {
+      ADD_FAILURE() << st.ToString();
+    }
+  };
+
+  std::thread producer([&db, &record_failure, &done]() {
+    int64_t ts = 0;
+    for (int b = 0; b < kBatches; ++b) {
+      std::vector<Row> rows;
+      rows.reserve(kRowsPerBatch);
+      for (int r = 0; r < kRowsPerBatch; ++r) {
+        ts += kSec;
+        rows.push_back(Row{Value::String("u" + std::to_string((b + r) % 5)),
+                           Value::Timestamp(ts),
+                           Value::Int64((b * 7 + r * 3) % 50)});
+      }
+      record_failure(db.Ingest("sh", rows));
+    }
+    done.store(true);
+  });
+  std::thread stats([&db, &record_failure, &done]() {
+    while (!done.load()) record_failure(db.Execute("SHOW STATS").status());
+  });
+  std::thread churn([&db, &record_failure, &window]() {
+    for (int i = 0; i < 40; ++i) {
+      // count(*) and max(bytes) are already in the live union, so the
+      // churn CQ joins the running pipeline rather than starting one.
+      auto cq = db.CreateContinuousQuery(
+          "sh_churn", "SELECT url, count(*), max(bytes)" + window);
+      record_failure(cq.status());
+      if (cq.ok()) record_failure(db.DropContinuousQuery("sh_churn"));
+    }
+  });
+  producer.join();
+  stats.join();
+  churn.join();
+  ASSERT_FALSE(failed.load());
+
+  int64_t member_closes = 0;
+  for (int i = 0; i < kCqs; ++i) {
+    EXPECT_FALSE(transcripts[i].empty()) << "sh" << i;
+    EXPECT_EQ(transcripts[i], transcripts[i % 4]) << "sh" << i;
+    member_closes +=
+        db.runtime()->GetCq("sh" + std::to_string(i))->windows_evaluated();
+  }
+  EXPECT_EQ(pipeline->member_cqs(), kCqs);
+  EXPECT_LT(pipeline->window_merges(), member_closes);
+  EXPECT_GT(pipeline->evals_reused(), 0);
+  EXPECT_EQ(db.runtime()->rows_ingested(), kBatches * kRowsPerBatch);
+}
+
 // The lock-contention gauges from DESIGN decision 11 must be visible in
 // the stats snapshot after a concurrent run: the shared tier counts every
 // data-plane entry, the exclusive tier counts DDL, and the stream tier
