@@ -125,19 +125,14 @@ BENCHMARK(BM_WalAppend);
 // (Arg 1): one shared-aggregate CQ over a raw stream, batches of 1k rows.
 // The per-row cost must be indistinguishable — metrics are pushed as
 // batch-level counter adds, never per-row work.
-// mode 0: row-at-a-time oracle (SET VECTORIZE OFF), Row-vector input.
-// mode 1: vectorized path fed Row vectors (columnar conversion at ingest).
-// mode 2: vectorized path fed ColumnBatches (the wire-decode hot path —
-//         no Row vector ever exists). The ≥5x acceptance bar compares
-//         mode 2 against mode 0 at the same metrics setting.
+// mode 1: Row-vector input (packed into a ColumnBatch at ingest).
+// mode 2: ColumnBatch input (the wire-decode hot path — no Row vector
+//         ever exists).
 void BM_IngestHotPath(benchmark::State& state) {
   const bool metrics_on = state.range(0) != 0;
   const int mode = static_cast<int>(state.range(1));
   engine::Database db;
   Check(db.Execute(UrlClickWorkload::StreamDdl()).status(), "ddl");
-  Check(db.Execute(mode == 0 ? "SET VECTORIZE OFF" : "SET VECTORIZE ON")
-            .status(),
-        "set vectorize");
   auto cq = db.CreateContinuousQuery(
       "top_urls",
       "SELECT url, count(*) FROM url_stream <VISIBLE '1 minute'> "
@@ -147,7 +142,7 @@ void BM_IngestHotPath(benchmark::State& state) {
   UrlClickWorkload workload(100, 1000);
 
   // Batches are synthesized outside the timer (the Zipf sampler costs as
-  // much as vectorized ingest itself); the pool refills with the clock
+  // much as columnar ingest itself); the pool refills with the clock
   // paused so only the ingest path is measured. The pool is kept small so
   // batches are cache-warm when ingested — matching the real front-end,
   // where the wire decode writes a batch immediately before dispatching it.
@@ -188,10 +183,9 @@ void BM_IngestHotPath(benchmark::State& state) {
 }
 BENCHMARK(BM_IngestHotPath)
     ->ArgNames({"metrics", "mode"})
-    ->Args({0, 0})
     ->Args({0, 1})
     ->Args({0, 2})
-    ->Args({1, 0})
+    ->Args({1, 1})
     ->Args({1, 2})
     ->Unit(benchmark::kMillisecond);
 

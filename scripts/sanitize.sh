@@ -5,11 +5,15 @@
 #
 # Builds into build-tsan/ or build-asan/ (separate from the normal build/)
 # so sanitized and plain object files never mix, then runs ctest. Any extra
-# arguments are forwarded to ctest (e.g. -R vectorize_differential_test). The
-# full suite, in both modes, includes the crash-recovery, overload,
-# vectorize, shared-close (`shared`: 100-seed shared-vs-unshared
-# differential) and failover (`ha`: 100-seed primary-kill/promote torture
-# with byte-identical subscriber transcripts) torture tests;
+# arguments are forwarded to ctest (e.g. -R vectorize_differential_test).
+# In `address` mode UBSan findings are fatal (the build adds
+# -fno-sanitize-recover=undefined), so a report fails the test that hits
+# it. The full suite, in both modes, includes the crash-recovery,
+# overload, vectorize (`vectorize`: 200-seed differential of shared CQs
+# against the same SQL on the generic evaluator), shared-close
+# (`shared`: 100-seed shared-vs-unshared differential) and failover
+# (`ha`: 100-seed primary-kill/promote torture with byte-identical
+# subscriber transcripts) torture tests;
 # scripts/torture.sh runs just those (labels `torture` + `overload` + `net`
 # + `vectorize` + `ha` + `shared`) under ASan+UBSan. `thread` mode
 # additionally covers the

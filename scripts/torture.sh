@@ -17,12 +17,15 @@
 # exercises the TCP front-end — corrupt frames, slow-consumer policies,
 # net.* fault drills — with the sanitizers watching the event loop and
 # per-connection send queues. The vectorize suite (`vectorize`) replays
-# the 200-seed columnar-vs-row differential with the sanitizers watching
-# the arena/bitmap/selection kernels. The failover suite (`ha`) replays
-# 100 seeded workloads through WAL shipping to a hot standby, kills the
-# primary at a sampled fault-point hit (clean/torn/corrupt tails),
-# promotes the standby, and requires the resumed subscriber's transcript
-# to match a no-failover oracle byte for byte. The shared-close suite
+# the 200-seed differential of shared CQs against the same SQL on the
+# generic evaluator, with the sanitizers watching the arena/bitmap/
+# selection kernels and torn-row quarantine. UBSan findings are fatal
+# (-fno-sanitize-recover=undefined in the address build). The failover
+# suite (`ha`) replays 100 seeded workloads through WAL shipping to a
+# hot standby, kills the primary at a sampled fault-point hit
+# (clean/torn/corrupt tails), promotes the standby, and requires the
+# resumed subscriber's transcript to match a no-failover oracle byte for
+# byte. The shared-close suite
 # (`shared`) replays 100 seeded dashboards whose CQs share window merges
 # and evaluations, byte-identical to the same SQL run unshared. After the
 # ASan+UBSan pass, the

@@ -41,7 +41,7 @@ class MemoryGovernor {
     kAggregator,     // SliceAggregator group keys + states
     kReorder,        // ReorderBuffer pending rows
     kNetSendQueue,   // frames queued for network subscribers
-    kIngestBatch,    // in-flight vectorized ColumnBatch ingest payloads
+    kIngestBatch,    // in-flight ColumnBatch ingest payloads
   };
   static constexpr int kNumAccounts = 5;
 

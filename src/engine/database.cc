@@ -958,11 +958,6 @@ Result<QueryResult> Database::ExecuteSet(const sql::SetStmt& stmt) {
     result.message = "SET RETRY BACKOFF " + std::to_string(stmt.value);
     return result;
   }
-  if (stmt.option == "vectorize") {
-    runtime_.SetVectorize(stmt.text_value == "ON");
-    result.message = "SET VECTORIZE " + stmt.text_value;
-    return result;
-  }
   return Status::InvalidArgument("unknown SET option '" + stmt.option + "'");
 }
 

@@ -107,9 +107,8 @@ class Database {
   Status Ingest(const std::string& stream, const std::vector<Row>& rows,
                 int64_t system_time = INT64_MIN);
 
-  /// Columnar ingest: moves a decoded ColumnBatch straight into the runtime's
-  /// vectorized hot path (falls back to row-at-a-time when vectorization is
-  /// off or the stream's subscriptions cannot be batch-folded).
+  /// Columnar ingest: moves a decoded ColumnBatch straight into the
+  /// runtime's ingest body, skipping the row-vector packing.
   Status Ingest(const std::string& stream, exec::ColumnBatch&& batch,
                 int64_t system_time = INT64_MIN);
 

@@ -1,5 +1,6 @@
 #include "exec/column_batch.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <functional>
@@ -96,6 +97,15 @@ void ColumnBatch::CommitRow() {
 }
 
 void ColumnBatch::AppendRow(const Row& row) {
+  if (row.size() != columns_.size()) {
+    torn_.emplace_back(static_cast<RowIndex>(row_count_), row);
+    for (Column& c : columns_) AppendCell(&c, DataType::kNull, 0);
+    const int64_t bytes = EstimateRowBytes(row);
+    row_bytes_.push_back(bytes);
+    total_row_bytes_ += bytes;
+    ++row_count_;
+    return;
+  }
   for (size_t col = 0; col < columns_.size(); ++col) {
     const Value& v = row[col];
     switch (v.type()) {
@@ -145,7 +155,18 @@ Value ColumnBatch::GetValue(size_t col, RowIndex row) const {
   return Value::Null();
 }
 
+const Row* ColumnBatch::FindTorn(RowIndex row) const {
+  auto it = std::lower_bound(torn_.begin(), torn_.end(), row,
+                             [](const std::pair<RowIndex, Row>& t,
+                                RowIndex r) { return t.first < r; });
+  return it != torn_.end() && it->first == row ? &it->second : nullptr;
+}
+
 void ColumnBatch::MaterializeRow(RowIndex row, Row* out) const {
+  if (const Row* torn = torn_row(row)) {
+    *out = *torn;
+    return;
+  }
   out->clear();
   out->reserve(columns_.size());
   for (size_t col = 0; col < columns_.size(); ++col) {

@@ -7,6 +7,7 @@
 #include <functional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/memory_governor.h"
@@ -49,8 +50,16 @@ class ColumnBatch {
 
   // --- row-major fill (ingest path) ---------------------------------------
 
-  /// Appends one row; `row.size()` must equal num_columns().
+  /// Appends one row. A row whose size differs from num_columns() is kept
+  /// whole as a *torn* row: its cells read as NULL, torn_row() and
+  /// MaterializeRow() return it unchanged, and its byte estimate is the
+  /// original row's (ingest quarantines it for arity).
   void AppendRow(const Row& row);
+
+  /// The original row if `row` was appended torn, else nullptr.
+  const Row* torn_row(RowIndex row) const {
+    return torn_.empty() ? nullptr : FindTorn(row);
+  }
 
   // --- column-major fill (wire decode path) -------------------------------
   //
@@ -101,8 +110,8 @@ class ColumnBatch {
   std::vector<Row> MaterializeAll() const;
 
   /// Overwrites a cell with a non-null timestamp (CQTIME SYSTEM stamping).
-  /// The row's byte estimate is re-derived so estimate parity with the
-  /// row-at-a-time path holds before and after stamping.
+  /// The row's byte estimate is re-derived, so it still equals
+  /// EstimateRowBytes of the materialized row after stamping.
   void StampTimestamp(size_t col, RowIndex row, int64_t micros);
 
   // --- column summaries (kernel fast-path dispatch) ------------------------
@@ -150,11 +159,13 @@ class ColumnBatch {
   static constexpr uint8_t kMixed = 0xFE;
 
   void AppendCell(Column* c, DataType t, int64_t fixed_payload);
+  const Row* FindTorn(RowIndex row) const;
 
   std::vector<Column> columns_;
   size_t row_count_ = 0;
   std::vector<int64_t> row_bytes_;
   int64_t total_row_bytes_ = 0;
+  std::vector<std::pair<RowIndex, Row>> torn_;  // ascending by index
 };
 
 namespace column_batch_internal {

@@ -93,8 +93,9 @@ Result<IngestBatchRequest> DecodeIngestBody(const std::string& body);
 /// body straight into a ColumnBatch, skipping per-row Value vectors
 /// entirely. Arity comes from the body's first row. Returns false (with
 /// *req unspecified) when the body carries zero rows or ragged arities —
-/// callers then fall back to DecodeIngestBody and the row-at-a-time path,
-/// which owns per-row arity diagnostics. Truncated/corrupt bodies error.
+/// callers then fall back to DecodeIngestBody and row-vector ingest, which
+/// keeps each wrong-arity row torn for the runtime to quarantine.
+/// Truncated/corrupt bodies error.
 struct IngestColumnarRequest {
   std::string stream;
   int64_t system_time = INT64_MIN;

@@ -533,10 +533,10 @@ void Server::DoQuery(const ConnPtr& conn, uint64_t request_id,
 
 void Server::DoIngest(const ConnPtr& conn, uint64_t request_id,
                       const std::string& body) {
-  // Decode straight into columnar form; the runtime's vectorized hot path
+  // Decode straight into columnar form; the runtime's ingest body
   // consumes the ColumnBatch without ever building per-row Value vectors.
-  // Ragged bodies (mixed arities) fall back to the row decoder, whose path
-  // owns per-row arity diagnostics and quarantining.
+  // Ragged bodies (mixed arities) fall back to the row decoder; the
+  // runtime keeps the wrong-arity rows torn and quarantines them.
   IngestColumnarRequest creq;
   auto columnar = DecodeIngestBodyColumnar(body, &creq);
   if (!columnar.ok()) {

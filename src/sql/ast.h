@@ -182,7 +182,7 @@ enum class StatementKind {
   kExplain,
   kTransaction,  // BEGIN / COMMIT / ROLLBACK
   kShowStats,    // SHOW STATS [FOR CQ|STREAM|CHANNEL <name>]
-  kSet,          // SET MEMORY LIMIT <bytes>, SET VECTORIZE ON|OFF, ...
+  kSet,          // SET MEMORY LIMIT <bytes>, SET RETRY LIMIT <n>, ...
   kSetFault,     // SET FAULT '<point>' <policy> | SET FAULT RESET
   kShowFaults,   // SHOW FAULTS
   kSubscribe,    // SUBSCRIBE TO <stream|cq>   (network sessions only)
@@ -306,14 +306,12 @@ struct UnsubscribeStmt : Statement {
 ///   SET OVERLOAD POLICY <stream> BLOCK|SHED_NEWEST|SHED_OLDEST
 ///   SET RETRY LIMIT <n>                — sink delivery attempts (1..1000)
 ///   SET RETRY BACKOFF <micros>         — base retry backoff
-///   SET VECTORIZE ON|OFF               — columnar ingest (OFF = row body)
 struct SetStmt : Statement {
   std::string option;      // lowercased: "memory_limit", "overload_policy",
-                           // "retry_limit", "retry_backoff", "vectorize"
+                           // "retry_limit", "retry_backoff"
   int64_t value = 0;       // numeric operand (bytes, attempts, micros)
   std::string target;      // object operand: stream name for OVERLOAD POLICY
-  std::string text_value;  // symbolic operand: policy name or ON/OFF,
-                           // uppercased
+  std::string text_value;  // symbolic operand: policy name, uppercased
 
   StatementKind kind() const override { return StatementKind::kSet; }
 };

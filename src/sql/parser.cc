@@ -253,17 +253,6 @@ class Parser {
       }
       return StatementPtr(std::move(stmt));
     }
-    if (stmt->option == "vectorize") {
-      // SET VECTORIZE ON|OFF
-      if (MatchKeyword("on")) {
-        stmt->text_value = "ON";
-      } else if (MatchKeyword("off")) {
-        stmt->text_value = "OFF";
-      } else {
-        return Result<StatementPtr>(Error("expected ON or OFF"));
-      }
-      return StatementPtr(std::move(stmt));
-    }
     return Result<StatementPtr>(
         Error("unknown SET option '" + option + "'"));
   }

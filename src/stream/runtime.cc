@@ -294,57 +294,65 @@ Status StreamRuntime::CloseStep(StreamState* state, Advance&& advance) {
   return Status::OK();
 }
 
+namespace {
+
+// Packs rows into an `arity`-wide batch. A row of any other width is
+// stored torn, and pass 1 quarantines it in place.
+exec::ColumnBatch PackRows(size_t arity, const std::vector<Row>& rows) {
+  exec::ColumnBatch batch(arity);
+  batch.Reserve(rows.size());
+  for (const Row& row : rows) batch.AppendRow(row);
+  return batch;
+}
+
+}  // namespace
+
 Status StreamRuntime::Ingest(const std::string& stream,
                              const std::vector<Row>& rows,
                              int64_t system_time) {
   return IngestLocked(stream, system_time, [&](StreamState* state) {
-    const size_t arity = state->info->schema.num_columns();
-    // A batch with any wrong-arity row takes the row body whole, so its
-    // quarantine order, qtime and detail text are the row body's.
-    const bool arity_ok =
-        std::all_of(rows.begin(), rows.end(),
-                    [arity](const Row& row) { return row.size() == arity; });
-    if (!UseColumnar(*state, arity_ok)) {
-      return IngestImpl(state, rows, system_time, /*quarantine_flush=*/false);
-    }
-    exec::ColumnBatch batch(arity);
-    batch.Reserve(rows.size());
-    for (const Row& row : rows) batch.AppendRow(row);
-    return IngestColumnarImpl(state, std::move(batch), system_time);
+    return IngestBatch(state,
+                       PackRows(state->info->schema.num_columns(), rows),
+                       system_time, /*quarantine_flush=*/false);
   });
 }
 
 Status StreamRuntime::Ingest(const std::string& stream,
                              exec::ColumnBatch&& batch, int64_t system_time) {
   return IngestLocked(stream, system_time, [&](StreamState* state) {
-    // When the vectorized path cannot run, materialize once and take the
-    // row body (an arity-mismatched batch then quarantines each row
-    // exactly as a row vector would).
-    if (!UseColumnar(*state, batch.num_columns() ==
-                                 state->info->schema.num_columns())) {
-      return IngestImpl(state, batch.MaterializeAll(), system_time,
-                        /*quarantine_flush=*/false);
+    // A batch of the wrong width is all torn: each row quarantines exactly
+    // as it would from a row vector.
+    const size_t arity = state->info->schema.num_columns();
+    if (batch.num_columns() != arity) {
+      batch = PackRows(arity, batch.MaterializeAll());
     }
-    return IngestColumnarImpl(state, std::move(batch), system_time);
+    return IngestBatch(state, std::move(batch), system_time,
+                       /*quarantine_flush=*/false);
   });
 }
 
-Status StreamRuntime::IngestLocked(
-    const std::string& stream, int64_t system_time,
-    const std::function<Status(StreamState*)>& body) {
+Result<StreamRuntime::StreamState*> StreamRuntime::RawStreamState(
+    const std::string& stream) {
   StreamState* state = GetState(stream);
   if (state == nullptr) {
     RETURN_IF_ERROR(RegisterStream(stream));
     state = GetState(stream);
   }
-  // Batch-level contract violations stay hard errors; only per-row data
-  // problems divert to the quarantine stream.
-  const catalog::StreamInfo* info = state->info;
-  if (info->is_derived) {
+  if (state->info->is_derived) {
     return Status::InvalidArgument(
-        "cannot ingest into derived stream '" + info->name +
+        "cannot ingest into derived stream '" + state->info->name +
         "'; it is computed by its defining query");
   }
+  return state;
+}
+
+Status StreamRuntime::IngestLocked(
+    const std::string& stream, int64_t system_time,
+    const std::function<Status(StreamState*)>& body) {
+  // Batch-level contract violations stay hard errors; only per-row data
+  // problems divert to the quarantine stream.
+  ASSIGN_OR_RETURN(StreamState * state, RawStreamState(stream));
+  const catalog::StreamInfo* info = state->info;
   if (info->cqtime_system && system_time == INT64_MIN) {
     return Status::InvalidArgument(
         "stream '" + info->name + "' has CQTIME SYSTEM; pass an ingest time");
@@ -368,121 +376,35 @@ Status StreamRuntime::IngestLocked(
   return status;
 }
 
-Status StreamRuntime::IngestImpl(StreamState* state,
-                                 const std::vector<Row>& rows,
-                                 int64_t system_time, bool quarantine_flush) {
+Status StreamRuntime::IngestBatch(StreamState* state,
+                                  exec::ColumnBatch&& batch,
+                                  int64_t system_time,
+                                  bool quarantine_flush) {
   catalog::StreamInfo* info = state->info;
   size_t admit_begin = 0;
-  size_t admit_end = rows.size();
+  size_t admit_end = batch.row_count();
   // Dead-letter capture must not itself be refused: quarantine flushes
   // bypass admission (their buffered footprint is still accounted).
   if (!quarantine_flush) {
     AdmitBatch(
-        state, rows.size(),
-        [&rows](size_t i) { return EstimateRowBytes(rows[i]); },
+        state, batch.row_count(),
+        [&batch](size_t i) {
+          return batch.row_bytes(static_cast<exec::RowIndex>(i));
+        },
         &admit_begin, &admit_end);
   }
-  const size_t arity = info->schema.num_columns();
-  // Rows as actually admitted (CQTIME SYSTEM stamps the timestamp column);
-  // channels and client subscriptions see these, not the raw input.
-  std::vector<Row> admitted;
-  admitted.reserve(admit_end - admit_begin);
-  for (size_t i = admit_begin; i < admit_end; ++i) {
-    const Row& row = rows[i];
-    if (row.size() != arity) {
-      QuarantineRow(state, "arity",
-                    "row arity " + std::to_string(row.size()) +
-                        " does not match stream '" + info->name + "' (" +
-                        std::to_string(arity) + " columns)",
-                    row, quarantine_flush);
-      continue;
-    }
-    int64_t ts;
-    if (info->cqtime_system) {
-      ts = system_time;
-    } else {
-      const Value& tv = row[info->cqtime_column];
-      if (tv.is_null()) {
-        QuarantineRow(state, "null_cqtime", "NULL CQTIME value", row,
-                      quarantine_flush);
-        continue;
-      }
-      if (tv.type() == DataType::kTimestamp) {
-        ts = tv.AsTimestampMicros();
-      } else if (tv.type() == DataType::kInt64) {
-        ts = tv.AsInt64();
-      } else {
-        QuarantineRow(state, "bad_cqtime_type",
-                      std::string("CQTIME column must be a timestamp, got ") +
-                          DataTypeToString(tv.type()),
-                      row, quarantine_flush);
-        continue;
-      }
-    }
-    const int64_t wm = state->watermark.load(std::memory_order_relaxed);
-    if (wm != INT64_MIN && ts < wm) {
-      QuarantineRow(state, "late",
-                    "ts " + std::to_string(ts) +
-                        " is behind stream watermark " + std::to_string(wm),
-                    row, quarantine_flush);
-      continue;
-    }
-    Row stamped = row;
-    if (info->cqtime_system) {
-      stamped[info->cqtime_column] = Value::Timestamp(ts);
-    }
-
-    for (SliceAggregator* agg : registry_.ForStream(info->name)) {
-      RETURN_IF_ERROR(agg->AddRow(ts, stamped));
-    }
-    RETURN_IF_ERROR(CloseStep(
-        state, [&](Subscription& sub, std::vector<WindowBatch>* closed) {
-          if (sub.feed_rows) return sub.window_op->AddRow(ts, stamped, closed);
-          sub.window_op->StartAt(ts);
-          return sub.window_op->AdvanceTime(ts, closed);
-        }));
-    state->watermark.store(ts, std::memory_order_relaxed);
-    admitted.push_back(std::move(stamped));
-  }
-  return FinishIngest(state, admitted.size(),
-                      [&admitted] { return std::move(admitted); });
-}
-
-bool StreamRuntime::UseColumnar(const StreamState& state, bool arity_ok) {
-  if (!vectorize_.load(std::memory_order_relaxed)) return false;
-  // Row-buffering subscribers (generic CQs, row/slice windows) need every
-  // row delivered individually; only watermark-driven time windows can be
-  // replayed from the timestamp array.
-  const bool time_driven = std::all_of(
-      state.subs.begin(), state.subs.end(), [](const Subscription& sub) {
-        return !sub.feed_rows &&
-               sub.window_op->spec().kind == WindowSpec::Kind::kTime;
-      });
-  if (arity_ok && time_driven) return true;
-  vec_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-  return false;
-}
-
-Status StreamRuntime::IngestColumnarImpl(StreamState* state,
-                                         exec::ColumnBatch&& batch,
-                                         int64_t system_time) {
-  catalog::StreamInfo* info = state->info;
-  size_t admit_begin = 0;
-  size_t admit_end = batch.row_count();
-  // row_bytes(i) equals EstimateRowBytes of the materialized row by
-  // construction, so admission decides exactly what the row body would.
-  AdmitBatch(
-      state, batch.row_count(),
-      [&batch](size_t i) {
-        return batch.row_bytes(static_cast<exec::RowIndex>(i));
-      },
-      &admit_begin, &admit_end);
 
   const size_t n_rows = admit_end - admit_begin;
   exec::SelectionVector sel(n_rows);
   std::vector<int64_t> ts(n_rows);
   size_t out = 0;
   Row scratch;  // materialized only for quarantined rows
+  auto reject = [&](exec::RowIndex row, const char* reason,
+                    std::string detail) {
+    batch.MaterializeRow(row, &scratch);
+    QuarantineRow(state, reason, std::move(detail), scratch,
+                  quarantine_flush);
+  };
   const size_t tcol = info->cqtime_column;
   // When the CQTIME column is uniformly typed (the wire decode's common
   // shape), the per-row NULL/tag validation collapses to a payload load.
@@ -491,11 +413,18 @@ Status StreamRuntime::IngestColumnarImpl(StreamState* state,
   const bool uniform_cq =
       ucq == DataType::kTimestamp || ucq == DataType::kInt64;
   // `wm` mirrors state->watermark; the atomic is still stored per admitted
-  // row so QuarantineRow (which reads it for the dead-letter qtime) sees
-  // exactly what the row body would have published.
+  // row so QuarantineRow (which reads it for the dead-letter qtime) stamps
+  // each rejected row with the watermark of the rows admitted before it.
   int64_t wm = state->watermark.load(std::memory_order_relaxed);
   for (size_t i = admit_begin; i < admit_end; ++i) {
     const exec::RowIndex row = static_cast<exec::RowIndex>(i);
+    if (const Row* torn = batch.torn_row(row)) {
+      reject(row, "arity",
+             "row arity " + std::to_string(torn->size()) +
+                 " does not match stream '" + info->name + "' (" +
+                 std::to_string(info->schema.num_columns()) + " columns)");
+      continue;
+    }
     int64_t t;
     if (info->cqtime_system) {
       t = system_time;
@@ -503,29 +432,22 @@ Status StreamRuntime::IngestColumnarImpl(StreamState* state,
       t = batch.fixed(tcol, row);
     } else {
       if (batch.is_null(tcol, row)) {
-        batch.MaterializeRow(row, &scratch);
-        QuarantineRow(state, "null_cqtime", "NULL CQTIME value", scratch,
-                      /*quarantine_flush=*/false);
+        reject(row, "null_cqtime", "NULL CQTIME value");
         continue;
       }
       const DataType tt = batch.tag(tcol, row);
-      if (tt == DataType::kTimestamp || tt == DataType::kInt64) {
-        t = batch.fixed(tcol, row);
-      } else {
-        batch.MaterializeRow(row, &scratch);
-        QuarantineRow(state, "bad_cqtime_type",
-                      std::string("CQTIME column must be a timestamp, got ") +
-                          DataTypeToString(tt),
-                      scratch, /*quarantine_flush=*/false);
+      if (tt != DataType::kTimestamp && tt != DataType::kInt64) {
+        reject(row, "bad_cqtime_type",
+               std::string("CQTIME column must be a timestamp, got ") +
+                   DataTypeToString(tt));
         continue;
       }
+      t = batch.fixed(tcol, row);
     }
     if (wm != INT64_MIN && t < wm) {
-      batch.MaterializeRow(row, &scratch);
-      QuarantineRow(state, "late",
-                    "ts " + std::to_string(t) +
-                        " is behind stream watermark " + std::to_string(wm),
-                    scratch, /*quarantine_flush=*/false);
+      reject(row, "late",
+             "ts " + std::to_string(t) + " is behind stream watermark " +
+                 std::to_string(wm));
       continue;
     }
     if (info->cqtime_system) {
@@ -539,13 +461,13 @@ Status StreamRuntime::IngestColumnarImpl(StreamState* state,
   }
   sel.resize(out);
   ts.resize(out);
-  return VectorizedDispatch(state, batch, sel, ts);
+  return DispatchBatch(state, batch, sel, ts);
 }
 
-Status StreamRuntime::VectorizedDispatch(StreamState* state,
-                                         const exec::ColumnBatch& batch,
-                                         const exec::SelectionVector& sel,
-                                         const std::vector<int64_t>& ts) {
+Status StreamRuntime::DispatchBatch(StreamState* state,
+                                    const exec::ColumnBatch& batch,
+                                    const exec::SelectionVector& sel,
+                                    const std::vector<int64_t>& ts) {
   catalog::StreamInfo* info = state->info;
   // The in-flight columnar payload is charged as one batch, not per row;
   // released when the batch has been fully dispatched (the slices and
@@ -564,78 +486,90 @@ Status StreamRuntime::VectorizedDispatch(StreamState* state,
   }
 
   const size_t n = sel.size();
-  vec_batches_.fetch_add(1, std::memory_order_relaxed);
-  vec_rows_.fetch_add(static_cast<int64_t>(n), std::memory_order_relaxed);
+  // The admitted rows as Rows, built on first use: row-fed subscriptions
+  // take each one at its step, and the tail hands the same rows to
+  // channels and client subscriptions. Streams that feed only shared CQs
+  // never build them.
+  std::vector<Row> rows;
+  auto admitted = [&]() -> const std::vector<Row>& {
+    if (rows.size() != n) {
+      rows.resize(n);
+      for (size_t q = 0; q < n; ++q) batch.MaterializeRow(sel[q], &rows[q]);
+    }
+    return rows;
+  };
 
-  // Re-resolved after every window close: a delivery callback may re-enter
+  // Re-resolved after every close step: a delivery callback may re-enter
   // the engine and create a CQ on this stream, growing (and reallocating)
   // the registry's pipeline vector.
   const std::vector<SliceAggregator*>* pipelines =
       &registry_.ForStream(info->name);
 
-  // The earliest boundary at which any subscription acts. INT64_MIN when
-  // some subscription has not started its close schedule yet (it must see
-  // the very next row's StartAt).
-  auto next_due = [&]() {
-    int64_t due = INT64_MAX;
+  // `due` is the earliest boundary at which a watermark-driven (shared)
+  // subscription acts; INT64_MIN while one has not started its close
+  // schedule (it must see the very next row's StartAt). `every_row` holds
+  // while a row-fed subscription (generic CQ, ROWS window) is attached:
+  // it must receive each row at its own step.
+  int64_t due = INT64_MAX;
+  bool every_row = false;
+  auto schedule = [&] {
+    due = INT64_MAX;
+    every_row = false;
     for (const Subscription& sub : state->subs) {
-      const int64_t nc = sub.window_op->next_close();
-      if (nc == INT64_MIN) return INT64_MIN;
-      if (nc < due) due = nc;
+      if (sub.feed_rows) {
+        every_row = true;
+      } else {
+        due = std::min(due, sub.window_op->next_close());
+      }
     }
-    return due;
   };
 
-  // Skip-guard replay: rows strictly before every subscription's next
-  // close only advance the operators' last-seen timestamp (a no-op for
-  // watermark-driven subscriptions), so the per-row StartAt/AdvanceTime
-  // calls collapse to the rows that can close a window — plus the final
-  // row, which fixes up the operators' last-seen timestamp. Pipelines
-  // absorb rows [absorbed, p] right before row p's closes are evaluated,
-  // so every close merges exactly the rows the row body would have.
-  int64_t due = next_due();
+  // Rows strictly before every shared subscription's next close only
+  // advance its operator's last-seen timestamp, so without row-fed
+  // subscriptions the steps collapse to the rows that can close a window,
+  // plus the final row, which fixes up the last-seen timestamp. Pipelines
+  // absorb the run of rows since the last shared close right before the
+  // next one is evaluated, so every close merges exactly the rows that
+  // arrived before it.
+  schedule();
   size_t absorbed = 0;
-  size_t p = 0;
-  while (p < n) {
-    if (due != INT64_MIN && p + 1 < n && ts[p] < due) {
+  for (size_t p = 0; p < n; ++p) {
+    if (!every_row && ts[p] < due && p + 1 < n) {
       // The admitted timestamps are non-decreasing (late rows were
       // quarantined), so jump straight to the first row at/past the
-      // boundary — or the final row, which fixes up last-seen time —
-      // instead of testing every row.
+      // boundary instead of testing every row.
       const size_t first = static_cast<size_t>(
           std::lower_bound(ts.begin() + static_cast<ptrdiff_t>(p), ts.end(),
                            due) -
           ts.begin());
-      p = first < n - 1 ? first : n - 1;
+      p = std::min(first, n - 1);
     }
-    for (SliceAggregator* agg : *pipelines) {
-      RETURN_IF_ERROR(agg->AddBatch(batch, sel, ts, absorbed, p + 1));
+    if (ts[p] >= due) {
+      for (SliceAggregator* agg : *pipelines) {
+        RETURN_IF_ERROR(agg->AddBatch(batch, sel, ts, absorbed, p + 1));
+      }
+      absorbed = p + 1;
     }
-    absorbed = p + 1;
     RETURN_IF_ERROR(CloseStep(
         state, [&](Subscription& sub, std::vector<WindowBatch>* closed) {
+          if (sub.feed_rows) {
+            return sub.window_op->AddRow(ts[p], admitted()[p], closed);
+          }
           sub.window_op->StartAt(ts[p]);
           return sub.window_op->AdvanceTime(ts[p], closed);
         }));
     pipelines = &registry_.ForStream(info->name);
-    due = next_due();
-    ++p;
+    schedule();
   }
   for (SliceAggregator* agg : *pipelines) {
     RETURN_IF_ERROR(agg->AddBatch(batch, sel, ts, absorbed, n));
   }
-
-  // The hot path (shared CQs only) never rebuilds a Row.
-  return FinishIngest(state, n, [&] {
-    std::vector<Row> admitted(n);
-    for (size_t q = 0; q < n; ++q) batch.MaterializeRow(sel[q], &admitted[q]);
-    return admitted;
-  });
+  return FinishIngest(state, n, admitted);
 }
 
 Status StreamRuntime::FinishIngest(
     StreamState* state, size_t n,
-    const std::function<std::vector<Row>()>& admitted) {
+    const std::function<const std::vector<Row>&()>& admitted) {
   const int64_t final_wm = state->watermark.load(std::memory_order_relaxed);
   if (n > 0) {
     const int64_t count = static_cast<int64_t>(n);
@@ -647,15 +581,11 @@ Status StreamRuntime::FinishIngest(
       state->watermark_metric->Set(final_wm);
     }
   }
-
-  // Evict slices no live window can reference.
-  for (SliceAggregator* agg : registry_.ForStream(state->info->name)) {
-    agg->EvictBefore(final_wm - agg->max_visible());
-  }
+  EvictSlices(*state, final_wm);
   if (state->channels.empty() && state->client_subs.empty()) {
     return Status::OK();
   }
-  const std::vector<Row> rows = admitted();
+  const std::vector<Row>& rows = admitted();
   // Raw-stream channels archive ingested rows directly (commit time =
   // current watermark). Transient sink failures (WAL/table hiccups) are
   // retried with backoff; OnRawRows restores its watermark on failure, so
@@ -672,13 +602,18 @@ Status StreamRuntime::FinishIngest(
   return Status::OK();
 }
 
+void StreamRuntime::EvictSlices(const StreamState& state, int64_t watermark) {
+  // Nothing is evictable before the first row or heartbeat sets the
+  // watermark (and INT64_MIN - max_visible would overflow).
+  if (watermark == INT64_MIN) return;
+  for (SliceAggregator* agg : registry_.ForStream(state.info->name)) {
+    agg->EvictBefore(watermark - agg->max_visible());
+  }
+}
+
 Status StreamRuntime::AdvanceTime(const std::string& stream,
                                   int64_t watermark) {
-  StreamState* state = GetState(stream);
-  if (state == nullptr) {
-    RETURN_IF_ERROR(RegisterStream(stream));
-    state = GetState(stream);
-  }
+  ASSIGN_OR_RETURN(StreamState * state, RawStreamState(stream));
   std::lock_guard<OrderedMutex> stream_lock(state->mu);
   const int64_t wm = state->watermark.load(std::memory_order_relaxed);
   if (wm != INT64_MIN && watermark < wm) {
@@ -690,9 +625,7 @@ Status StreamRuntime::AdvanceTime(const std::string& stream,
       }));
   state->watermark.store(watermark, std::memory_order_relaxed);
   if (metrics_.enabled()) state->watermark_metric->Set(watermark);
-  for (SliceAggregator* agg : registry_.ForStream(state->info->name)) {
-    agg->EvictBefore(watermark - agg->max_visible());
-  }
+  EvictSlices(*state, watermark);
   return Status::OK();
 }
 
@@ -975,8 +908,9 @@ void StreamRuntime::FlushQuarantine(std::vector<PendingQuarantine> batch) {
     if (status.ok()) {
       status = IngestLocked(
           QuarantineName(q.stream), INT64_MIN, [&](StreamState* state) {
-            return IngestImpl(state, {std::move(q.row)}, INT64_MIN,
-                              /*quarantine_flush=*/true);
+            return IngestBatch(
+                state, PackRows(state->info->schema.num_columns(), {q.row}),
+                INT64_MIN, /*quarantine_flush=*/true);
           });
     }
     if (!status.ok()) {
@@ -1063,14 +997,6 @@ void StreamRuntime::RefreshMetricsGauges() {
       ->Set(static_cast<int64_t>(channels_.size()));
   metrics_.GetGauge("engine", "runtime", "shared_pipelines")
       ->Set(static_cast<int64_t>(registry_.pipeline_count()));
-  metrics_.GetGauge("engine", "vectorize", "enabled")
-      ->Set(vectorize() ? 1 : 0);
-  metrics_.GetGauge("engine", "vectorize", "batches")
-      ->Set(vec_batches_.load(std::memory_order_relaxed));
-  metrics_.GetGauge("engine", "vectorize", "rows")
-      ->Set(vec_rows_.load(std::memory_order_relaxed));
-  metrics_.GetGauge("engine", "vectorize", "fallbacks")
-      ->Set(vec_fallbacks_.load(std::memory_order_relaxed));
 
   {
     // maps_mu_ is held across the walk so a concurrent lazy registration

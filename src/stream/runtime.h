@@ -38,10 +38,12 @@ const char* OverloadPolicyName(OverloadPolicy policy);
 /// window closes as the watermark advances, cascades derived-stream
 /// batches downstream, and drives channels into active tables.
 ///
-/// Ingest is one serial pass per batch: the production body is columnar
-/// (IngestColumnarImpl + VectorizedDispatch); the row-at-a-time body
-/// (IngestImpl) serves generic and ROWS-window subscribers and is the
-/// reference the vectorized path is tested against (SET VECTORIZE OFF).
+/// Ingest has one body, one serial pass per batch: every ingest — row
+/// vectors, wire ColumnBatches and dead-letter flushes — becomes a
+/// ColumnBatch that IngestBatch validates and DispatchBatch feeds to the
+/// stream's subscriptions. Shared pipelines absorb it batch-at-a-time;
+/// generic and ROWS-window CQs take their rows from one lazy
+/// materialization of the admitted rows.
 ///
 /// Threading (DESIGN decision 11). Structural mutation (create/drop/
 /// subscribe/set) happens only under the Database's exclusive engine
@@ -119,23 +121,22 @@ class StreamRuntime {
   /// row's timestamp column; CQTIME SYSTEM streams are stamped with
   /// `system_time` (required > current watermark). Serializes on the
   /// stream's own ingest lock; disjoint streams proceed in parallel. The
-  /// rows are converted to a ColumnBatch and take the columnar body unless
-  /// the vectorized path cannot run (see the ColumnBatch overload).
+  /// rows are packed into a ColumnBatch; a row of the wrong arity is kept
+  /// torn and quarantined in place.
   Status Ingest(const std::string& stream, const std::vector<Row>& rows,
                 int64_t system_time = INT64_MIN);
 
   /// Columnar ingest: same contract as the row overload, but the rows
   /// arrive already in columnar layout (the network INGEST_BATCH decoder
-  /// fills a ColumnBatch directly, skipping Row materialization). When
-  /// the vectorized path cannot run — SET VECTORIZE OFF, a row-buffering
-  /// subscriber, or an arity mismatch — the batch is materialized once and
-  /// takes the row-at-a-time body, so the observable output is identical
-  /// either way.
+  /// fills a ColumnBatch directly, skipping Row materialization). A batch
+  /// whose width differs from the stream's is all torn: every row
+  /// quarantines exactly as it would from a row vector.
   Status Ingest(const std::string& stream, exec::ColumnBatch&& batch,
                 int64_t system_time = INT64_MIN);
 
   /// Heartbeat: advances a raw stream's watermark without data, closing due
-  /// windows (and cascading empty results downstream).
+  /// windows (and cascading empty results downstream). Derived streams are
+  /// refused, as for Ingest.
   Status AdvanceTime(const std::string& stream, int64_t watermark);
 
   int64_t watermark(const std::string& stream) const;
@@ -144,33 +145,6 @@ class StreamRuntime {
   /// sink deliveries serialize on it so multi-structure table writes
   /// (heap + indexes + WAL) stay consistent under concurrency.
   OrderedMutex* dml_mutex() { return &dml_mu_; }
-
-  // --- vectorized execution ---------------------------------------------------
-
-  /// SET VECTORIZE ON|OFF. ON (the default) routes eligible ingest
-  /// through the columnar batch path; OFF forces the row-at-a-time oracle
-  /// everywhere, which the differential suites compare against. Mutated
-  /// only under the exclusive engine lock.
-  void SetVectorize(bool on) {
-    vectorize_.store(on, std::memory_order_relaxed);
-  }
-  bool vectorize() const {
-    return vectorize_.load(std::memory_order_relaxed);
-  }
-
-  /// Batches absorbed by the vectorized path (engine/vectorize metrics).
-  int64_t vectorized_batches() const {
-    return vec_batches_.load(std::memory_order_relaxed);
-  }
-  int64_t vectorized_rows() const {
-    return vec_rows_.load(std::memory_order_relaxed);
-  }
-  /// Ingest calls that wanted the vectorized path (VECTORIZE ON) but had
-  /// to fall back to the row path (row-buffering subscriber, non-time
-  /// window, or arity-mismatched input).
-  int64_t vectorize_fallbacks() const {
-    return vec_fallbacks_.load(std::memory_order_relaxed);
-  }
 
   // --- overload protection ----------------------------------------------------
 
@@ -370,54 +344,49 @@ class StreamRuntime {
 
   Status AttachCqSubscription(ContinuousQuery* cq);
 
-  /// Locking skeleton for every ingest: registers the stream if needed,
-  /// takes the stream's ingest lock, rejects batch-level contract
-  /// violations (derived stream, CQTIME SYSTEM without an ingest time),
+  /// Registers `stream` if needed and returns its state. Derived streams
+  /// are refused: their data comes from their defining query, so neither
+  /// ingest nor a heartbeat may drive them.
+  Result<StreamState*> RawStreamState(const std::string& stream);
+
+  /// Locking skeleton for every ingest: resolves the raw stream, rejects
+  /// CQTIME SYSTEM without an ingest time, takes the stream's ingest lock,
   /// runs `body`, and flushes the stream's pending dead-letter rows after
   /// releasing the lock.
   Status IngestLocked(const std::string& stream, int64_t system_time,
                       const std::function<Status(StreamState*)>& body);
 
-  /// Row-at-a-time ingest body: for streams with row-buffering
-  /// subscribers, for arity-mismatched input, under SET VECTORIZE OFF (the
-  /// reference the vectorized path is compared against), and for
-  /// dead-letter flushes. `quarantine_flush` marks re-entry from
-  /// FlushQuarantine: admission is bypassed and rejected rows are dropped
-  /// (counted) instead of recursing.
-  Status IngestImpl(StreamState* state, const std::vector<Row>& rows,
-                    int64_t system_time, bool quarantine_flush);
+  /// The ingest body: admission, then pass 1 over the batch's own cells —
+  /// the arity check, CQTIME validation, the late check, and CQTIME SYSTEM
+  /// stamping, quarantining rejects in order — then DispatchBatch.
+  /// `quarantine_flush` marks re-entry from FlushQuarantine: admission is
+  /// bypassed and rejected rows are dropped (counted) instead of
+  /// recursing.
+  Status IngestBatch(StreamState* state, exec::ColumnBatch&& batch,
+                     int64_t system_time, bool quarantine_flush);
 
-  // --- vectorized ingest (columnar hot path) ---------------------------------
+  /// Pass 2: replays the admitted rows batch[sel[p]] (timestamps ts[p])
+  /// through the stream's close steps. Without row-fed subscriptions only
+  /// rows that can close a window are steps; with one, every row is.
+  /// Shared pipelines absorb batch-at-a-time, each run of rows right
+  /// before the next shared close, so every subscriber observes exact
+  /// per-row semantics. Then runs FinishIngest.
+  Status DispatchBatch(StreamState* state, const exec::ColumnBatch& batch,
+                       const exec::SelectionVector& sel,
+                       const std::vector<int64_t>& ts);
 
-  /// Picks the ingest body: true (columnar) when VECTORIZE is ON, every
-  /// subscription on the stream is watermark-driven (a shared-aggregation
-  /// CQ over a time window, so window-close scheduling can be replayed
-  /// from the timestamp array alone), and `arity_ok` (every row has the
-  /// schema's arity). A refusal under VECTORIZE ON counts as a fallback.
-  bool UseColumnar(const StreamState& state, bool arity_ok);
+  /// The ingest tail: counts the `n` admitted rows, evicts slices no live
+  /// window can reference, and hands the admitted rows to raw-stream
+  /// channels and client subscriptions. `admitted` returns those rows,
+  /// materializing them if no row-fed subscription already has; it runs
+  /// only when a channel or client subscription listens.
+  Status FinishIngest(
+      StreamState* state, size_t n,
+      const std::function<const std::vector<Row>&()>& admitted);
 
-  /// Columnar ingest body: columnar admission, then pass 1 (validation and
-  /// quarantine, CQTIME SYSTEM stamping) over the batch's own cells, then
-  /// VectorizedDispatch. Callers have checked UseColumnar.
-  Status IngestColumnarImpl(StreamState* state, exec::ColumnBatch&& batch,
-                            int64_t system_time);
-
-  /// Pass 2: absorbs admitted rows batch[sel[p]] (timestamps ts[p]) into
-  /// the shared pipelines batch-at-a-time, replaying window-close
-  /// scheduling so every subscriber observes the exact per-row semantics,
-  /// then runs FinishIngest.
-  Status VectorizedDispatch(StreamState* state,
-                            const exec::ColumnBatch& batch,
-                            const exec::SelectionVector& sel,
-                            const std::vector<int64_t>& ts);
-
-  /// The ingest tail shared by both bodies: counts the `n` admitted rows,
-  /// evicts slices no live window can reference, and hands the admitted
-  /// rows to raw-stream channels and client subscriptions. `admitted`
-  /// builds those rows and runs only when a channel or client
-  /// subscription listens.
-  Status FinishIngest(StreamState* state, size_t n,
-                      const std::function<std::vector<Row>()>& admitted);
+  /// Drops slices no live window of `state`'s pipelines can reference at
+  /// `watermark`; a no-op while the watermark is unset (INT64_MIN).
+  void EvictSlices(const StreamState& state, int64_t watermark);
 
   /// Admission pre-pass over an n-row batch whose row i is estimated at
   /// `row_bytes(i)` bytes: decides the contiguous [*begin, *end) slice
@@ -437,7 +406,7 @@ class StreamRuntime {
                      std::string detail, const Row& row,
                      bool quarantine_flush);
   /// Publishes a swapped-out dead-letter batch. Called with no ranked
-  /// locks held: each row is an ordinary ingest into the dead-letter
+  /// locks held: each row is a one-row IngestBatch into the dead-letter
   /// stream (marked quarantine_flush so it can never recurse).
   void FlushQuarantine(std::vector<PendingQuarantine> batch);
 
@@ -477,12 +446,6 @@ class StreamRuntime {
   std::atomic<int64_t> retries_{0};
   std::atomic<int64_t> retries_exhausted_{0};
   std::atomic<int64_t> quarantine_dropped_{0};
-
-  // --- vectorized execution state ---
-  std::atomic<bool> vectorize_{true};
-  std::atomic<int64_t> vec_batches_{0};
-  std::atomic<int64_t> vec_rows_{0};
-  std::atomic<int64_t> vec_fallbacks_{0};
 };
 
 }  // namespace streamrel::stream

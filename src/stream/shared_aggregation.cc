@@ -127,45 +127,6 @@ SliceAggregator::Group* SliceAggregator::FindOrCreateGroup(
   return &slice->groups.back();
 }
 
-Status SliceAggregator::AddRow(int64_t ts, const Row& row) {
-  exec::EvalContext ctx;  // cq_close is not available pre-aggregation
-  if (filter_ != nullptr) {
-    ASSIGN_OR_RETURN(bool keep, exec::EvalPredicate(*filter_, row, ctx));
-    if (!keep) return Status::OK();
-  }
-  int64_t q = ts / slice_width_;
-  if (ts % slice_width_ != 0 && ts < 0) --q;  // floor division
-  int64_t slice_start = q * slice_width_;
-  auto [slice_it, created] = slices_.try_emplace(slice_start);
-  if (created) live_slice_count_.fetch_add(1, std::memory_order_relaxed);
-  Slice& slice = slice_it->second;
-
-  std::vector<Value> keys;
-  keys.reserve(group_exprs_.size());
-  for (const auto& g : group_exprs_) {
-    ASSIGN_OR_RETURN(Value v, g->Eval(row, ctx));
-    keys.push_back(std::move(v));
-  }
-  Status status;
-  Group* group = FindOrCreateGroup(&slice, std::move(keys), &status);
-  if (group == nullptr) return status;
-  for (size_t i = 0; i < calls_.size(); ++i) {
-    if (calls_[i].argument == nullptr) {
-      exec::AggState* s = group->states[i].get();
-      if (int64_t* slot = s->unconditional_count_slot()) {
-        ++*slot;  // count(*): equivalent to Update, minus the dispatch
-      } else {
-        s->Update(Value::Null());
-      }
-      continue;
-    }
-    ASSIGN_OR_RETURN(Value arg, calls_[i].argument->Eval(row, ctx));
-    group->states[i]->Update(arg);
-  }
-  rows_absorbed_.fetch_add(1, std::memory_order_relaxed);
-  return Status::OK();
-}
-
 void SliceAggregator::EnsureBatchKernels() {
   const std::vector<exec::AggregateCall>& all = calls_;
   if (kernels_ != nullptr && kernels_->args.size() == all.size()) return;

@@ -18,11 +18,11 @@ namespace streamrel::stream {
 
 /// Open-addressing (linear-probe) index from a group's 64-bit key hash to
 /// its position in a slice's group vector. This sits on the per-row hot
-/// path of both the row and batch absorption kernels, where a per-slice
-/// unordered_map<hash, vector<index>> cost a heap-node chase per row; here
-/// a probe is one contiguous-array scan. Distinct groups may share a full
-/// hash, so lookups keep probing past hash-equal slots whose keys do not
-/// match, and the caller supplies the key-equality check.
+/// path of the batch absorption kernel and of the window merge, where a
+/// per-slice unordered_map<hash, vector<index>> cost a heap-node chase per
+/// row; here a probe is one contiguous-array scan. Distinct groups may
+/// share a full hash, so lookups keep probing past hash-equal slots whose
+/// keys do not match, and the caller supplies the key-equality check.
 class GroupIndex {
  public:
   static constexpr size_t kNone = static_cast<size_t>(-1);
@@ -130,20 +130,13 @@ class SliceAggregator {
   /// union.
   bool CanAccept(const std::vector<exec::AggregateCall>& calls) const;
 
-  /// Absorbs one stream row into its slice (ts / slice_width). A slice
-  /// keeps its groups in first-arrival order.
-  Status AddRow(int64_t ts, const Row& row);
-
-  /// Batch-at-a-time absorption: folds rows batch[sel[p]] for p in
-  /// [from, to) into their slices. `ts[p]` is row sel[p]'s CQTIME (the
-  /// caller guarantees it is non-decreasing over the range — arrival
-  /// order). Produces byte-identical aggregator state to calling AddRow
-  /// once per row in order: the filter, slice bucketing, group
-  /// hash/equality, and state updates all reuse or exactly mirror the
-  /// row-path kernels.
-  /// Group keys and aggregate arguments that are plain column references
-  /// run columnar (no Row materialization on the hot path); anything
-  /// else falls back to evaluating on a scratch row.
+  /// Absorbs rows batch[sel[p]] for p in [from, to) into their slices
+  /// (ts[p] / slice_width; `ts[p]` is row sel[p]'s CQTIME, non-decreasing
+  /// over the range — arrival order). A slice keeps its groups in
+  /// first-arrival order, so absorbing a run in one call or row by row
+  /// leaves identical state. Group keys and aggregate arguments that are
+  /// plain column references run columnar (no Row materialization on the
+  /// hot path); anything else is evaluated on a scratch row.
   Status AddBatch(const exec::ColumnBatch& batch,
                   const exec::SelectionVector& sel,
                   const std::vector<int64_t>& ts, size_t from, size_t to);

@@ -69,8 +69,8 @@ class WindowOperator {
   size_t buffered_rows() const { return buffer_.size(); }
 
   /// The next scheduled close boundary (time windows; INT64_MIN until
-  /// StartAt). The vectorized ingest path uses this to skip the per-row
-  /// StartAt/AdvanceTime calls for rows that cannot close a window.
+  /// StartAt). Ingest uses this to skip the per-row StartAt/AdvanceTime
+  /// calls for rows that cannot close a window.
   int64_t next_close() const { return next_close_; }
 
   /// Serializes the full operator state (buffer + counters) for

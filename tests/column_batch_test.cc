@@ -155,6 +155,39 @@ TEST(ColumnBatchTest, RowBytesMatchesEstimateRowBytes) {
   EXPECT_EQ(batch.total_row_bytes(), sum);
 }
 
+// A row of the wrong width is kept whole: its cells read NULL (so the
+// columns stay aligned), torn_row() and MaterializeRow() return it
+// unchanged, and its byte estimate is the original row's.
+TEST(ColumnBatchTest, WrongWidthRowIsKeptTorn) {
+  ColumnBatch batch(3);
+  const std::vector<Row> rows = {
+      Row{Value::Int64(1), Value::String("ok"), Value::Timestamp(1)},
+      Row{Value::String("short")},
+      Row{Value::Int64(2), Value::String("long"), Value::Timestamp(2),
+          Value::String("extra")},
+      Row{Value::Int64(3), Value::String("ok"), Value::Timestamp(3)},
+  };
+  for (const Row& row : rows) batch.AppendRow(row);
+  ASSERT_EQ(batch.row_count(), rows.size());
+  EXPECT_EQ(batch.torn_row(0), nullptr);
+  EXPECT_EQ(batch.torn_row(3), nullptr);
+  int64_t sum = 0;
+  for (RowIndex r = 0; r < batch.row_count(); ++r) {
+    Row out;
+    batch.MaterializeRow(r, &out);
+    EXPECT_EQ(RowToString(out), RowToString(rows[r])) << r;
+    EXPECT_EQ(batch.row_bytes(r), EstimateRowBytes(rows[r])) << r;
+    sum += batch.row_bytes(r);
+  }
+  EXPECT_EQ(batch.total_row_bytes(), sum);
+  for (RowIndex r : {1u, 2u}) {
+    ASSERT_NE(batch.torn_row(r), nullptr) << r;
+    EXPECT_EQ(batch.torn_row(r)->size(), rows[r].size());
+    for (size_t c = 0; c < 3; ++c) EXPECT_TRUE(batch.is_null(c, r));
+  }
+  EXPECT_EQ(batch.uniform_tag(2), DataType::kNull);  // torn cells are NULL
+}
+
 TEST(ColumnBatchTest, StampTimestampRewritesCellAndEstimate) {
   ColumnBatch batch(3);
   batch.AppendRow(Row{Value::String("a"), Value::Null(), Value::Int64(1)});

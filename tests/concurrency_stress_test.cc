@@ -85,20 +85,17 @@ TEST(ConcurrencyStressTest, IngestVsControlPlane) {
       record_failure(stats.status());
 
       // Churn a CQ on s0: create, then drop. Either call may interleave
-      // anywhere between producer batches.
+      // anywhere between producer batches. It alternates between shared
+      // and generic, so s0's ingest switches between batch steps and
+      // per-row steps.
       auto churn = db.CreateContinuousQuery(
-          "churn", "SELECT count(*) FROM s0 <VISIBLE '30 seconds'>");
+          "churn", "SELECT count(*) FROM s0 <VISIBLE '30 seconds'>",
+          /*allow_shared=*/i % 2 == 0);
       if (churn.ok()) {
         record_failure(db.DropContinuousQuery("churn"));
       } else {
         record_failure(churn.status());
       }
-
-      // Flip the row-vector ingest body (columnar vs row-at-a-time)
-      // between batches of concurrent ingest.
-      record_failure(
-          db.Execute(i % 2 == 0 ? "SET VECTORIZE OFF" : "SET VECTORIZE ON")
-              .status());
     }
   });
 
@@ -125,12 +122,12 @@ TEST(ConcurrencyStressTest, IngestVsControlPlane) {
 }
 
 // Columnar ingest under concurrent DDL/SET churn: producers push
-// ColumnBatches (the vectorized hot path) while a control thread flips
-// SET VECTORIZE ON/OFF and SET MEMORY LIMIT, churns a CQ, and walks SHOW
-// STATS.
-// Path selection reads the vectorize flag and the stream's subscription
-// shapes under the same locks as row ingest, so TSAN (scripts/sanitize.sh
-// thread) must see no races, and no rows may be lost on either path.
+// ColumnBatches (the wire-decode hot path) while a control thread runs
+// SET MEMORY LIMIT, churns a CQ that alternates between shared and
+// generic, and walks SHOW STATS.
+// Step selection reads the stream's subscription shapes under the same
+// locks as ingest, so TSAN (scripts/sanitize.sh thread) must see no
+// races, and no rows may be lost in batch steps or per-row steps.
 TEST(ConcurrencyStressTest, VectorizedIngestUnderDdl) {
   constexpr int kProducers = 3;
   constexpr int kBatchesPerProducer = 60;
@@ -178,16 +175,15 @@ TEST(ConcurrencyStressTest, VectorizedIngestUnderDdl) {
 
   std::thread control([&db, &record_failure]() {
     for (int i = 0; i < 40; ++i) {
-      record_failure(
-          db.Execute(i % 2 == 0 ? "SET VECTORIZE OFF" : "SET VECTORIZE ON")
-              .status());
       auto stats = db.Execute("SHOW STATS");
       record_failure(stats.status());
 
-      // CQ churn on v0: each create/drop recompiles the stream's batch
-      // kernels while other streams keep vectorizing.
+      // CQ churn on v0: a shared create/drop recompiles the stream's batch
+      // kernels, a generic one switches v0 to per-row steps, while other
+      // streams keep ingesting.
       auto churn = db.CreateContinuousQuery(
-          "vchurn", "SELECT count(*) FROM v0 <VISIBLE '30 seconds'>");
+          "vchurn", "SELECT count(*) FROM v0 <VISIBLE '30 seconds'>",
+          /*allow_shared=*/i % 2 == 0);
       if (churn.ok()) {
         record_failure(db.DropContinuousQuery("vchurn"));
       } else {
@@ -198,7 +194,6 @@ TEST(ConcurrencyStressTest, VectorizedIngestUnderDdl) {
       // unlimited budget, so nothing is shed).
       record_failure(db.Execute("SET MEMORY LIMIT 0").status());
     }
-    record_failure(db.Execute("SET VECTORIZE ON").status());
   });
 
   for (std::thread& t : producers) t.join();
@@ -559,10 +554,10 @@ TEST(ConcurrencyStressTest, LockGaugesExposed) {
 // case): a hot standby's fetch loop drains the primary's synced WAL over
 // the real wire protocol while producers ingest through a windowed
 // channel, a DML thread writes logged transactions, and a control thread
-// churns a CQ, flips SET VECTORIZE, and walks SHOW STATS. ReadSynced on the
-// primary and AppendShipped/apply on the standby must be race-free against
-// all of it, and after the dust settles the promoted standby must hold
-// exactly the primary's durable tables.
+// churns a CQ that alternates between shared and generic and walks SHOW
+// STATS. ReadSynced on the primary and AppendShipped/apply on the standby
+// must be race-free against all of it, and after the dust settles the
+// promoted standby must hold exactly the primary's durable tables.
 TEST(ConcurrencyStressTest, WalShippingConcurrentWithIngestAndDdl) {
   const char* kHaDdl =
       "CREATE STREAM clicks (url varchar, ts timestamp CQTIME USER, "
@@ -622,22 +617,21 @@ TEST(ConcurrencyStressTest, WalShippingConcurrentWithIngestAndDdl) {
                          .status());
     }
   });
-  // Control plane: CQ churn, SET churn, and full stats walks while the
+  // Control plane: CQ churn and full stats walks while the
   // standby's applies contend for the same exclusive engine lock remotely.
   std::thread control([&primary, &record_failure]() {
     for (int i = 0; i < 25; ++i) {
       record_failure(primary.Execute("SHOW STATS").status());
+      // Alternately shared and generic: clicks switches between batch
+      // steps and per-row steps under the producer.
       auto churn = primary.CreateContinuousQuery(
-          "churn", "SELECT count(*) FROM clicks <VISIBLE '30 seconds'>");
+          "churn", "SELECT count(*) FROM clicks <VISIBLE '30 seconds'>",
+          /*allow_shared=*/i % 2 == 0);
       if (churn.ok()) {
         record_failure(primary.DropContinuousQuery("churn"));
       } else {
         record_failure(churn.status());
       }
-      record_failure(primary
-                         .Execute(i % 2 == 0 ? "SET VECTORIZE OFF"
-                                             : "SET VECTORIZE ON")
-                         .status());
     }
   });
 

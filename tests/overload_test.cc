@@ -240,12 +240,11 @@ TEST(OverloadAccountingTest, QuarantinedRowsCountInTheIdentity) {
   EXPECT_EQ(db.runtime()->quarantine_dropped(), 0);
 }
 
-// The vectorized ingest path charges each ColumnBatch to the governor's
-// kIngestBatch account as one unit (released when dispatch ends) and
-// admits/sheds whole-row ranges columnar-side, so the accounting identity
-// must hold exactly there too: every pushed row is admitted, shed, or
-// quarantined — batch by batch, with no double counting across the
-// transient batch charge.
+// Ingest charges each ColumnBatch to the governor's kIngestBatch account
+// as one unit (released when dispatch ends) and admits/sheds whole-row
+// ranges columnar-side, so the accounting identity must hold exactly
+// there too: every pushed row is admitted, shed, or quarantined — batch
+// by batch, with no double counting across the transient batch charge.
 TEST(OverloadAccountingTest, ColumnarBatchPathKeepsTheIdentityExact) {
   for (const char* policy : {"SHED_NEWEST", "SHED_OLDEST"}) {
     SCOPED_TRACE(policy);
@@ -253,9 +252,8 @@ TEST(OverloadAccountingTest, ColumnarBatchPathKeepsTheIdentityExact) {
     MustExecute(&db,
                 "CREATE STREAM s (v bigint, ts timestamp CQTIME USER, "
                 "pad varchar)");
-    // Shared-only aggregation (no raw-row buffering), so ingest stays on
-    // the vectorized path; per-group state under GROUP BY pad grows past
-    // the budget and forces shedding.
+    // Shared-only aggregation (no raw-row buffering); per-group state
+    // under GROUP BY pad grows past the budget and forces shedding.
     std::vector<std::string> events;
     CaptureCq(&db, "groups",
               "SELECT pad, count(*), sum(v) FROM s <VISIBLE '1 hour'> "
@@ -264,7 +262,6 @@ TEST(OverloadAccountingTest, ColumnarBatchPathKeepsTheIdentityExact) {
     if (HasFatalFailure()) return;
     MustExecute(&db, "SET MEMORY LIMIT 32768");
     MustExecute(&db, std::string("SET OVERLOAD POLICY s ") + policy);
-    ASSERT_TRUE(db.runtime()->vectorize());
 
     auto* rt = db.runtime();
     std::mt19937 rng(4242);
@@ -311,8 +308,6 @@ TEST(OverloadAccountingTest, ColumnarBatchPathKeepsTheIdentityExact) {
     EXPECT_GT(total.rows_admitted, 0);
     EXPECT_GT(total.rows_shed, 0) << "budget never bit: weak test";
     EXPECT_GT(total.rows_quarantined, 0);
-    // The batch really took the columnar path.
-    EXPECT_GT(rt->vectorized_batches(), 0);
     // Peak obeys the admission allowance plus one batch's transient
     // kIngestBatch charge.
     EXPECT_LE(rt->governor()->peak_held(),

@@ -354,6 +354,7 @@ TEST(ParserTest, SetOverloadForms) {
   EXPECT_FALSE(ParseSingleStatement("SET OVERLOAD POLICY s DROP_ALL").ok());
   EXPECT_FALSE(ParseSingleStatement("SET RETRY SPEED 9").ok());
   EXPECT_FALSE(ParseSingleStatement("SET PARALLELISM 2").ok());
+  EXPECT_FALSE(ParseSingleStatement("SET VECTORIZE ON").ok());
 }
 
 TEST(ParserTest, DottedObjectNames) {

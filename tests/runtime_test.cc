@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/time.h"
+#include "exec/column_batch.h"
 #include "test_util.h"
 
 namespace streamrel::stream {
@@ -227,6 +228,116 @@ TEST_F(RuntimeTest, CqNamesListing) {
 TEST_F(RuntimeTest, RowsIngestedCounter) {
   ASSERT_TRUE(db_.Ingest("s", {R(1, 1), R(2, 2), R(3, 3)}).ok());
   EXPECT_EQ(db_.runtime()->rows_ingested(), 3);
+}
+
+// Validation runs once per row, in arrival order, whatever else is
+// attached to the stream: a wrong-arity row and a late row quarantine in
+// order, each stamped with the watermark of the rows admitted before it.
+TEST_F(RuntimeTest, TornAndLateRowsQuarantineInArrivalOrder) {
+  auto cq = db_.CreateContinuousQuery(
+      "c", "SELECT count(*) FROM s <VISIBLE '1 minute'>");
+  ASSERT_TRUE(cq.ok());
+  ASSERT_TRUE((*cq)->is_shared());
+  ASSERT_TRUE(db_.runtime()->EnsureQuarantineStream("s").ok());
+  CqCapture dead;
+  ASSERT_TRUE(db_.runtime()
+                  ->SubscribeStream(StreamRuntime::QuarantineName("s"),
+                                    dead.Callback())
+                  .ok());
+  ASSERT_TRUE(
+      db_.Ingest("s", {R(1, 100), Row{Value::Int64(9)}, R(2, 200), R(3, 50)})
+          .ok());
+  std::vector<Row> rows;
+  for (const CqCapture::Batch& batch : dead.batches) {
+    rows.insert(rows.end(), batch.rows.begin(), batch.rows.end());
+  }
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0][0].AsTimestampMicros(), 100);
+  EXPECT_EQ(rows[0][1].AsString(), "arity");
+  EXPECT_EQ(rows[0][2].AsString(),
+            "row arity 1 does not match stream 's' (2 columns)");
+  EXPECT_EQ(rows[1][0].AsTimestampMicros(), 200);
+  EXPECT_EQ(rows[1][1].AsString(), "late");
+  EXPECT_EQ(rows[1][2].AsString(), "ts 50 is behind stream watermark 200");
+  auto counters = db_.runtime()->overload_counters("s");
+  EXPECT_EQ(counters.rows_admitted, 2);
+  EXPECT_EQ(counters.rows_quarantined, 2);
+}
+
+// A ColumnBatch of the wrong width is all torn: every row quarantines for
+// arity, exactly as the same rows would from a row vector.
+TEST_F(RuntimeTest, WrongWidthColumnBatchQuarantinesEveryRow) {
+  ASSERT_TRUE(db_.runtime()->EnsureQuarantineStream("s").ok());
+  CqCapture dead;
+  ASSERT_TRUE(db_.runtime()
+                  ->SubscribeStream(StreamRuntime::QuarantineName("s"),
+                                    dead.Callback())
+                  .ok());
+  exec::ColumnBatch batch(3);
+  for (int64_t v : {1, 2}) {
+    batch.AppendRow(Row{Value::Int64(v), Value::Timestamp(v), Value::Null()});
+  }
+  ASSERT_TRUE(db_.Ingest("s", std::move(batch)).ok());
+  ASSERT_EQ(dead.batches.size(), 2u);
+  for (const CqCapture::Batch& b : dead.batches) {
+    ASSERT_EQ(b.rows.size(), 1u);
+    EXPECT_EQ(b.rows[0][1].AsString(), "arity");
+    EXPECT_EQ(b.rows[0][2].AsString(),
+              "row arity 3 does not match stream 's' (2 columns)");
+  }
+  EXPECT_EQ(db_.runtime()->overload_counters("s").rows_quarantined, 2);
+  EXPECT_EQ(db_.runtime()->watermark("s"), INT64_MIN);
+}
+
+// A first batch whose rows are all quarantined leaves the watermark unset,
+// and slice eviction waits for a real one (INT64_MIN - VISIBLE would
+// overflow), whether the batch arrives as rows or as a ColumnBatch.
+TEST(RuntimeEvictionTest, AllQuarantinedFirstBatchLeavesWatermarkUnset) {
+  for (bool columnar : {false, true}) {
+    SCOPED_TRACE(columnar ? "ColumnBatch" : "row vector");
+    engine::Database db;
+    MustExecute(&db, "CREATE STREAM s (v bigint, ts timestamp CQTIME USER)");
+    auto cq = db.CreateContinuousQuery(
+        "c", "SELECT count(*) FROM s <VISIBLE '1 minute'>");
+    ASSERT_TRUE(cq.ok());
+    ASSERT_TRUE((*cq)->is_shared());
+    CqCapture cap;
+    (*cq)->AddCallback(cap.Callback());
+    const std::vector<Row> nulls = {Row{Value::Int64(1), Value::Null()},
+                                    Row{Value::Int64(2), Value::Null()}};
+    if (columnar) {
+      exec::ColumnBatch batch(2);
+      for (const Row& row : nulls) batch.AppendRow(row);
+      ASSERT_TRUE(db.Ingest("s", std::move(batch)).ok());
+    } else {
+      ASSERT_TRUE(db.Ingest("s", nulls).ok());
+    }
+    EXPECT_EQ(db.runtime()->watermark("s"), INT64_MIN);
+    EXPECT_EQ(db.runtime()->overload_counters("s").rows_quarantined, 2);
+    ASSERT_TRUE(
+        db.Ingest("s", {Row{Value::Int64(3), Value::Timestamp(kSec)}}).ok());
+    ASSERT_TRUE(db.AdvanceTime("s", kMin).ok());
+    ASSERT_EQ(cap.batches.size(), 1u);
+    EXPECT_EQ(cap.batches[0].rows[0][0].AsInt64(), 1);
+  }
+}
+
+// Heartbeats drive raw streams only. A derived stream's clock is its
+// defining query's window closes; advancing it by hand would put its
+// watermark past the next close the query publishes.
+TEST_F(RuntimeTest, AdvanceTimeOnDerivedStreamRejected) {
+  MustExecute(&db_, "CREATE STREAM d AS SELECT count(*) FROM s "
+                    "<VISIBLE '10 seconds'>");
+  const Status ingest = db_.Ingest("d", {Row{Value::Int64(1)}});
+  const Status advance = db_.AdvanceTime("d", kMicrosPerHour);
+  ASSERT_FALSE(advance.ok());
+  EXPECT_EQ(advance.ToString(), ingest.ToString());
+  CqCapture cap;
+  ASSERT_TRUE(db_.runtime()->SubscribeStream("d", cap.Callback()).ok());
+  ASSERT_TRUE(db_.Ingest("s", {R(1, kSec), R(2, 11 * kSec)}).ok());
+  ASSERT_EQ(cap.batches.size(), 1u);
+  EXPECT_EQ(cap.batches[0].close, 10 * kSec);
+  EXPECT_EQ(cap.batches[0].rows[0][0].AsInt64(), 1);
 }
 
 }  // namespace

@@ -47,6 +47,14 @@ Row R(const std::string& url, int64_t ts, int64_t bytes) {
   return Row{Value::String(url), Value::Timestamp(ts), Value::Int64(bytes)};
 }
 
+// Absorbs one row through a one-row ColumnBatch, the shape a single-row
+// ingest takes.
+Status Absorb(SliceAggregator* agg, int64_t ts, const Row& row) {
+  exec::ColumnBatch batch(row.size());
+  batch.AppendRow(row);
+  return agg->AddBatch(batch, exec::SelectionVector{0}, {ts}, 0, 1);
+}
+
 std::vector<exec::BoundExprPtr> GroupByUrl() {
   std::vector<exec::BoundExprPtr> groups;
   groups.push_back(Bind("url"));
@@ -59,9 +67,9 @@ TEST(SliceAggregatorTest, BasicGroupedCount) {
   calls.push_back(Call("count", "*"));
   ASSERT_TRUE(agg.RegisterCalls(std::move(calls)).ok());
 
-  ASSERT_TRUE(agg.AddRow(10 * kSec, R("/a", 10 * kSec, 100)).ok());
-  ASSERT_TRUE(agg.AddRow(20 * kSec, R("/a", 20 * kSec, 100)).ok());
-  ASSERT_TRUE(agg.AddRow(30 * kSec, R("/b", 30 * kSec, 100)).ok());
+  ASSERT_TRUE(Absorb(&agg, 10 * kSec, R("/a", 10 * kSec, 100)).ok());
+  ASSERT_TRUE(Absorb(&agg, 20 * kSec, R("/a", 20 * kSec, 100)).ok());
+  ASSERT_TRUE(Absorb(&agg, 30 * kSec, R("/b", 30 * kSec, 100)).ok());
 
   auto rows = agg.ComputeWindow(kMin, kMin);
   ASSERT_TRUE(rows.ok());
@@ -84,7 +92,7 @@ TEST(SliceAggregatorTest, SlidingWindowMergesSlices) {
   // One row per minute for 5 minutes.
   for (int m = 0; m < 5; ++m) {
     ASSERT_TRUE(
-        agg.AddRow(m * kMin + 30 * kSec, R("/a", m * kMin + 30 * kSec, 1))
+        Absorb(&agg, m * kMin + 30 * kSec, R("/a", m * kMin + 30 * kSec, 1))
             .ok());
   }
   // Window [0, 3min): 3 rows. Window [2min, 5min): 3 rows.
@@ -102,7 +110,7 @@ TEST(SliceAggregatorTest, RowAtSliceBoundaryExcludedFromClosingWindow) {
   std::vector<exec::AggregateCall> calls;
   calls.push_back(Call("count", "*"));
   ASSERT_TRUE(agg.RegisterCalls(std::move(calls)).ok());
-  ASSERT_TRUE(agg.AddRow(kMin, R("/a", kMin, 1)).ok());  // ts == close
+  ASSERT_TRUE(Absorb(&agg, kMin, R("/a", kMin, 1)).ok());  // ts == close
   auto rows = agg.ComputeWindow(kMin, kMin);
   ASSERT_TRUE(rows.ok());
   EXPECT_TRUE(rows->empty());  // belongs to the next window
@@ -116,8 +124,8 @@ TEST(SliceAggregatorTest, FilterApplied) {
   std::vector<exec::AggregateCall> calls;
   calls.push_back(Call("count", "*"));
   ASSERT_TRUE(agg.RegisterCalls(std::move(calls)).ok());
-  ASSERT_TRUE(agg.AddRow(1, R("/a", 1, 100)).ok());
-  ASSERT_TRUE(agg.AddRow(2, R("/a", 2, 10)).ok());  // filtered out
+  ASSERT_TRUE(Absorb(&agg, 1, R("/a", 1, 100)).ok());
+  ASSERT_TRUE(Absorb(&agg, 2, R("/a", 2, 10)).ok());  // filtered out
   auto rows = agg.ComputeWindow(kMin, kMin);
   ASSERT_TRUE(rows.ok());
   ASSERT_EQ(rows->size(), 1u);
@@ -141,8 +149,8 @@ TEST(SliceAggregatorTest, UnionAcrossMembers) {
   EXPECT_EQ(*m2, (std::vector<size_t>{1, 0}));
   EXPECT_EQ(agg.union_call_count(), 2u);
 
-  ASSERT_TRUE(agg.AddRow(1, R("/a", 1, 10)).ok());
-  ASSERT_TRUE(agg.AddRow(2, R("/a", 2, 20)).ok());
+  ASSERT_TRUE(Absorb(&agg, 1, R("/a", 1, 10)).ok());
+  ASSERT_TRUE(Absorb(&agg, 2, R("/a", 2, 20)).ok());
   auto rows = agg.ComputeWindow(kMin, kMin);
   ASSERT_TRUE(rows.ok());
   ASSERT_EQ(rows->size(), 1u);
@@ -155,7 +163,7 @@ TEST(SliceAggregatorTest, NoBackfillForLiveAggregator) {
   std::vector<exec::AggregateCall> first;
   first.push_back(Call("count", "*"));
   ASSERT_TRUE(agg.RegisterCalls(std::move(first)).ok());
-  ASSERT_TRUE(agg.AddRow(1, R("/a", 1, 1)).ok());
+  ASSERT_TRUE(Absorb(&agg, 1, R("/a", 1, 1)).ok());
 
   std::vector<exec::AggregateCall> late;
   late.push_back(Call("sum", "bytes"));
@@ -187,7 +195,7 @@ TEST(SliceAggregatorTest, EvictionDropsOldSlices) {
   ASSERT_TRUE(agg.RegisterCalls(std::move(calls)).ok());
   agg.NoteWindowVisible(2 * kMin);
   for (int m = 0; m < 10; ++m) {
-    ASSERT_TRUE(agg.AddRow(m * kMin, R("/a", m * kMin, 1)).ok());
+    ASSERT_TRUE(Absorb(&agg, m * kMin, R("/a", m * kMin, 1)).ok());
   }
   EXPECT_EQ(agg.live_slices(), 10u);
   agg.EvictBefore(10 * kMin - agg.max_visible());
@@ -215,7 +223,7 @@ TEST(SliceAggregatorTest, MultipleWindowWidthsShareOnePipeline) {
   ASSERT_TRUE(agg.RegisterCalls(std::move(calls)).ok());
   for (int m = 0; m < 3; ++m) {
     ASSERT_TRUE(
-        agg.AddRow(m * kMin + kSec, R("/a", m * kMin + kSec, m + 1)).ok());
+        Absorb(&agg, m * kMin + kSec, R("/a", m * kMin + kSec, m + 1)).ok());
   }
   auto narrow = agg.ComputeWindow(3 * kMin, kMin);
   ASSERT_TRUE(narrow.ok());

@@ -214,11 +214,11 @@ Plan MakePlan(int seed) {
 }
 
 /// Replays `plan`; with `shared` every CQ must take the shared strategy,
-/// otherwise every CQ is generic. `vectorize` picks the ingest body.
-void RunPlan(const Plan& plan, bool shared, bool vectorize,
+/// otherwise every CQ is generic. `row_at_a_time` ingests each row with
+/// its own Ingest call instead of one call per batch.
+void RunPlan(const Plan& plan, bool shared, bool row_at_a_time,
              std::vector<std::string>* transcript,
              engine::Database* db) {
-  MustExecute(db, vectorize ? "SET VECTORIZE ON" : "SET VECTORIZE OFF");
   MustExecute(db, kStreamDdl);
   auto create = [&](const CqDef& def) {
     auto cq = db->CreateContinuousQuery(def.name, def.sql, shared);
@@ -242,7 +242,13 @@ void RunPlan(const Plan& plan, bool shared, bool vectorize,
     if (b == plan.drop_at) {
       ASSERT_TRUE(db->DropContinuousQuery(plan.dropped).ok());
     }
-    ASSERT_TRUE(db->Ingest("s", plan.batches[b].rows).ok());
+    if (row_at_a_time) {
+      for (const Row& row : plan.batches[b].rows) {
+        ASSERT_TRUE(db->Ingest("s", {row}).ok());
+      }
+    } else {
+      ASSERT_TRUE(db->Ingest("s", plan.batches[b].rows).ok());
+    }
     if (plan.batches[b].heartbeat != INT64_MIN) {
       ASSERT_TRUE(db->AdvanceTime("s", plan.batches[b].heartbeat).ok());
     }
@@ -257,11 +263,13 @@ TEST_P(SharedCloseDifferential, MatchesUnsharedTranscript) {
   const Plan plan = MakePlan(seed);
   std::vector<std::string> oracle, shared;
   engine::Database oracle_db, shared_db;
-  RunPlan(plan, /*shared=*/false, /*vectorize=*/true, &oracle, &oracle_db);
+  RunPlan(plan, /*shared=*/false, /*row_at_a_time=*/false, &oracle,
+          &oracle_db);
   ASSERT_FALSE(HasFatalFailure()) << "seed " << seed;
-  // Odd seeds drive the shared run through the row-at-a-time body, even
-  // seeds through the columnar one; AdvanceTime closes on both.
-  RunPlan(plan, /*shared=*/true, /*vectorize=*/seed % 2 == 0, &shared,
+  // Odd seeds feed the shared run one row per Ingest call, so every row
+  // is its own batch; even seeds ingest whole batches. AdvanceTime closes
+  // on both.
+  RunPlan(plan, /*shared=*/true, /*row_at_a_time=*/seed % 2 == 1, &shared,
           &shared_db);
   ASSERT_FALSE(HasFatalFailure()) << "seed " << seed;
 

@@ -1,14 +1,18 @@
-// Vectorized-vs-row-at-a-time differential testing for the columnar ingest
-// hot path: the same randomized workload is replayed with VECTORIZE OFF
-// (the row-at-a-time oracle) and with VECTORIZE ON, and every observable
-// output — each CQ's per-window delivery (close time, row contents, row
-// order), channel-fed active-table state, quarantine-stream contents, and
-// admission counters — must be byte-identical across the two runs.
-// Workloads mix CQTIME USER and CQTIME SYSTEM streams, out-of-order
-// arrivals through a reorder-buffer slack, row-vector and columnar
-// (ColumnBatch) ingest, malformed rows on both paths (including a
-// row-vector batch that mixes good rows with a wrong-arity one), and
-// mid-stream VECTORIZE toggles.
+// Differential testing for the columnar ingest hot path: the same
+// randomized workload is replayed with every CQ on the shared strategy
+// (batch-at-a-time slice absorption, windows replayed from the timestamp
+// array) and with the same SQL created allow_shared=false (the generic
+// evaluator, which buffers each admitted row and re-evaluates the full
+// plan at every close). Every observable output — each CQ's per-window
+// delivery (close time, row contents, row order), channel-fed
+// active-table state, quarantine-stream contents, and admission counters
+// — must be byte-identical across the two runs. Workloads mix CQTIME USER
+// and CQTIME SYSTEM streams, out-of-order arrivals through a
+// reorder-buffer slack, row-vector and columnar (ColumnBatch) ingest,
+// malformed rows in both forms (including a row-vector batch that mixes
+// good rows with a wrong-arity one), and on some seeds a generic CQ that
+// is created and dropped mid-stream, which switches the shared run's
+// stream between batch steps and per-row steps.
 
 #include <gtest/gtest.h>
 
@@ -33,9 +37,10 @@ struct Transcript {
 };
 
 void CaptureCq(engine::Database* db, const std::string& name,
-               const std::string& sql, Transcript* out) {
-  auto cq = db->CreateContinuousQuery(name, sql);
+               const std::string& sql, bool shared, Transcript* out) {
+  auto cq = db->CreateContinuousQuery(name, sql, shared);
   ASSERT_TRUE(cq.ok()) << cq.status().ToString();
+  ASSERT_EQ((*cq)->is_shared(), shared) << sql;
   (*cq)->AddCallback(
       [out, name](int64_t close, const std::vector<Row>& rows) {
         for (const Row& row : rows) {
@@ -62,15 +67,14 @@ void CaptureQuarantine(engine::Database* db, const std::string& stream,
                   .ok());
 }
 
-/// Replays the seed's workload. `vectorize` picks the ingest path under
-/// test; the OFF run is the row-at-a-time oracle. Void so ASSERT_* can
-/// abort the run; check HasFatalFailure() after calling.
-void RunWorkload(int seed, bool vectorize, Transcript* transcript) {
+/// Replays the seed's workload. `shared` picks the strategy of the
+/// captured CQs: the run under test shares, the reference creates the
+/// same SQL allow_shared=false. Void so ASSERT_* can abort the run; check
+/// HasFatalFailure() after calling.
+void RunWorkload(int seed, bool shared, Transcript* transcript) {
   std::mt19937 rng(static_cast<uint32_t>(seed) * 2654435761u + 29);
   Transcript& out = *transcript;
   engine::Database db;
-
-  MustExecute(&db, vectorize ? "SET VECTORIZE ON" : "SET VECTORIZE OFF");
 
   MustExecute(&db,
               "CREATE STREAM clicks (url varchar, ts timestamp CQTIME USER, "
@@ -85,41 +89,41 @@ void RunWorkload(int seed, bool vectorize, Transcript* transcript) {
               "n bigint)");
 
   // Two CQs sharing one slice pipeline; the second has no ORDER BY, so its
-  // group order must reproduce the oracle's first-arrival order (group-id
-  // resolution order is part of the vectorized kernels' contract).
+  // group order must reproduce the reference's first-arrival order
+  // (group-id resolution order is part of the batch kernels' contract).
   CaptureCq(&db, "cq_url",
             "SELECT url, count(*), sum(bytes), min(bytes), max(bytes) "
             "FROM clicks <VISIBLE '1 minute' ADVANCE '20 seconds'> "
             "GROUP BY url ORDER BY url",
-            &out);
+            shared, &out);
   if (::testing::Test::HasFatalFailure()) return;
   CaptureCq(&db, "cq_url_unordered",
             "SELECT url, count(*) "
             "FROM clicks <VISIBLE '1 minute' ADVANCE '20 seconds'> "
             "GROUP BY url",
-            &out);
+            shared, &out);
   // Scalar aggregate (no group key) and a filtered CQ whose WHERE clause
   // compiles to a selection-vector kernel.
   CaptureCq(&db, "cq_total",
             "SELECT count(*), sum(bytes) FROM clicks <VISIBLE '1 minute'>",
-            &out);
+            shared, &out);
   const int64_t threshold = static_cast<int64_t>(rng() % 800);
   CaptureCq(&db, "cq_big",
             "SELECT url, count(*) FROM clicks <VISIBLE '40 seconds'> "
             "WHERE bytes > " + std::to_string(threshold) +
             " GROUP BY url ORDER BY url",
-            &out);
+            shared, &out);
   // A LIKE filter (string kernel) and an avg (merged as sum+count).
   CaptureCq(&db, "cq_host",
             "SELECT host, count(*), sum(cpu), avg(cpu) "
             "FROM sysload <VISIBLE '30 seconds'> "
             "WHERE host LIKE 'h%' GROUP BY host ORDER BY host",
-            &out);
+            shared, &out);
   CaptureCq(&db, "cq_events",
             "SELECT kind, count(*), sum(n) "
             "FROM events <VISIBLE '45 seconds' ADVANCE '15 seconds'> "
             "GROUP BY kind ORDER BY kind",
-            &out);
+            shared, &out);
   if (::testing::Test::HasFatalFailure()) return;
 
   // Channel: derived per-minute counts flow into an active table.
@@ -146,7 +150,16 @@ void RunWorkload(int seed, bool vectorize, Transcript* transcript) {
 
   const int n_clicks = 80 + static_cast<int>(rng() % 80);
   const int n_sys_batches = 25 + static_cast<int>(rng() % 20);
-  const bool toggle_midstream = rng() % 3 == 0;
+  // On some seeds a generic CQ (a time window or a ROWS window) lives on
+  // clicks for the middle third of the run, in both runs alike.
+  const uint32_t midstream = rng() % 6;
+  const char* mid_sql =
+      midstream == 0
+          ? "SELECT url, count(*), max(bytes) FROM clicks "
+            "<VISIBLE '30 seconds' ADVANCE '10 seconds'> "
+            "GROUP BY url ORDER BY url"
+          : "SELECT count(*), sum(bytes) FROM clicks "
+            "<VISIBLE 5 ROWS ADVANCE 3 ROWS>";
 
   int64_t click_base = 5 * kSec;
   int64_t sys_time = 2 * kSec;
@@ -184,8 +197,8 @@ void RunWorkload(int seed, bool vectorize, Transcript* transcript) {
 
     // System-time batches alternate row-vector and columnar ingest; the
     // two forms must be indistinguishable downstream. Some row-vector
-    // batches carry a wrong-arity row between good rows: the whole batch
-    // then takes the row body, and the torn row quarantines in place.
+    // batches carry a wrong-arity row between good rows: it is kept torn
+    // in the batch and quarantines in place.
     if (rng() % 3 == 0 && sys_sent < n_sys_batches) {
       sys_time += static_cast<int64_t>(rng() % (3 * kSec));
       const int batch_rows = 1 + static_cast<int>(rng() % 4);
@@ -202,7 +215,6 @@ void RunWorkload(int seed, bool vectorize, Transcript* transcript) {
         batch.insert(batch.begin() + at,
                      Row{Value::String("torn-h"), Value::Int64(1)});
       }
-      const int64_t fallbacks = db.runtime()->vectorize_fallbacks();
       Status st;
       if (columnar) {
         exec::ColumnBatch cb(3);
@@ -213,10 +225,6 @@ void RunWorkload(int seed, bool vectorize, Transcript* transcript) {
         st = db.Ingest("sysload", batch, sys_time);
       }
       ASSERT_TRUE(st.ok()) << st.ToString();
-      if (torn && db.runtime()->vectorize()) {
-        // The partly good batch took the row body whole.
-        EXPECT_EQ(db.runtime()->vectorize_fallbacks(), fallbacks + 1);
-      }
       ++sys_sent;
     }
 
@@ -249,13 +257,16 @@ void RunWorkload(int seed, bool vectorize, Transcript* transcript) {
       ASSERT_TRUE(st.ok()) << st.ToString();
     }
 
-    // Mid-stream toggle on some seeds: flipping VECTORIZE while pipelines
-    // hold live window state must be transcript-invisible.
-    if (toggle_midstream && i == n_clicks / 2) {
-      MustExecute(&db, vectorize ? "SET VECTORIZE OFF" : "SET VECTORIZE ON");
+    // While the mid-stream generic CQ lives, the shared run's clicks
+    // ingest steps every row; the pipelines still absorb each run of rows
+    // between shared closes in one call. Its own deliveries are part of
+    // the transcript.
+    if (midstream < 2 && i == n_clicks / 3) {
+      CaptureCq(&db, "cq_mid", mid_sql, /*shared=*/false, &out);
+      if (::testing::Test::HasFatalFailure()) return;
     }
-    if (toggle_midstream && i == (2 * n_clicks) / 3) {
-      MustExecute(&db, vectorize ? "SET VECTORIZE ON" : "SET VECTORIZE OFF");
+    if (midstream < 2 && i == (2 * n_clicks) / 3) {
+      ASSERT_TRUE(db.DropContinuousQuery("cq_mid").ok());
     }
   }
   ASSERT_TRUE(reorder.Flush().ok());
@@ -279,104 +290,60 @@ void RunWorkload(int seed, bool vectorize, Transcript* transcript) {
         " quarantined=" + std::to_string(counters.rows_quarantined) +
         " shed=" + std::to_string(counters.rows_shed));
   }
-
-  // The run under test must actually exercise the columnar path:
-  // VECTORIZE ON runs vectorize every eligible batch.
-  if (vectorize && !toggle_midstream) {
-    EXPECT_GT(db.runtime()->vectorized_batches(), 0);
-    EXPECT_GT(db.runtime()->vectorized_rows(), 0);
-  }
-  if (!vectorize && !toggle_midstream) {
-    EXPECT_EQ(db.runtime()->vectorized_batches(), 0);
-  }
 }
 
 class VectorizeDifferentialTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(VectorizeDifferentialTest, VectorizedAndRowRunsAgree) {
+TEST_P(VectorizeDifferentialTest, SharedRunMatchesGenericReference) {
   const int seed = GetParam();
   SCOPED_TRACE("failing seed: " + std::to_string(seed));
-  Transcript oracle;
-  RunWorkload(seed, /*vectorize=*/false, &oracle);
+  Transcript reference;
+  RunWorkload(seed, /*shared=*/false, &reference);
   if (::testing::Test::HasFatalFailure()) return;
-  ASSERT_FALSE(oracle.events.empty());
-  Transcript vectorized;
-  RunWorkload(seed, /*vectorize=*/true, &vectorized);
+  ASSERT_FALSE(reference.events.empty());
+  Transcript shared;
+  RunWorkload(seed, /*shared=*/true, &shared);
   if (HasFatalFailure()) return;
-  EXPECT_EQ(oracle.events, vectorized.events);
-  EXPECT_EQ(oracle.archive, vectorized.archive);
+  EXPECT_EQ(reference.events, shared.events);
+  EXPECT_EQ(reference.archive, shared.archive);
 }
 
-// 200 seeds: the acceptance bar for the vectorized hot path. Each seed
+// 200 seeds: the acceptance bar for the columnar hot path. Each seed
 // varies row counts, timestamps, reorder slack, filter thresholds, the
-// row/columnar ingest mix, malformed-row shapes, and whether VECTORIZE is
-// toggled mid-stream.
+// row/columnar ingest mix, malformed-row shapes, and whether (and which)
+// generic CQ joins clicks mid-stream.
 INSTANTIATE_TEST_SUITE_P(Seeds, VectorizeDifferentialTest,
                          ::testing::Range(0, 200));
 
-TEST(SetVectorizeTest, ParsesTogglesAndRejectsGarbage) {
-  engine::Database db;
-  EXPECT_TRUE(db.runtime()->vectorize()) << "vectorize must default ON";
-  MustExecute(&db, "SET VECTORIZE OFF");
-  EXPECT_FALSE(db.runtime()->vectorize());
-  MustExecute(&db, "SET VECTORIZE ON");
-  EXPECT_TRUE(db.runtime()->vectorize());
-  EXPECT_FALSE(db.Execute("SET VECTORIZE MAYBE").ok());
-  EXPECT_FALSE(db.Execute("SET VECTORIZE 1").ok());
-}
-
-TEST(SetVectorizeTest, CountersSurfaceInShowStats) {
+// A ROWS window beside a shared CQ: the ROWS CQ sees every row of a batch
+// at its own step (a close every ADVANCE rows, stamped with the newest
+// row's time) while the shared pipeline absorbs the batch whole.
+TEST(RowFedSubscriptionTest, RowsWindowSeesEveryRowOfOneBatch) {
   engine::Database db;
   MustExecute(&db,
               "CREATE STREAM s (url varchar, ts timestamp CQTIME USER)");
-  auto cq = db.CreateContinuousQuery(
-      "c", "SELECT url, count(*) FROM s <VISIBLE '1 minute'> GROUP BY url");
-  ASSERT_TRUE(cq.ok());
-  for (int i = 0; i < 40; ++i) {
-    ASSERT_TRUE(db.Ingest("s", {Row{Value::String("u" + std::to_string(i % 5)),
-                                    Value::Timestamp(i * kSec)}})
-                    .ok());
+  Transcript out;
+  CaptureCq(&db, "per_min",
+            "SELECT count(*) FROM s <VISIBLE '1 minute'>", /*shared=*/true,
+            &out);
+  CaptureCq(&db, "last10", "SELECT count(*) FROM s <VISIBLE 10 ROWS>",
+            /*shared=*/false, &out);
+  if (HasFatalFailure()) return;
+  std::vector<Row> rows;
+  for (int i = 1; i <= 25; ++i) {
+    rows.push_back(
+        Row{Value::String("u" + std::to_string(i % 3)),
+            Value::Timestamp(i * 3 * kSec)});
   }
-  EXPECT_GT(db.runtime()->vectorized_batches(), 0);
-  EXPECT_GT(db.runtime()->vectorized_rows(), 0);
-
-  auto stats = MustExecute(&db, "SHOW STATS");
-  bool saw_enabled = false, saw_batches = false, saw_rows = false,
-       saw_fallbacks = false;
-  for (const Row& row : stats.rows) {
-    if (row[0].AsString() != "engine" ||
-        row[1].AsString() != "vectorize") {
-      continue;
-    }
-    if (row[2].AsString() == "enabled") {
-      saw_enabled = true;
-      EXPECT_EQ(row[3].AsInt64(), 1);
-    }
-    if (row[2].AsString() == "batches") {
-      saw_batches = true;
-      EXPECT_EQ(row[3].AsInt64(), db.runtime()->vectorized_batches());
-    }
-    if (row[2].AsString() == "rows") {
-      saw_rows = true;
-      EXPECT_EQ(row[3].AsInt64(), 40);
-    }
-    if (row[2].AsString() == "fallbacks") saw_fallbacks = true;
-  }
-  EXPECT_TRUE(saw_enabled);
-  EXPECT_TRUE(saw_batches);
-  EXPECT_TRUE(saw_rows);
-  EXPECT_TRUE(saw_fallbacks);
-
-  // A raw-row feed (sliding count window) makes the stream ineligible; the
-  // attempt is counted as a fallback, and the output is unchanged.
-  auto sliding = db.CreateContinuousQuery(
-      "c2", "SELECT count(*) FROM s <VISIBLE 10 ROWS ADVANCE 10 ROWS>");
-  ASSERT_TRUE(sliding.ok());
-  const int64_t before = db.runtime()->vectorize_fallbacks();
-  ASSERT_TRUE(db.Ingest("s", {Row{Value::String("u0"),
-                                  Value::Timestamp(100 * kSec)}})
-                  .ok());
-  EXPECT_GT(db.runtime()->vectorize_fallbacks(), before);
+  ASSERT_TRUE(db.Ingest("s", rows).ok());
+  // Row 20 (60 s) closes the first minute over the 19 rows before it and,
+  // at the same step and after it in creation order, the second ROWS
+  // window.
+  EXPECT_EQ(out.events,
+            (std::vector<std::string>{
+                "last10@" + std::to_string(30 * kSec) + ": (10)",
+                "per_min@" + std::to_string(60 * kSec) + ": (19)",
+                "last10@" + std::to_string(60 * kSec) + ": (10)"}));
 }
 
 }  // namespace
