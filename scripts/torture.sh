@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Runs the torture suites (ctest labels `torture`, `overload`, `net`,
 # `vectorize`, `ha` and `shared`) under ASan+UBSan, then the concurrency,
-# vectorize, ha and shared labels under TSAN.
+# vectorize, ha, shared and net labels under TSAN.
 #
 #   scripts/torture.sh [ctest-args...]
 #
@@ -15,8 +15,10 @@
 # drills; exact accounting and oracle equivalence are asserted while
 # ASan+UBSan watch the shed/requeue paths. The network suite (`net`)
 # exercises the TCP front-end — corrupt frames, slow-consumer policies,
-# net.* fault drills — with the sanitizers watching the event loop and
-# per-connection send queues. The vectorize suite (`vectorize`) replays
+# net.* fault drills, and the seeded INGEST_BATCH decoder drill (every
+# proper prefix plus 100k mutated bodies, decoded like a row-by-row
+# reference) — with the sanitizers watching the event loop, the decoder
+# and per-connection send queues. The vectorize suite (`vectorize`) replays
 # the 200-seed differential of shared CQs against the same SQL on the
 # generic evaluator, with the sanitizers watching the arena/bitmap/
 # selection kernels and torn-row quarantine. UBSan findings are fatal
@@ -33,10 +35,11 @@
 # streams vs. the control plane, the concurrent-vs-serial-oracle
 # differential, columnar ingest under DDL churn, shared closes under
 # member churn, network client fan-in)
-# plus the vectorize and shared labels run again under TSAN — lock-hierarchy
-# violations (DESIGN decision 11) and loop-/worker-/delivery-thread races
-# surface there, not under ASan. Extra arguments are forwarded to ctest,
-# e.g.
+# plus the vectorize, ha, shared and net labels run again under TSAN —
+# lock-hierarchy violations (DESIGN decision 11) and loop-/worker-/
+# delivery-thread races (every subscription's pushes pass its gate
+# mutex) surface there, not under ASan. Extra arguments are forwarded to
+# ctest, e.g.
 #   scripts/torture.sh --verbose
 #
 # Reuses sanitize.sh's build-asan/ and build-tsan/ trees, so a prior
@@ -57,11 +60,10 @@ export UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1}"
 
 (cd "$BUILD_DIR" && ctest --output-on-failure -L "torture|overload|net|vectorize|ha|shared" "$@")
 
-# TSAN leg: the concurrency, vectorize, ha and shared labels only (the
-# full-suite TSAN run
-# is scripts/sanitize.sh thread). Races between the ingest threads, the
-# server's event loop + request workers, WAL shipping, and delivery
-# callbacks are precisely what these tests provoke.
+# TSAN leg: the concurrency, vectorize, ha, shared and net labels only
+# (the full-suite TSAN run is scripts/sanitize.sh thread). Races between
+# the ingest threads, the server's event loop + request workers, WAL
+# shipping, and delivery callbacks are precisely what these tests provoke.
 TSAN_BUILD_DIR="build-tsan"
 cmake -B "$TSAN_BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -70,4 +72,4 @@ cmake --build "$TSAN_BUILD_DIR" -j "$(nproc)"
 
 export TSAN_OPTIONS="${TSAN_OPTIONS:-second_deadlock_stack=1}"
 
-(cd "$TSAN_BUILD_DIR" && ctest --output-on-failure -L "concurrency|vectorize|ha|shared" "$@")
+(cd "$TSAN_BUILD_DIR" && ctest --output-on-failure -L "concurrency|vectorize|ha|shared|net" "$@")

@@ -1,5 +1,6 @@
 #include "common/schema.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/string_util.h"
@@ -92,7 +93,8 @@ Result<Row> DeserializeRow(const std::string& data, size_t* offset) {
   memcpy(&n, data.data() + *offset, sizeof(n));
   *offset += sizeof(n);
   Row row;
-  row.reserve(n);
+  // Every value needs at least its 1-byte type tag.
+  row.reserve(std::min<size_t>(n, data.size() - *offset));
   for (uint32_t i = 0; i < n; ++i) {
     ASSIGN_OR_RETURN(Value v, Value::Deserialize(data, offset));
     row.push_back(std::move(v));

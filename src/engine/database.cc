@@ -703,6 +703,11 @@ Result<Database::SubscriptionTicket> Database::Subscribe(
   // Exclusive: attaching a callback mutates vectors that delivery reads
   // lock-free under shared holds.
   ExclusiveLockGuard lock(&engine_lock_);
+  return AttachCallbackLocked(name, std::move(callback));
+}
+
+Result<Database::SubscriptionTicket> Database::AttachCallbackLocked(
+    const std::string& name, stream::CqCallback callback) {
   SubscriptionTicket ticket;
   ticket.object = ToLower(name);
   if (stream::ContinuousQuery* cq = runtime_.GetCq(name)) {
@@ -806,26 +811,7 @@ Result<Database::SubscriptionTicket> Database::SubscribeResume(
     if (close <= threshold) return Status::OK();
     return inner(close, rows);
   };
-  SubscriptionTicket ticket;
-  ticket.object = object;
-  if (stream::ContinuousQuery* cq = runtime_.GetCq(name)) {
-    ticket.is_cq = true;
-    ticket.id = cq->AddCallback(std::move(filtered));
-    ticket.schema = cq->output_schema();
-    ticket.source_stream = ToLower(cq->stream_name());
-    return ticket;
-  }
-  const catalog::StreamInfo* info = catalog_.GetStream(name);
-  if (info == nullptr) {
-    return Status::NotFound("no continuous query or stream named '" + name +
-                            "'");
-  }
-  ticket.is_cq = false;
-  ASSIGN_OR_RETURN(ticket.id,
-                   runtime_.SubscribeStream(name, std::move(filtered)));
-  ticket.schema = info->schema;
-  ticket.source_stream = ticket.object;
-  return ticket;
+  return AttachCallbackLocked(name, std::move(filtered));
 }
 
 void Database::RegisterStatsProvider(const std::string& key,

@@ -290,6 +290,10 @@ class Database {
   Result<QueryResult> ExecuteSet(const sql::SetStmt& stmt);
   Result<QueryResult> ExecuteSetFault(const sql::SetFaultStmt& stmt);
   Result<QueryResult> ExecuteShowFaults(const sql::ShowFaultsStmt& stmt);
+  /// Attaches `callback` to the CQ or stream `name` (CQ names win); the
+  /// caller holds the engine lock exclusive.
+  Result<SubscriptionTicket> AttachCallbackLocked(const std::string& name,
+                                                  stream::CqCallback callback);
   /// PROMOTE. Dispatched from Execute() with NO engine lock held: the
   /// promotion handler joins the replication fetch thread, whose apply
   /// calls take the exclusive lock — see SetPromotionHandler().

@@ -211,30 +211,11 @@ Result<Frame> Client::Roundtrip(const Frame& request,
   RETURN_IF_ERROR(SendFrame(request, deadline));
   for (;;) {
     ASSIGN_OR_RETURN(Frame frame, ReadFrame(deadline));
-    if (frame.type == FrameType::kStreamRows) {
-      // A push raced the response; stash it for NextPush().
-      auto batch = DecodeStreamRowsBody(frame.body);
-      if (!batch.ok()) {
-        Close();
-        return batch.status();
-      }
-      Push push;
-      push.source = std::move(batch->source);
-      push.close = batch->close;
-      push.rows = std::move(batch->rows);
-      pending_pushes_.push_back(std::move(push));
+    if (frame.type == FrameType::kStreamRows ||
+        frame.type == FrameType::kShutdown) {
+      // A push (or a drain goodbye) raced the response.
+      RETURN_IF_ERROR(TakePush(frame));
       continue;
-    }
-    if (frame.type == FrameType::kShutdown) {
-      // Graceful goodbye: the server is draining and will send nothing
-      // more; surface as Unavailable so retry/reconnect layers engage.
-      std::string reason;
-      if (auto decoded = DecodeShutdownBody(frame.body); decoded.ok()) {
-        reason = *decoded;
-      }
-      Close();
-      return Status::Unavailable(
-          "server shutting down" + (reason.empty() ? "" : ": " + reason));
     }
     if (frame.request_id != request.request_id) {
       Close();
@@ -246,6 +227,15 @@ Result<Frame> Client::Roundtrip(const Frame& request,
     }
     return frame;
   }
+}
+
+Status Client::AckRoundtrip(const Frame& request, int64_t timeout_micros) {
+  ASSIGN_OR_RETURN(Frame response, Roundtrip(request, timeout_micros));
+  if (response.type != FrameType::kAck) {
+    return Status::IoError(std::string("unexpected response frame ") +
+                           FrameTypeName(response.type));
+  }
+  return Status::OK();
 }
 
 Result<RowSet> Client::Query(const std::string& sql,
@@ -274,25 +264,15 @@ Status Client::IngestBatch(const std::string& stream,
   req.stream = stream;
   req.system_time = system_time;
   req.rows = rows;
-  Frame request{FrameType::kIngestBatch, next_request_id_++,
-                EncodeIngestBody(req)};
-  ASSIGN_OR_RETURN(Frame response, Roundtrip(request, timeout_micros));
-  if (response.type != FrameType::kAck) {
-    return Status::IoError(std::string("unexpected response frame ") +
-                           FrameTypeName(response.type));
-  }
-  return Status::OK();
+  return AckRoundtrip({FrameType::kIngestBatch, next_request_id_++,
+                       EncodeIngestBody(req)},
+                      timeout_micros);
 }
 
 Status Client::Subscribe(const std::string& name, int64_t timeout_micros) {
-  Frame request{FrameType::kSubscribe, next_request_id_++,
-                EncodeNameBody(name)};
-  ASSIGN_OR_RETURN(Frame response, Roundtrip(request, timeout_micros));
-  if (response.type != FrameType::kAck) {
-    return Status::IoError(std::string("unexpected response frame ") +
-                           FrameTypeName(response.type));
-  }
-  return Status::OK();
+  return AckRoundtrip(
+      {FrameType::kSubscribe, next_request_id_++, EncodeNameBody(name)},
+      timeout_micros);
 }
 
 Status Client::SubscribeResume(const std::string& name, int64_t resume_close,
@@ -300,14 +280,9 @@ Status Client::SubscribeResume(const std::string& name, int64_t resume_close,
   SubscribeResumeRequest req;
   req.name = name;
   req.resume_close = resume_close;
-  Frame request{FrameType::kSubscribeResume, next_request_id_++,
-                EncodeSubscribeResumeBody(req)};
-  ASSIGN_OR_RETURN(Frame response, Roundtrip(request, timeout_micros));
-  if (response.type != FrameType::kAck) {
-    return Status::IoError(std::string("unexpected response frame ") +
-                           FrameTypeName(response.type));
-  }
-  return Status::OK();
+  return AckRoundtrip({FrameType::kSubscribeResume, next_request_id_++,
+                       EncodeSubscribeResumeBody(req)},
+                      timeout_micros);
 }
 
 Result<ReplFramesBody> Client::ReplFetch(uint64_t from_offset,
@@ -328,24 +303,15 @@ Result<ReplFramesBody> Client::ReplFetch(uint64_t from_offset,
 
 Status Client::Unsubscribe(const std::string& name,
                            int64_t timeout_micros) {
-  Frame request{FrameType::kUnsubscribe, next_request_id_++,
-                EncodeNameBody(name)};
-  ASSIGN_OR_RETURN(Frame response, Roundtrip(request, timeout_micros));
-  if (response.type != FrameType::kAck) {
-    return Status::IoError(std::string("unexpected response frame ") +
-                           FrameTypeName(response.type));
-  }
-  return Status::OK();
+  return AckRoundtrip(
+      {FrameType::kUnsubscribe, next_request_id_++, EncodeNameBody(name)},
+      timeout_micros);
 }
 
 Status Client::Ping(int64_t timeout_micros) {
-  Frame request{FrameType::kPing, next_request_id_++, EncodeAckBody("")};
-  ASSIGN_OR_RETURN(Frame response, Roundtrip(request, timeout_micros));
-  if (response.type != FrameType::kAck) {
-    return Status::IoError(std::string("unexpected response frame ") +
-                           FrameTypeName(response.type));
-  }
-  return Status::OK();
+  return AckRoundtrip(
+      {FrameType::kPing, next_request_id_++, EncodeAckBody("")},
+      timeout_micros);
 }
 
 Result<Push> Client::NextPush(int64_t timeout_micros) {
@@ -357,28 +323,40 @@ Result<Push> Client::NextPush(int64_t timeout_micros) {
       return push;
     }
     ASSIGN_OR_RETURN(Frame frame, ReadFrame(deadline));
-    if (frame.type == FrameType::kShutdown) {
-      std::string reason;
-      if (auto decoded = DecodeShutdownBody(frame.body); decoded.ok()) {
-        reason = *decoded;
-      }
-      Close();
-      return Status::Unavailable(
-          "server shutting down" + (reason.empty() ? "" : ": " + reason));
-    }
-    if (frame.type != FrameType::kStreamRows) {
+    if (frame.type != FrameType::kStreamRows &&
+        frame.type != FrameType::kShutdown) {
       Close();
       return Status::IoError(
           std::string("unexpected frame while waiting for pushes: ") +
           FrameTypeName(frame.type));
     }
-    ASSIGN_OR_RETURN(StreamRowsBody batch, DecodeStreamRowsBody(frame.body));
-    Push push;
-    push.source = std::move(batch.source);
-    push.close = batch.close;
-    push.rows = std::move(batch.rows);
-    pending_pushes_.push_back(std::move(push));
+    RETURN_IF_ERROR(TakePush(frame));
   }
+}
+
+Status Client::TakePush(const Frame& frame) {
+  if (frame.type == FrameType::kShutdown) {
+    // Graceful goodbye: the server is draining and will send nothing
+    // more; surface as Unavailable so retry/reconnect layers engage.
+    std::string reason;
+    if (auto decoded = DecodeShutdownBody(frame.body); decoded.ok()) {
+      reason = *decoded;
+    }
+    Close();
+    return Status::Unavailable(
+        "server shutting down" + (reason.empty() ? "" : ": " + reason));
+  }
+  auto batch = DecodeStreamRowsBody(frame.body);
+  if (!batch.ok()) {
+    Close();
+    return batch.status();
+  }
+  Push push;
+  push.source = std::move(batch->source);
+  push.close = batch->close;
+  push.rows = std::move(batch->rows);
+  pending_pushes_.push_back(std::move(push));
+  return Status::OK();
 }
 
 }  // namespace streamrel::net

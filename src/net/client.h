@@ -123,6 +123,11 @@ class Client {
   /// Sends `request` and waits for the response frame with the same
   /// request id, buffering any pushes that arrive in between.
   Result<Frame> Roundtrip(const Frame& request, int64_t timeout_micros);
+  /// Roundtrip for requests answered by an ACK.
+  Status AckRoundtrip(const Frame& request, int64_t timeout_micros);
+  /// Buffers a pushed STREAM_ROWS frame for NextPush(). A SHUTDOWN
+  /// goodbye or an undecodable push closes the client instead.
+  Status TakePush(const Frame& frame);
   Status SendFrame(const Frame& frame, int64_t deadline_micros);
   /// Reads until one complete frame is decoded or the deadline passes.
   Result<Frame> ReadFrame(int64_t deadline_micros);

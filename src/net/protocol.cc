@@ -1,5 +1,6 @@
 #include "net/protocol.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace streamrel::net {
@@ -116,7 +117,8 @@ Status GetRows(const std::string& data, size_t* offset,
   uint32_t n;
   RETURN_IF_ERROR(GetU32(data, offset, &n));
   rows->clear();
-  rows->reserve(n);
+  // Every row needs at least its 4-byte arity.
+  rows->reserve(std::min<size_t>(n, (data.size() - *offset) / sizeof(n)));
   for (uint32_t i = 0; i < n; ++i) {
     ASSIGN_OR_RETURN(Row row, DeserializeRow(data, offset));
     rows->push_back(std::move(row));
@@ -199,15 +201,6 @@ std::string EncodeIngestBody(const IngestBatchRequest& req) {
   return out;
 }
 
-Result<IngestBatchRequest> DecodeIngestBody(const std::string& body) {
-  size_t offset = 0;
-  IngestBatchRequest req;
-  RETURN_IF_ERROR(GetString(body, &offset, &req.stream));
-  RETURN_IF_ERROR(GetI64(body, &offset, &req.system_time));
-  RETURN_IF_ERROR(GetRows(body, &offset, &req.rows));
-  return req;
-}
-
 Result<bool> DecodeIngestBodyColumnar(const std::string& body,
                                       IngestColumnarRequest* req) {
   size_t offset = 0;
@@ -215,9 +208,15 @@ Result<bool> DecodeIngestBodyColumnar(const std::string& body,
   RETURN_IF_ERROR(GetI64(body, &offset, &req->system_time));
   uint32_t n_rows;
   RETURN_IF_ERROR(GetU32(body, &offset, &n_rows));
-  if (n_rows == 0) return false;
+  // Counts are checked against the bytes left before they size anything:
+  // a row needs at least its 4-byte arity, a cell at least its tag byte.
+  if (n_rows > (body.size() - offset) / sizeof(uint32_t)) {
+    return Status::IoError("row count " + std::to_string(n_rows) +
+                           " exceeds the body");
+  }
   exec::ColumnBatch batch{0};
   for (uint32_t r = 0; r < n_rows; ++r) {
+    const size_t row_start = offset;
     uint32_t arity;
     if (offset + sizeof(arity) > body.size()) {
       return Status::IoError("truncated row header");
@@ -225,10 +224,28 @@ Result<bool> DecodeIngestBodyColumnar(const std::string& body,
     memcpy(&arity, body.data() + offset, sizeof(arity));
     offset += sizeof(arity);
     if (r == 0) {
+      if (arity > body.size() - offset) {
+        return Status::IoError("row arity " + std::to_string(arity) +
+                               " exceeds the body");
+      }
       batch = exec::ColumnBatch(arity);
-      batch.Reserve(n_rows);
+      batch.Reserve(std::min<size_t>(
+          n_rows, (body.size() - row_start) / (sizeof(uint32_t) + arity)));
     } else if (arity != batch.num_columns()) {
-      return false;  // ragged batch: row path owns the arity diagnostics
+      // A row of another width rides in the batch torn; the runtime
+      // quarantines it exactly as it does in process. A torn row pads
+      // every column, so before the batch would hold more cells than the
+      // body has bytes it goes all torn at width 0, which the runtime
+      // repacks to the stream's width like any batch of the wrong width.
+      if (size_t{r + 1} * batch.num_columns() > body.size()) {
+        exec::ColumnBatch narrow{0};
+        for (const Row& row : batch.MaterializeAll()) narrow.AppendRow(row);
+        batch = std::move(narrow);
+      }
+      offset = row_start;
+      ASSIGN_OR_RETURN(Row row, DeserializeRow(body, &offset));
+      batch.AppendRow(row);
+      continue;
     }
     for (uint32_t col = 0; col < arity; ++col) {
       if (offset >= body.size()) {
@@ -291,7 +308,7 @@ Result<bool> DecodeIngestBodyColumnar(const std::string& body,
     batch.CommitRow();
   }
   req->batch = std::move(batch);
-  return true;
+  return n_rows > 0;
 }
 
 std::string EncodeNameBody(const std::string& name) {

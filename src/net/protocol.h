@@ -87,15 +87,15 @@ struct IngestBatchRequest {
   std::vector<Row> rows;
 };
 std::string EncodeIngestBody(const IngestBatchRequest& req);
-Result<IngestBatchRequest> DecodeIngestBody(const std::string& body);
 
-/// Columnar twin of DecodeIngestBody: decodes the same INGEST_BATCH wire
-/// body straight into a ColumnBatch, skipping per-row Value vectors
-/// entirely. Arity comes from the body's first row. Returns false (with
-/// *req unspecified) when the body carries zero rows or ragged arities —
-/// callers then fall back to DecodeIngestBody and row-vector ingest, which
-/// keeps each wrong-arity row torn for the runtime to quarantine.
-/// Truncated/corrupt bodies error.
+/// The one INGEST_BATCH decoder: decodes the body straight into a
+/// ColumnBatch as wide as its first row, without per-row Value vectors. A
+/// row of any other width is appended torn (ColumnBatch::AppendRow), and
+/// ingest quarantines it exactly as it would in process; if a torn row
+/// would leave the batch with more column cells than the body has bytes,
+/// the batch goes all torn at width 0 instead. Every count is checked
+/// against the bytes left before it sizes an allocation. Returns whether
+/// the body carries any rows; a truncated or corrupt body is an IoError.
 struct IngestColumnarRequest {
   std::string stream;
   int64_t system_time = INT64_MIN;

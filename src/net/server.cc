@@ -340,9 +340,7 @@ void Server::HandleReadable(const ConnPtr& conn) {
       // the client why (best effort) and drop the connection. The engine
       // is untouched.
       counters_.frames_bad.fetch_add(1);
-      Frame err{FrameType::kError, 0,
-                EncodeErrorBody(Status::IoError("corrupt frame: " + error))};
-      EnqueueResponse(conn, err);
+      ReplyError(conn, 0, Status::IoError("corrupt frame: " + error));
       KillConnection(conn);
       return;
     }
@@ -401,8 +399,7 @@ void Server::DispatchFrame(const ConnPtr& conn, Frame frame) {
       counters_.frames_query.fetch_add(1);
       auto sql = DecodeQueryBody(frame.body);
       if (!sql.ok()) {
-        EnqueueResponse(conn, Frame{FrameType::kError, frame.request_id,
-                                    EncodeErrorBody(sql.status())});
+        ReplyError(conn, frame.request_id, sql.status());
         break;
       }
       DoQuery(conn, frame.request_id, *sql);
@@ -416,19 +413,17 @@ void Server::DispatchFrame(const ConnPtr& conn, Frame frame) {
       counters_.frames_subscribe.fetch_add(1);
       auto name = DecodeNameBody(frame.body);
       if (!name.ok()) {
-        EnqueueResponse(conn, Frame{FrameType::kError, frame.request_id,
-                                    EncodeErrorBody(name.status())});
+        ReplyError(conn, frame.request_id, name.status());
         break;
       }
-      DoSubscribe(conn, frame.request_id, *name);
+      DoSubscribe(conn, frame.request_id, *name, std::nullopt);
       break;
     }
     case FrameType::kUnsubscribe: {
       counters_.frames_unsubscribe.fetch_add(1);
       auto name = DecodeNameBody(frame.body);
       if (!name.ok()) {
-        EnqueueResponse(conn, Frame{FrameType::kError, frame.request_id,
-                                    EncodeErrorBody(name.status())});
+        ReplyError(conn, frame.request_id, name.status());
         break;
       }
       DoUnsubscribe(conn, frame.request_id, *name);
@@ -438,19 +433,17 @@ void Server::DispatchFrame(const ConnPtr& conn, Frame frame) {
       counters_.frames_subscribe.fetch_add(1);
       auto req = DecodeSubscribeResumeBody(frame.body);
       if (!req.ok()) {
-        EnqueueResponse(conn, Frame{FrameType::kError, frame.request_id,
-                                    EncodeErrorBody(req.status())});
+        ReplyError(conn, frame.request_id, req.status());
         break;
       }
-      DoSubscribeResume(conn, frame.request_id, req->name, req->resume_close);
+      DoSubscribe(conn, frame.request_id, req->name, req->resume_close);
       break;
     }
     case FrameType::kReplFetch: {
       counters_.frames_repl_fetch.fetch_add(1);
       auto req = DecodeReplFetchBody(frame.body);
       if (!req.ok()) {
-        EnqueueResponse(conn, Frame{FrameType::kError, frame.request_id,
-                                    EncodeErrorBody(req.status())});
+        ReplyError(conn, frame.request_id, req.status());
         break;
       }
       DoReplFetch(conn, frame.request_id, *req);
@@ -463,12 +456,10 @@ void Server::DispatchFrame(const ConnPtr& conn, Frame frame) {
       break;
     default:
       counters_.frames_bad.fetch_add(1);
-      EnqueueResponse(
-          conn,
-          Frame{FrameType::kError, frame.request_id,
-                EncodeErrorBody(Status::InvalidArgument(
-                    std::string("unexpected frame type ") +
-                    FrameTypeName(frame.type) + " from client"))});
+      ReplyError(conn, frame.request_id,
+                 Status::InvalidArgument(std::string("unexpected frame type ") +
+                                         FrameTypeName(frame.type) +
+                                         " from client"));
       break;
   }
   {
@@ -483,8 +474,7 @@ void Server::DoQuery(const ConnPtr& conn, uint64_t request_id,
   // never reach Database::Execute.
   auto parsed = sql::ParseSql(sql);
   if (!parsed.ok()) {
-    EnqueueResponse(conn, Frame{FrameType::kError, request_id,
-                                EncodeErrorBody(parsed.status())});
+    ReplyError(conn, request_id, parsed.status());
     return;
   }
   bool has_sub = false;
@@ -496,21 +486,17 @@ void Server::DoQuery(const ConnPtr& conn, uint64_t request_id,
   }
   if (has_sub) {
     if (parsed->size() != 1) {
-      EnqueueResponse(
-          conn, Frame{FrameType::kError, request_id,
-                      EncodeErrorBody(Status::InvalidArgument(
-                          "SUBSCRIBE/UNSUBSCRIBE must be the only statement "
-                          "in its request"))});
+      ReplyError(conn, request_id,
+                 Status::InvalidArgument("SUBSCRIBE/UNSUBSCRIBE must be the "
+                                         "only statement in its request"));
       return;
     }
     const sql::Statement& stmt = *(*parsed)[0];
     if (stmt.kind() == sql::StatementKind::kSubscribe) {
       const auto& sub = static_cast<const sql::SubscribeStmt&>(stmt);
-      if (sub.has_resume) {
-        DoSubscribeResume(conn, request_id, sub.name, sub.resume_close);
-      } else {
-        DoSubscribe(conn, request_id, sub.name);
-      }
+      DoSubscribe(conn, request_id, sub.name,
+                  sub.has_resume ? std::optional<int64_t>(sub.resume_close)
+                                 : std::nullopt);
     } else {
       DoUnsubscribe(conn, request_id,
                     static_cast<const sql::UnsubscribeStmt&>(stmt).name);
@@ -519,8 +505,7 @@ void Server::DoQuery(const ConnPtr& conn, uint64_t request_id,
   }
   auto result = db_->Execute(sql);
   if (!result.ok()) {
-    EnqueueResponse(conn, Frame{FrameType::kError, request_id,
-                                EncodeErrorBody(result.status())});
+    ReplyError(conn, request_id, result.status());
     return;
   }
   RowSet rowset;
@@ -533,50 +518,26 @@ void Server::DoQuery(const ConnPtr& conn, uint64_t request_id,
 
 void Server::DoIngest(const ConnPtr& conn, uint64_t request_id,
                       const std::string& body) {
-  // Decode straight into columnar form; the runtime's ingest body
-  // consumes the ColumnBatch without ever building per-row Value vectors.
-  // Ragged bodies (mixed arities) fall back to the row decoder; the
-  // runtime keeps the wrong-arity rows torn and quarantines them.
-  IngestColumnarRequest creq;
-  auto columnar = DecodeIngestBodyColumnar(body, &creq);
-  if (!columnar.ok()) {
-    EnqueueResponse(conn, Frame{FrameType::kError, request_id,
-                                EncodeErrorBody(columnar.status())});
-    return;
+  // The body decodes straight into columnar form. A ragged body's
+  // wrong-arity rows ride in the batch torn, and the runtime quarantines
+  // them.
+  IngestColumnarRequest req;
+  Status st = DecodeIngestBodyColumnar(body, &req).status();
+  const size_t n = req.batch.row_count();
+  if (st.ok()) {
+    st = db_->Ingest(req.stream, std::move(req.batch), req.system_time);
   }
-  if (*columnar) {
-    const size_t n = creq.batch.row_count();
-    Status st =
-        db_->Ingest(creq.stream, std::move(creq.batch), creq.system_time);
-    if (!st.ok()) {
-      EnqueueResponse(conn, Frame{FrameType::kError, request_id,
-                                  EncodeErrorBody(st)});
-      return;
-    }
-    EnqueueResponse(conn,
-                    Frame{FrameType::kAck, request_id,
-                          EncodeAckBody("INGEST " + std::to_string(n))});
-    return;
-  }
-  auto req = DecodeIngestBody(body);
-  if (!req.ok()) {
-    EnqueueResponse(conn, Frame{FrameType::kError, request_id,
-                                EncodeErrorBody(req.status())});
-    return;
-  }
-  Status st = db_->Ingest(req->stream, req->rows, req->system_time);
   if (!st.ok()) {
-    EnqueueResponse(conn, Frame{FrameType::kError, request_id,
-                                EncodeErrorBody(st)});
+    ReplyError(conn, request_id, st);
     return;
   }
-  EnqueueResponse(
-      conn, Frame{FrameType::kAck, request_id,
-                  EncodeAckBody("INGEST " + std::to_string(req->rows.size()))});
+  EnqueueResponse(conn, Frame{FrameType::kAck, request_id,
+                              EncodeAckBody("INGEST " + std::to_string(n))});
 }
 
 void Server::DoSubscribe(const ConnPtr& conn, uint64_t request_id,
-                         const std::string& name) {
+                         const std::string& name,
+                         std::optional<int64_t> resume_close) {
   const std::string key = ToLower(name);
   bool duplicate = false;
   {
@@ -590,43 +551,63 @@ void Server::DoSubscribe(const ConnPtr& conn, uint64_t request_id,
     }
   }
   if (duplicate) {
-    EnqueueResponse(conn,
-                    Frame{FrameType::kError, request_id,
-                          EncodeErrorBody(Status::AlreadyExists(
-                              "already subscribed to '" + name + "'"))});
+    ReplyError(conn, request_id,
+               Status::AlreadyExists("already subscribed to '" + name + "'"));
     return;
   }
-  // The callback needs the source stream (for the overload policy), which
-  // the ticket reports only after Subscribe returns; it is shared state
-  // filled right below. An unset value means BLOCK — the engine default.
-  auto policy_stream = std::make_shared<std::string>();
+  // Every pushed frame of this subscription, live or replayed.
+  auto push_frame = [request_id, name](int64_t close,
+                                       const std::vector<Row>& rows) {
+    StreamRowsBody batch;
+    batch.source = name;
+    batch.close = close;
+    batch.rows = rows;
+    return Frame{FrameType::kStreamRows, request_id,
+                 EncodeStreamRowsBody(batch)};
+  };
+  // The engine attaches the callback before this worker enqueues the ack
+  // (and the backfill), so a window that closes in that gap would jump
+  // the queue. The gate holds such early pushes and releases them, in
+  // order, once the ack and the backfill are queued.
+  struct Gate {
+    std::mutex mu;
+    bool open = false;
+    /// Source stream whose overload policy governs the pushes; the ticket
+    /// names it, so it is set when the gate opens.
+    std::string policy_stream;
+    std::vector<std::string> held;  // encoded frames, arrival order
+  };
+  auto gate = std::make_shared<Gate>();
   ConnPtr c = conn;
-  auto ticket = db_->Subscribe(
-      name, [this, c, request_id, name, policy_stream](
-                int64_t close, const std::vector<Row>& rows) {
-        if (c->closed.load(std::memory_order_acquire)) return Status::OK();
-        StreamRowsBody batch;
-        batch.source = name;
-        batch.close = close;
-        batch.rows = rows;
-        Frame frame{FrameType::kStreamRows, request_id,
-                    EncodeStreamRowsBody(batch)};
-        std::string bytes;
-        EncodeFrame(frame, &bytes);
-        EnqueuePush(c, *policy_stream, std::move(bytes));
-        return Status::OK();
-      });
+  stream::CqCallback callback = [this, c, push_frame, gate](
+                                    int64_t close,
+                                    const std::vector<Row>& rows) {
+    if (c->closed.load(std::memory_order_acquire)) return Status::OK();
+    std::string bytes;
+    EncodeFrame(push_frame(close, rows), &bytes);
+    // Holding gate->mu while enqueueing keeps this frame behind any held
+    // ones the subscribing worker is still flushing. Deliveries to one
+    // subscription are already serialized by the source stream's ingest
+    // lock, so the mutex is uncontended in steady state.
+    std::lock_guard<std::mutex> lock(gate->mu);
+    if (gate->open) {
+      EnqueuePush(c, gate->policy_stream, std::move(bytes));
+    } else {
+      gate->held.push_back(std::move(bytes));
+    }
+    return Status::OK();
+  };
+  std::vector<engine::Database::ResumeBatch> backfill;
+  auto ticket = resume_close.has_value()
+                    ? db_->SubscribeResume(name, *resume_close,
+                                           std::move(callback), &backfill)
+                    : db_->Subscribe(name, std::move(callback));
   if (!ticket.ok()) {
-    EnqueueResponse(conn, Frame{FrameType::kError, request_id,
-                                EncodeErrorBody(ticket.status())});
+    ReplyError(conn, request_id, ticket.status());
     return;
   }
-  *policy_stream = ticket->source_stream;
-  Subscription sub;
-  sub.ticket = ticket.TakeValue();
-  sub.name = name;
-  sub.policy_stream = *policy_stream;
-  sub.request_id = request_id;
+  const std::string policy_stream = ticket->source_stream;
+  Subscription sub{ticket.TakeValue(), name};
   bool reaped = false;
   {
     std::lock_guard<std::mutex> lock(conn->mu);
@@ -643,109 +624,19 @@ void Server::DoSubscribe(const ConnPtr& conn, uint64_t request_id,
   counters_.subscriptions_active.fetch_add(1);
   EnqueueResponse(conn, Frame{FrameType::kAck, request_id,
                               EncodeAckBody("SUBSCRIBED " + name)});
-}
-
-void Server::DoSubscribeResume(const ConnPtr& conn, uint64_t request_id,
-                               const std::string& name,
-                               int64_t resume_close) {
-  const std::string key = ToLower(name);
-  bool duplicate = false;
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    for (const Subscription& sub : conn->subs) {
-      if (ToLower(sub.name) == key) duplicate = true;
-    }
-  }
-  if (duplicate) {
-    EnqueueResponse(conn,
-                    Frame{FrameType::kError, request_id,
-                          EncodeErrorBody(Status::AlreadyExists(
-                              "already subscribed to '" + name + "'"))});
-    return;
-  }
-  // The engine attaches the live callback atomically with the backfill
-  // read, but this worker still has to ENQUEUE the backfill after
-  // SubscribeResume returns — a window that closes in that gap would
-  // otherwise jump the queue. The gate holds such early live frames and
-  // releases them, in order, once the backfill is on the wire.
-  struct ResumeGate {
-    std::mutex mu;
-    bool open = false;
-    std::vector<std::string> held;  // encoded frames, arrival order
-  };
-  auto gate = std::make_shared<ResumeGate>();
-  auto policy_stream = std::make_shared<std::string>();
-  ConnPtr c = conn;
-  std::vector<engine::Database::ResumeBatch> backfill;
-  auto ticket = db_->SubscribeResume(
-      name, resume_close,
-      [this, c, request_id, name, policy_stream, gate](
-          int64_t close, const std::vector<Row>& rows) {
-        if (c->closed.load(std::memory_order_acquire)) return Status::OK();
-        StreamRowsBody batch;
-        batch.source = name;
-        batch.close = close;
-        batch.rows = rows;
-        Frame frame{FrameType::kStreamRows, request_id,
-                    EncodeStreamRowsBody(batch)};
-        std::string bytes;
-        EncodeFrame(frame, &bytes);
-        {
-          std::lock_guard<std::mutex> lock(gate->mu);
-          if (!gate->open) {
-            gate->held.push_back(std::move(bytes));
-            return Status::OK();
-          }
-          // Holding gate->mu while enqueueing keeps this frame ordered
-          // after any held ones still being flushed by the subscribing
-          // worker. Same-stream deliveries are already serialized by the
-          // ingest lock, so the hold is uncontended in steady state.
-          EnqueuePush(c, *policy_stream, std::move(bytes));
-        }
-        return Status::OK();
-      },
-      &backfill);
-  if (!ticket.ok()) {
-    EnqueueResponse(conn, Frame{FrameType::kError, request_id,
-                                EncodeErrorBody(ticket.status())});
-    return;
-  }
-  *policy_stream = ticket->source_stream;
-  Subscription sub;
-  sub.ticket = ticket.TakeValue();
-  sub.name = name;
-  sub.policy_stream = *policy_stream;
-  sub.request_id = request_id;
-  bool reaped = false;
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    reaped = conn->closed.load(std::memory_order_acquire);
-    if (!reaped) conn->subs.push_back(std::move(sub));
-  }
-  if (reaped) {
-    db_->Unsubscribe(sub.ticket);
-    return;
-  }
-  counters_.subscriptions_active.fetch_add(1);
-  EnqueueResponse(conn, Frame{FrameType::kAck, request_id,
-                              EncodeAckBody("SUBSCRIBED " + name)});
   // Backfill rides the response path (never shed): the client is waiting
   // for exactly these windows, and shedding them would reintroduce the
   // gap the resume token exists to close.
   for (const engine::Database::ResumeBatch& window : backfill) {
-    StreamRowsBody batch;
-    batch.source = name;
-    batch.close = window.close;
-    batch.rows = window.rows;
-    EnqueueResponse(conn, Frame{FrameType::kStreamRows, request_id,
-                                EncodeStreamRowsBody(batch)});
+    EnqueueResponse(conn, push_frame(window.close, window.rows));
   }
-  // Open the gate and flush live windows that closed during the enqueue
-  // above; new deliveries block on gate->mu until the flush finishes.
+  // Open the gate and flush the pushes that closed in the meantime; new
+  // deliveries wait on gate->mu until the flush finishes.
   std::lock_guard<std::mutex> lock(gate->mu);
   gate->open = true;
+  gate->policy_stream = policy_stream;
   for (std::string& bytes : gate->held) {
-    EnqueuePush(conn, *policy_stream, std::move(bytes));
+    EnqueuePush(conn, policy_stream, std::move(bytes));
   }
   gate->held.clear();
 }
@@ -756,8 +647,7 @@ void Server::DoReplFetch(const ConnPtr& conn, uint64_t request_id,
   if (!ship.ok()) {
     // This fetch fails; the standby retries from the same offset. The
     // synced prefix it reads is immutable, so retries are idempotent.
-    EnqueueResponse(conn, Frame{FrameType::kError, request_id,
-                                EncodeErrorBody(ship)});
+    ReplyError(conn, request_id, ship);
     return;
   }
   if (FaultInjector::Instance().Hit("repl.ack").ok()) {
@@ -818,9 +708,8 @@ void Server::DoUnsubscribe(const ConnPtr& conn, uint64_t request_id,
                                 EncodeAckBody("UNSUBSCRIBED " + name)});
     return;
   }
-  EnqueueResponse(conn, Frame{FrameType::kError, request_id,
-                              EncodeErrorBody(Status::NotFound(
-                                  "not subscribed to '" + name + "'"))});
+  ReplyError(conn, request_id,
+             Status::NotFound("not subscribed to '" + name + "'"));
 }
 
 void Server::EnqueueResponse(const ConnPtr& conn, const Frame& frame) {
@@ -840,6 +729,12 @@ void Server::EnqueueResponse(const ConnPtr& conn, const Frame& frame) {
   TryFlush(conn);
 }
 
+void Server::ReplyError(const ConnPtr& conn, uint64_t request_id,
+                        const Status& status) {
+  EnqueueResponse(
+      conn, Frame{FrameType::kError, request_id, EncodeErrorBody(status)});
+}
+
 void Server::EnqueuePush(const ConnPtr& conn,
                          const std::string& policy_stream,
                          std::string bytes) {
@@ -847,9 +742,9 @@ void Server::EnqueuePush(const ConnPtr& conn,
   MemoryGovernor* governor = db_->runtime()->governor();
   const size_t sz = bytes.size();
   const size_t limit = options_.max_send_queue_bytes;
-  // Called holding the shared engine lock and the source stream's ingest
-  // lock: the policy read is consistent with the delivery that produced
-  // this batch.
+  // A delivery callback holds the shared engine lock and the source
+  // stream's ingest lock, so the policy read is consistent with the
+  // delivery that produced this batch.
   const stream::OverloadPolicy policy =
       db_->runtime()->overload_policy(policy_stream);
 

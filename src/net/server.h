@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -132,9 +133,7 @@ class Server {
 
   struct Subscription {
     engine::Database::SubscriptionTicket ticket;
-    std::string name;          // as subscribed (original casing)
-    std::string policy_stream;  // source stream whose overload policy rules
-    uint64_t request_id = 0;    // echoed on pushed frames
+    std::string name;  // as subscribed (original casing)
   };
 
   struct Connection {
@@ -189,14 +188,15 @@ class Server {
                const std::string& sql);
   void DoIngest(const ConnPtr& conn, uint64_t request_id,
                 const std::string& body);
+  /// SUBSCRIBE, SUBSCRIBE_RESUME and `SUBSCRIBE TO name [RESUME n]` all
+  /// land here. With a resume token the windows the client missed are
+  /// replayed from the object's channel table, so delivery is exactly
+  /// once across a reconnect. The wire order is always ack, then
+  /// backfill, then live pushes: pushes that close before the ack is
+  /// queued wait behind a gate.
   void DoSubscribe(const ConnPtr& conn, uint64_t request_id,
-                   const std::string& name);
-  /// SUBSCRIBE ... RESUME: replays the windows the client missed (from
-  /// the object's channel table) as pushes right after the ack, buffering
-  /// any live windows that close meanwhile so the wire order is always
-  /// ack, backfill, live. Exactly-once across the reconnect.
-  void DoSubscribeResume(const ConnPtr& conn, uint64_t request_id,
-                         const std::string& name, int64_t resume_close);
+                   const std::string& name,
+                   std::optional<int64_t> resume_close);
   void DoUnsubscribe(const ConnPtr& conn, uint64_t request_id,
                      const std::string& name);
   /// REPL_FETCH from a standby: records the fetch offset as the
@@ -209,10 +209,13 @@ class Server {
 
   /// Enqueues a response frame (never shed; the client awaits it).
   void EnqueueResponse(const ConnPtr& conn, const Frame& frame);
+  void ReplyError(const ConnPtr& conn, uint64_t request_id,
+                  const Status& status);
   /// Enqueues a pushed subscription frame under `policy_stream`'s overload
   /// policy; called from delivery callbacks holding the shared engine lock
   /// and the source stream's ingest lock (on whatever thread drives
-  /// ingest). Must never call back into db_.
+  /// ingest), and by DoSubscribe when it flushes the pushes it held back
+  /// until the ack. Must never call back into db_.
   void EnqueuePush(const ConnPtr& conn, const std::string& policy_stream,
                    std::string bytes);
 

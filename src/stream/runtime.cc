@@ -732,14 +732,15 @@ Status StreamRuntime::SetCqEmitWatermark(const std::string& name,
 Status StreamRuntime::SetOverloadPolicy(const std::string& stream,
                                         OverloadPolicy policy) {
   RETURN_IF_ERROR(RegisterStream(stream));
-  GetState(stream)->policy = policy;
+  GetState(stream)->policy.store(policy, std::memory_order_relaxed);
   return Status::OK();
 }
 
 OverloadPolicy StreamRuntime::overload_policy(
     const std::string& stream) const {
   const StreamState* state = GetState(stream);
-  return state == nullptr ? OverloadPolicy::kBlock : state->policy;
+  return state == nullptr ? OverloadPolicy::kBlock
+                          : state->policy.load(std::memory_order_relaxed);
 }
 
 Status StreamRuntime::SetRetryLimit(int64_t attempts) {
@@ -822,7 +823,7 @@ void StreamRuntime::AdmitBatch(
   for (size_t i = 0; i < n; ++i) total += row_bytes(i);
   const int64_t headroom = governor_.headroom();
   if (total <= headroom) return;
-  switch (state->policy) {
+  switch (state->policy.load(std::memory_order_relaxed)) {
     case OverloadPolicy::kBlock:
       BlockForHeadroom(state, total);
       return;

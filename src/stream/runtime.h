@@ -307,9 +307,11 @@ class StreamRuntime {
     Counter* rows_published_metric = nullptr;
     Gauge* watermark_metric = nullptr;
     /// Overload admission state. The policy is mutated only under the
-    /// exclusive engine lock; counters are bumped under the ingest lock
-    /// but read by SHOW STATS with no stream lock, hence atomic.
-    OverloadPolicy policy = OverloadPolicy::kBlock;
+    /// exclusive engine lock, but a network subscriber flushing the pushes
+    /// held before its ack reads it with no engine lock; counters are
+    /// bumped under the ingest lock but read by SHOW STATS with no stream
+    /// lock. Hence all atomic.
+    std::atomic<OverloadPolicy> policy{OverloadPolicy::kBlock};
     struct AtomicOverload {
       std::atomic<int64_t> rows_admitted{0};
       std::atomic<int64_t> rows_shed{0};

@@ -3,7 +3,9 @@
 // Covers the wire protocol (round-trips, truncated and corrupt frames
 // rejected without crashing), the TCP server end to end (queries, binary
 // ingest, live SUBSCRIBE pushes byte-identical to an in-process
-// subscriber), the slow-consumer policy grid (BLOCK disconnects, the shed
+// subscriber, ragged INGEST_BATCH bodies quarantined exactly like the
+// same rows ingested in process, hostile row counts and arities answered
+// with an ERROR), the slow-consumer policy grid (BLOCK disconnects, the shed
 // policies drop — with `pushes_total == admitted + shed + disconnected`
 // accounting that must balance exactly), `net.*` fault-injection drills
 // proving a killed connection never corrupts engine state, and the
@@ -79,13 +81,16 @@ TEST(Protocol, FrameRoundTripsEveryBodyType) {
   EXPECT_EQ(offset, wire.size());
 
   // Body payloads decode to the original values (doubles bit-exact).
-  auto ingest2 = DecodeIngestBody(EncodeIngestBody(ingest));
-  ASSERT_TRUE(ingest2.ok());
-  EXPECT_EQ(ingest2->stream, "s");
-  EXPECT_EQ(ingest2->system_time, 42);
-  ASSERT_EQ(ingest2->rows.size(), 2u);
-  EXPECT_EQ(RowToString(ingest2->rows[0]), RowToString(ingest.rows[0]));
-  EXPECT_EQ(RowToString(ingest2->rows[1]), RowToString(ingest.rows[1]));
+  IngestColumnarRequest ingest2;
+  auto decoded = DecodeIngestBodyColumnar(EncodeIngestBody(ingest), &ingest2);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_TRUE(*decoded);
+  EXPECT_EQ(ingest2.stream, "s");
+  EXPECT_EQ(ingest2.system_time, 42);
+  const std::vector<Row> rows2 = ingest2.batch.MaterializeAll();
+  ASSERT_EQ(rows2.size(), 2u);
+  EXPECT_EQ(RowToString(rows2[0]), RowToString(ingest.rows[0]));
+  EXPECT_EQ(RowToString(rows2[1]), RowToString(ingest.rows[1]));
 
   auto rowset2 = DecodeRowSetBody(EncodeRowSetBody(rowset));
   ASSERT_TRUE(rowset2.ok());
@@ -300,38 +305,77 @@ TEST_F(NetworkTest, ShowStatsForNetReportsTraffic) {
 
 // --- corrupt input over the wire ------------------------------------------
 
+// A bare TCP connection to the server, for frames no Client would send.
+class RawSocket {
+ public:
+  explicit RawSocket(uint16_t port) {
+    fd_ = socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    if (fd_ >= 0 &&
+        connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+      close(fd_);
+      fd_ = -1;
+    }
+  }
+  ~RawSocket() {
+    if (fd_ >= 0) close(fd_);
+  }
+  bool connected() const { return fd_ >= 0; }
+
+  /// Sends `frame` and returns the first frame the server sends back.
+  Result<Frame> Roundtrip(const Frame& frame) {
+    std::string wire;
+    EncodeFrame(frame, &wire);
+    return RoundtripBytes(wire);
+  }
+  Result<Frame> RoundtripBytes(const std::string& wire) {
+    if (send(fd_, wire.data(), wire.size(), 0) !=
+        static_cast<ssize_t>(wire.size())) {
+      return Status::IoError("send failed");
+    }
+    std::string buf;
+    char tmp[4096];
+    for (;;) {
+      size_t offset = 0;
+      Frame reply;
+      if (TryDecodeFrame(buf, &offset, &reply, nullptr) ==
+          DecodeStatus::kFrame) {
+        return reply;
+      }
+      ssize_t n = recv(fd_, tmp, sizeof(tmp), 0);
+      if (n <= 0) return Status::IoError("server closed the connection");
+      buf.append(tmp, static_cast<size_t>(n));
+    }
+  }
+  /// Blocks until the server closes the connection; false if it sends
+  /// more bytes first.
+  bool ClosedByPeer() {
+    char byte;
+    return recv(fd_, &byte, 1, 0) == 0;
+  }
+
+ private:
+  int fd_ = -1;
+};
+
 TEST_F(NetworkTest, CorruptWireFrameKillsConnectionNotEngine) {
   Client good = MakeClient();
   ASSERT_TRUE(good.Query("CREATE TABLE t (v bigint)").ok());
 
-  // Raw socket sending a frame whose checksum byte was flipped.
+  // Raw socket sending a frame whose checksum byte was flipped; the
+  // server answers with an ERROR frame and closes.
   std::string wire;
   EncodeFrame({FrameType::kQuery, 1, EncodeQueryBody("SELECT 1")}, &wire);
   wire[5] = static_cast<char>(wire[5] ^ 0x40);
-  int fd = socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(server_->port());
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  ASSERT_EQ(connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
-  ASSERT_EQ(send(fd, wire.data(), wire.size(), 0),
-            static_cast<ssize_t>(wire.size()));
-  // The server answers with an ERROR frame and closes; read until EOF.
-  std::string response;
-  char tmp[4096];
-  for (;;) {
-    ssize_t n = recv(fd, tmp, sizeof(tmp), 0);
-    if (n <= 0) break;
-    response.append(tmp, static_cast<size_t>(n));
-  }
-  close(fd);
-  size_t offset = 0;
-  Frame frame;
-  ASSERT_EQ(TryDecodeFrame(response, &offset, &frame, nullptr),
-            DecodeStatus::kFrame);
-  EXPECT_EQ(frame.type, FrameType::kError);
+  RawSocket raw(server_->port());
+  ASSERT_TRUE(raw.connected());
+  auto frame = raw.RoundtripBytes(wire);
+  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+  EXPECT_EQ(frame->type, FrameType::kError);
+  EXPECT_TRUE(raw.ClosedByPeer());
   EXPECT_GE(server_->stats().frames_bad, 1);
 
   // The engine and other connections are untouched.
@@ -339,6 +383,168 @@ TEST_F(NetworkTest, CorruptWireFrameKillsConnectionNotEngine) {
   auto r = good.Query("SELECT v FROM t");
   ASSERT_TRUE(r.ok());
   ASSERT_EQ(r->rows.size(), 1u);
+}
+
+void AppendU32(uint32_t v, std::string* out) {
+  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+
+// An INGEST_BATCH body whose counts claim far more than the body holds
+// must get an ERROR reply, not size an allocation from the claim; the
+// connection and the engine keep serving.
+TEST_F(NetworkTest, HostileIngestCountsGetErrorReplyNotAbort) {
+  Client control = MakeClient();
+  ASSERT_TRUE(
+      control.Query("CREATE STREAM s (v bigint, ts timestamp CQTIME SYSTEM)")
+          .ok());
+  std::string head;  // stream "s", system time 10 s
+  AppendU32(1, &head);
+  head += "s";
+  const int64_t system_time = 10 * kSec;
+  head.append(reinterpret_cast<const char*>(&system_time),
+              sizeof(system_time));
+
+  // One row whose arity field is 0xFFFFFFFF: a 38-byte frame.
+  std::string huge_arity = head;
+  AppendU32(1, &huge_arity);
+  AppendU32(0xFFFFFFFFu, &huge_arity);
+  // 0xFFFFFFFF rows, the first of them a well-formed one-cell row.
+  std::string huge_count = head;
+  AppendU32(0xFFFFFFFFu, &huge_count);
+  AppendU32(1, &huge_count);
+  huge_count.push_back(static_cast<char>(DataType::kNull));
+
+  RawSocket raw(server_->port());
+  ASSERT_TRUE(raw.connected());
+  std::string wire;
+  EncodeFrame({FrameType::kIngestBatch, 1, huge_arity}, &wire);
+  ASSERT_EQ(wire.size(), 38u);
+  for (const std::string& body : {huge_arity, huge_count}) {
+    auto reply = raw.Roundtrip({FrameType::kIngestBatch, 1, body});
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    ASSERT_EQ(reply->type, FrameType::kError);
+    EXPECT_EQ(DecodeErrorBody(reply->body).code(), StatusCode::kIoError);
+  }
+
+  // The same connection still answers a PING and takes a normal ingest.
+  auto pong = raw.Roundtrip({FrameType::kPing, 2, ""});
+  ASSERT_TRUE(pong.ok()) << pong.status().ToString();
+  EXPECT_EQ(pong->type, FrameType::kAck);
+  IngestBatchRequest good;
+  good.stream = "s";
+  good.system_time = system_time;
+  good.rows = {{Value::Int64(1), Value::Null()}};
+  auto ack =
+      raw.Roundtrip({FrameType::kIngestBatch, 3, EncodeIngestBody(good)});
+  ASSERT_TRUE(ack.ok()) << ack.status().ToString();
+  ASSERT_EQ(ack->type, FrameType::kAck);
+  EXPECT_EQ(*DecodeAckBody(ack->body), "INGEST 1");
+  EXPECT_EQ(db_.runtime()->overload_counters("s").rows_admitted, 1);
+}
+
+// A ragged INGEST_BATCH (rows whose arity differs from the stream's) over
+// the wire must behave exactly like the same rows ingested in process:
+// the same dead-letter rows, admission counters, CQ deliveries and
+// channel table. The stream feeds a shared CQ and a channel.
+TEST_F(NetworkTest, RaggedIngestBatchMatchesInProcessIngest) {
+  const std::string ddl =
+      "CREATE STREAM clicks (url varchar, ts timestamp CQTIME USER);"
+      "CREATE STREAM counts AS SELECT url, count(*) AS c, cq_close(*) AS w "
+      "FROM clicks <VISIBLE '1 minute'> GROUP BY url;"
+      "CREATE TABLE archive (url varchar, c bigint, w timestamp);"
+      "CREATE CHANNEL ch FROM counts INTO archive APPEND";
+  engine::Database local;
+  struct Capture {
+    CqCapture dead_letters;
+    CqCapture deliveries;
+  };
+  Capture wire_side, local_side;
+  for (auto [db, cap] : {std::pair{&db_, &wire_side},
+                         std::pair{&local, &local_side}}) {
+    MustExecute(db, ddl);
+    const stream::ContinuousQuery* cq = db->runtime()->GetCq("$derived$counts");
+    ASSERT_NE(cq, nullptr);
+    ASSERT_TRUE(cq->is_shared());
+    ASSERT_TRUE(db->runtime()->EnsureQuarantineStream("clicks").ok());
+    ASSERT_TRUE(db->Subscribe(stream::StreamRuntime::QuarantineName("clicks"),
+                              cap->dead_letters.Callback())
+                    .ok());
+    ASSERT_TRUE(db->Subscribe("counts", cap->deliveries.Callback()).ok());
+  }
+  Client client = MakeClient();
+  Client subscriber = MakeClient();
+  ASSERT_TRUE(subscriber.Subscribe("counts", kRpcTimeout).ok());
+
+  auto click = [](const char* url, int64_t sec) {
+    return Row{Value::String(url), Value::Timestamp(sec * kSec)};
+  };
+  const std::vector<std::vector<Row>> batches = {
+      // Row 0 has the stream's arity; a short, a long and a late row
+      // ride between good rows, and the 70 s row closes a window.
+      {click("/a", 10), click("/b", 20), Row{Value::String("/short")},
+       Row{Value::String("/long"), Value::Timestamp(25 * kSec),
+           Value::Int64(7)},
+       click("/a", 30), click("/late", 5), click("/c", 70), click("/a", 80)},
+      // Row 0 has the wrong arity, so the whole batch arrives at the
+      // wrong width and is repacked torn; a NULL CQTIME rides along.
+      {Row{Value::Int64(1)}, click("/b", 90),
+       Row{Value::String("/null"), Value::Null()}, click("/a", 130),
+       click("/late2", 100)},
+      // Every row has the wrong arity.
+      {Row{Value::Int64(2)}, Row{Value::Int64(3)}},
+      {click("/z", 200)},
+  };
+  for (const std::vector<Row>& rows : batches) {
+    ASSERT_TRUE(client.IngestBatch("clicks", rows, INT64_MIN, kRpcTimeout)
+                    .ok());
+    ASSERT_TRUE(local.Ingest("clicks", rows).ok());
+  }
+  // A PING after the last ingest: every push it caused is queued first.
+  ASSERT_TRUE(subscriber.Ping(kRpcTimeout).ok());
+
+  auto same_batches = [](const CqCapture& wire, const CqCapture& want,
+                         const char* what) {
+    ASSERT_EQ(wire.batches.size(), want.batches.size()) << what;
+    for (size_t b = 0; b < want.batches.size(); ++b) {
+      EXPECT_EQ(wire.batches[b].close, want.batches[b].close) << what;
+      ASSERT_EQ(wire.batches[b].rows.size(), want.batches[b].rows.size())
+          << what;
+      for (size_t r = 0; r < want.batches[b].rows.size(); ++r) {
+        std::string got, expected;
+        SerializeRow(wire.batches[b].rows[r], &got);
+        SerializeRow(want.batches[b].rows[r], &expected);
+        EXPECT_EQ(got, expected)
+            << what << " batch " << b << " row " << r << ": "
+            << RowToString(wire.batches[b].rows[r]);
+      }
+    }
+  };
+  // Dead letters: (qtime, reason, detail, row_data), in order.
+  same_batches(wire_side.dead_letters, local_side.dead_letters,
+               "dead letters");
+  size_t dead = 0;
+  for (const auto& batch : local_side.dead_letters.batches) {
+    dead += batch.rows.size();
+  }
+  EXPECT_EQ(dead, 8u);
+  const auto wire_counters = db_.runtime()->overload_counters("clicks");
+  const auto local_counters = local.runtime()->overload_counters("clicks");
+  EXPECT_EQ(wire_counters.rows_admitted, local_counters.rows_admitted);
+  EXPECT_EQ(wire_counters.rows_shed, local_counters.rows_shed);
+  EXPECT_EQ(wire_counters.rows_quarantined, local_counters.rows_quarantined);
+  EXPECT_EQ(local_counters.rows_quarantined, 8);
+  same_batches(wire_side.deliveries, local_side.deliveries, "deliveries");
+  ASSERT_EQ(local_side.deliveries.batches.size(), 3u);
+  EXPECT_EQ(RowStrings(MustExecute(&db_, "SELECT * FROM archive")),
+            RowStrings(MustExecute(&local, "SELECT * FROM archive")));
+  // The wire subscriber got the same windows, pushed.
+  CqCapture pushed;
+  for (size_t i = 0; i < local_side.deliveries.batches.size(); ++i) {
+    auto push = subscriber.NextPush(kRpcTimeout);
+    ASSERT_TRUE(push.ok()) << push.status().ToString();
+    pushed.batches.push_back({push->close, push->rows});
+  }
+  same_batches(pushed, local_side.deliveries, "pushes");
 }
 
 // --- slow-consumer policy grid --------------------------------------------
