@@ -27,9 +27,12 @@
 # hot standby, kills the primary at a sampled fault-point hit
 # (clean/torn/corrupt tails), promotes the standby, and requires the
 # resumed subscriber's transcript to match a no-failover oracle byte for
-# byte. The shared-close suite
-# (`shared`) replays 100 seeded dashboards whose CQs share window merges
-# and evaluations, byte-identical to the same SQL run unshared. After the
+# byte. The shared suite (`shared`) replays 100 seeded dashboards whose
+# CQs share window merges and evaluations, byte-identical to the same SQL
+# run unshared, and covers the one compile path every CQ takes: the
+# planner (`planner_test`), the sharing decision and the cases where a
+# shared CQ must answer like its unshared twin (`continuous_query_test`),
+# and the shared-vs-generic property (`property_test`). After the
 # ASan+UBSan pass, the
 # concurrency suite (label `concurrency`: concurrent ingest on disjoint
 # streams vs. the control plane, the concurrent-vs-serial-oracle

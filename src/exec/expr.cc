@@ -40,6 +40,23 @@ bool BoundExpr::ReferencesInput() const {
   return false;
 }
 
+void AppendKey(int64_t v, std::string* key) { Value::Int64(v).Serialize(key); }
+
+void AppendExprKey(const BoundExpr& e, std::string* key) {
+  AppendKey(static_cast<int64_t>(e.kind), key);
+  AppendKey(static_cast<int64_t>(e.type), key);
+  e.literal.Serialize(key);
+  AppendKey(static_cast<int64_t>(e.column_index), key);
+  AppendKey(static_cast<int64_t>(e.unary_op), key);
+  AppendKey(static_cast<int64_t>(e.binary_op), key);
+  Value::String(e.function_name).Serialize(key);
+  AppendKey(static_cast<int64_t>(e.cast_type), key);
+  AppendKey(e.is_not ? 1 : 0, key);
+  AppendKey(e.case_has_else ? 1 : 0, key);
+  AppendKey(static_cast<int64_t>(e.children.size()), key);
+  for (const auto& child : e.children) AppendExprKey(*child, key);
+}
+
 namespace {
 
 Result<Value> EvalComparison(sql::BinaryOp op, const Value& lhs,

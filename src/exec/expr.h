@@ -68,6 +68,17 @@ using BoundExprPtr = std::unique_ptr<BoundExpr>;
 /// match arena-backed strings without materializing.
 bool LikeMatch(std::string_view text, std::string_view pattern);
 
+/// Appends `v` to `key` in a bit-exact, self-delimiting encoding
+/// (Value::Serialize): keys built from these pieces are equal exactly when
+/// the pieces are.
+void AppendKey(int64_t v, std::string* key);
+
+/// Appends a bit-exact encoding of `e` to `key`: equal encodings mean
+/// equal expressions, so 1 vs 1.0, 0.0 vs -0.0 and 'a,b' vs 'a','b' all
+/// differ. Continuous queries key shared pipelines and shared close
+/// evaluations on it.
+void AppendExprKey(const BoundExpr& e, std::string* key);
+
 /// Evaluates a WHERE/HAVING/JOIN predicate: NULL and false both reject.
 Result<bool> EvalPredicate(const BoundExpr& predicate, const Row& row,
                            const EvalContext& ctx);

@@ -1,7 +1,8 @@
 #include "exec/operators.h"
 
 #include <algorithm>
-#include <unordered_set>
+
+#include "exec/group_index.h"
 
 namespace streamrel::exec {
 
@@ -9,6 +10,10 @@ void ExecNode::Explain(int indent, std::string* out) const {
   out->append(static_cast<size_t>(indent) * 2, ' ');
   out->append(name());
   out->append("\n");
+}
+
+void ExecNode::AppendOperatorKey(std::string* key) const {
+  Value::String(name()).Serialize(key);
 }
 
 std::string ExplainPlan(const ExecNode& root) {
@@ -40,7 +45,8 @@ Result<std::vector<Row>> CollectRows(ExecNode* root, ExecContext* ctx) {
   for (;;) {
     ASSIGN_OR_RETURN(bool has, root->Next(&row));
     if (!has) break;
-    rows.push_back(row);
+    // Every Next assigns its output row whole, so the row can move.
+    rows.push_back(std::move(row));
   }
   root->Close();
   return rows;
@@ -193,6 +199,11 @@ void FilterNode::Explain(int indent, std::string* out) const {
   child_->Explain(indent + 1, out);
 }
 
+void FilterNode::AppendOperatorKey(std::string* key) const {
+  ExecNode::AppendOperatorKey(key);
+  AppendExprKey(*predicate_, key);
+}
+
 // --- ProjectNode ------------------------------------------------------------
 
 ProjectNode::ProjectNode(Schema schema, ExecNodePtr child,
@@ -222,6 +233,12 @@ Result<bool> ProjectNode::Next(Row* row) {
 void ProjectNode::Explain(int indent, std::string* out) const {
   ExecNode::Explain(indent, out);
   child_->Explain(indent + 1, out);
+}
+
+void ProjectNode::AppendOperatorKey(std::string* key) const {
+  ExecNode::AppendOperatorKey(key);
+  AppendKey(static_cast<int64_t>(exprs_.size()), key);
+  for (const auto& expr : exprs_) AppendExprKey(*expr, key);
 }
 
 // --- LimitNode --------------------------------------------------------------
@@ -259,6 +276,12 @@ void LimitNode::Explain(int indent, std::string* out) const {
   child_->Explain(indent + 1, out);
 }
 
+void LimitNode::AppendOperatorKey(std::string* key) const {
+  ExecNode::AppendOperatorKey(key);
+  AppendKey(limit_, key);
+  AppendKey(offset_, key);
+}
+
 // --- DistinctNode -----------------------------------------------------------
 
 DistinctNode::DistinctNode(ExecNodePtr child)
@@ -268,23 +291,17 @@ Status DistinctNode::Open(ExecContext* ctx) {
   unique_rows_.clear();
   pos_ = 0;
   RETURN_IF_ERROR(child_->Open(ctx));
-  std::unordered_map<size_t, std::vector<size_t>> seen;  // hash -> indexes
+  GroupIndex seen;
   Row row;
   for (;;) {
     ASSIGN_OR_RETURN(bool has, child_->Next(&row));
     if (!has) break;
-    size_t h = HashValues(row);
-    auto& bucket = seen[h];
-    bool duplicate = false;
-    for (size_t idx : bucket) {
-      if (ValuesEqual(unique_rows_[idx], row)) {
-        duplicate = true;
-        break;
-      }
-    }
-    if (!duplicate) {
-      bucket.push_back(unique_rows_.size());
-      unique_rows_.push_back(row);
+    const size_t h = HashValues(row);
+    if (seen.Find(h, [&](size_t idx) {
+          return ValuesEqual(unique_rows_[idx], row);
+        }) == GroupIndex::kNone) {
+      seen.Insert(h, unique_rows_.size());
+      unique_rows_.push_back(std::move(row));
     }
   }
   child_->Close();
@@ -293,7 +310,7 @@ Status DistinctNode::Open(ExecContext* ctx) {
 
 Result<bool> DistinctNode::Next(Row* row) {
   if (pos_ >= unique_rows_.size()) return false;
-  *row = unique_rows_[pos_++];
+  *row = std::move(unique_rows_[pos_++]);
   return true;
 }
 
@@ -311,44 +328,54 @@ SortNode::SortNode(ExecNodePtr child, std::vector<SortKey> keys)
 
 Status SortNode::Open(ExecContext* ctx) {
   rows_.clear();
+  order_.clear();
   pos_ = 0;
   RETURN_IF_ERROR(child_->Open(ctx));
-  std::vector<std::pair<std::vector<Value>, Row>> keyed;
+  // Keys go into one flat array and the sort permutes row indexes, so no
+  // row moves and no key costs an allocation of its own.
+  std::vector<Value> keys;
   Row row;
   for (;;) {
     ASSIGN_OR_RETURN(bool has, child_->Next(&row));
     if (!has) break;
-    std::vector<Value> key;
-    key.reserve(keys_.size());
     for (const SortKey& k : keys_) {
       ASSIGN_OR_RETURN(Value v, k.expr->Eval(row, ctx->eval));
-      key.push_back(std::move(v));
+      keys.push_back(std::move(v));
     }
-    keyed.emplace_back(std::move(key), std::move(row));
+    rows_.push_back(std::move(row));
   }
   child_->Close();
-  std::stable_sort(keyed.begin(), keyed.end(),
-                   [this](const auto& a, const auto& b) {
-                     for (size_t i = 0; i < keys_.size(); ++i) {
-                       int c = a.first[i].Compare(b.first[i]);
-                       if (c != 0) return keys_[i].ascending ? c < 0 : c > 0;
-                     }
-                     return false;
-                   });
-  rows_.reserve(keyed.size());
-  for (auto& [key, r] : keyed) rows_.push_back(std::move(r));
+  const size_t width = keys_.size();
+  order_.resize(rows_.size());
+  for (size_t i = 0; i < order_.size(); ++i) order_[i] = i;
+  std::stable_sort(order_.begin(), order_.end(), [&](size_t a, size_t b) {
+    for (size_t i = 0; i < width; ++i) {
+      int c = keys[a * width + i].Compare(keys[b * width + i]);
+      if (c != 0) return keys_[i].ascending ? c < 0 : c > 0;
+    }
+    return false;
+  });
   return Status::OK();
 }
 
 Result<bool> SortNode::Next(Row* row) {
-  if (pos_ >= rows_.size()) return false;
-  *row = std::move(rows_[pos_++]);
+  if (pos_ >= order_.size()) return false;
+  *row = std::move(rows_[order_[pos_++]]);
   return true;
 }
 
 void SortNode::Explain(int indent, std::string* out) const {
   ExecNode::Explain(indent, out);
   child_->Explain(indent + 1, out);
+}
+
+void SortNode::AppendOperatorKey(std::string* key) const {
+  ExecNode::AppendOperatorKey(key);
+  AppendKey(static_cast<int64_t>(keys_.size()), key);
+  for (const SortKey& k : keys_) {
+    AppendKey(k.ascending ? 1 : 0, key);
+    AppendExprKey(*k.expr, key);
+  }
 }
 
 // --- HashAggregateNode ------------------------------------------------------
@@ -361,9 +388,19 @@ HashAggregateNode::HashAggregateNode(Schema schema, ExecNodePtr child,
       group_exprs_(std::move(group_exprs)),
       agg_calls_(std::move(agg_calls)) {}
 
+HashAggregateNode::Input HashAggregateNode::TakeInput() {
+  return Input{std::move(child_), std::move(group_exprs_),
+               std::move(agg_calls_)};
+}
+
+void HashAggregateNode::Feed(std::vector<Row> groups) {
+  results_ = std::move(groups);
+}
+
 Status HashAggregateNode::Open(ExecContext* ctx) {
-  results_.clear();
   pos_ = 0;
+  if (child_ == nullptr) return Status::OK();  // emits the fed groups
+  results_.clear();
   RETURN_IF_ERROR(child_->Open(ctx));
 
   struct Group {
@@ -371,7 +408,7 @@ Status HashAggregateNode::Open(ExecContext* ctx) {
     std::vector<AggStatePtr> states;
   };
   std::vector<Group> groups;
-  std::unordered_map<size_t, std::vector<size_t>> lookup;  // hash -> indexes
+  GroupIndex lookup;
 
   auto new_states = [&]() -> Result<std::vector<AggStatePtr>> {
     std::vector<AggStatePtr> states;
@@ -394,17 +431,12 @@ Status HashAggregateNode::Open(ExecContext* ctx) {
       ASSIGN_OR_RETURN(Value v, g->Eval(row, ctx->eval));
       keys.push_back(std::move(v));
     }
-    size_t h = HashValues(keys);
-    auto& bucket = lookup[h];
-    Group* group = nullptr;
-    for (size_t idx : bucket) {
-      if (ValuesEqual(groups[idx].keys, keys)) {
-        group = &groups[idx];
-        break;
-      }
-    }
+    const size_t h = HashValues(keys);
+    const size_t found = lookup.Find(
+        h, [&](size_t idx) { return ValuesEqual(groups[idx].keys, keys); });
+    Group* group = found != GroupIndex::kNone ? &groups[found] : nullptr;
     if (group == nullptr) {
-      bucket.push_back(groups.size());
+      lookup.Insert(h, groups.size());
       Group g;
       g.keys = std::move(keys);
       ASSIGN_OR_RETURN(g.states, new_states());
@@ -449,7 +481,7 @@ void HashAggregateNode::Explain(int indent, std::string* out) const {
   out->append(static_cast<size_t>(indent) * 2, ' ');
   out->append("HashAggregate(groups=" + std::to_string(group_exprs_.size()) +
               ", aggs=" + std::to_string(agg_calls_.size()) + ")\n");
-  child_->Explain(indent + 1, out);
+  if (child_ != nullptr) child_->Explain(indent + 1, out);
 }
 
 // --- HashJoinNode -----------------------------------------------------------

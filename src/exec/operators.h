@@ -49,6 +49,16 @@ class ExecNode {
   /// debugging).
   virtual void Explain(int indent, std::string* out) const;
 
+  /// Unary operators (filter, project, limit, distinct, sort, aggregate)
+  /// return their input; leaves, joins and unions return null.
+  virtual ExecNode* input() const { return nullptr; }
+  /// Appends a bit-exact encoding of a unary operator's own parameters
+  /// (not its input's) to `key`: over equal inputs, operators with equal
+  /// encodings produce equal rows. Defined for the operators input()
+  /// walks through; the default encodes name() alone, which is exact for
+  /// DISTINCT.
+  virtual void AppendOperatorKey(std::string* key) const;
+
  protected:
   Schema schema_;
 };
@@ -137,6 +147,13 @@ class FilterNode : public ExecNode {
   void Close() override { child_->Close(); }
   const char* name() const override { return "Filter"; }
   void Explain(int indent, std::string* out) const override;
+  ExecNode* input() const override { return child_.get(); }
+  void AppendOperatorKey(std::string* key) const override;
+
+  const BoundExpr& predicate() const { return *predicate_; }
+  /// Hands the predicate to a caller that evaluates it elsewhere (a shared
+  /// CQ's stream pipeline); the node must not run afterwards.
+  BoundExprPtr TakePredicate() { return std::move(predicate_); }
 
  private:
   ExecNodePtr child_;
@@ -154,6 +171,8 @@ class ProjectNode : public ExecNode {
   void Close() override { child_->Close(); }
   const char* name() const override { return "Project"; }
   void Explain(int indent, std::string* out) const override;
+  ExecNode* input() const override { return child_.get(); }
+  void AppendOperatorKey(std::string* key) const override;
 
  private:
   ExecNodePtr child_;
@@ -170,6 +189,8 @@ class LimitNode : public ExecNode {
   void Close() override { child_->Close(); }
   const char* name() const override { return "Limit"; }
   void Explain(int indent, std::string* out) const override;
+  ExecNode* input() const override { return child_.get(); }
+  void AppendOperatorKey(std::string* key) const override;
 
  private:
   ExecNodePtr child_;
@@ -186,6 +207,7 @@ class DistinctNode : public ExecNode {
   void Close() override { child_->Close(); }
   const char* name() const override { return "Distinct"; }
   void Explain(int indent, std::string* out) const override;
+  ExecNode* input() const override { return child_.get(); }
 
  private:
   ExecNodePtr child_;
@@ -207,17 +229,25 @@ class SortNode : public ExecNode {
   void Close() override { child_->Close(); }
   const char* name() const override { return "Sort"; }
   void Explain(int indent, std::string* out) const override;
+  ExecNode* input() const override { return child_.get(); }
+  void AppendOperatorKey(std::string* key) const override;
 
  private:
   ExecNodePtr child_;
   std::vector<SortKey> keys_;
-  std::vector<Row> rows_;
+  std::vector<Row> rows_;     // in arrival order
+  std::vector<size_t> order_;  // rows_ indexes in sorted order
   size_t pos_ = 0;
 };
 
 /// Hash aggregation. Output layout: [group keys..., aggregate results...].
 /// With no group keys, exactly one output row is produced even for empty
 /// input (SQL scalar-aggregate semantics).
+///
+/// A shared continuous query groups its rows in a stream pipeline as they
+/// arrive instead: it takes the node's input, keys and calls (TakeInput)
+/// and at each window close hands the node that window's merged groups
+/// (Feed), so every operator above the node runs as in any other query.
 class HashAggregateNode : public ExecNode {
  public:
   HashAggregateNode(Schema schema, ExecNodePtr child,
@@ -226,9 +256,27 @@ class HashAggregateNode : public ExecNode {
 
   Status Open(ExecContext* ctx) override;
   Result<bool> Next(Row* row) override;
-  void Close() override { child_->Close(); }
+  void Close() override {
+    if (child_ != nullptr) child_->Close();
+  }
   const char* name() const override { return "HashAggregate"; }
   void Explain(int indent, std::string* out) const override;
+  ExecNode* input() const override { return child_.get(); }
+
+  const std::vector<BoundExprPtr>& group_exprs() const { return group_exprs_; }
+  const std::vector<AggregateCall>& agg_calls() const { return agg_calls_; }
+
+  /// What the node aggregates, taken out of it; from then on Open emits
+  /// the rows of the last Feed instead.
+  struct Input {
+    ExecNodePtr child;
+    std::vector<BoundExprPtr> group_exprs;
+    std::vector<AggregateCall> agg_calls;
+  };
+  Input TakeInput();
+  /// Sets the rows the next Open emits, laid out like the node's output.
+  /// Next moves them out.
+  void Feed(std::vector<Row> groups);
 
  private:
   ExecNodePtr child_;

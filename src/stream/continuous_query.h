@@ -24,21 +24,24 @@ namespace streamrel::stream {
 using CqCallback =
     std::function<Status(int64_t close, const std::vector<Row>& rows)>;
 
-/// A registry of shared slice-aggregation pipelines, keyed by
-/// (stream, slice width, filter text, group-by text). CQs with matching
-/// signatures attach to the same SliceAggregator; a CQ that would need to
-/// add aggregates to a pipeline that has already absorbed rows gets a fresh
-/// one (no backfill), tracked under a versioned key.
+/// A registry of shared slice-aggregation pipelines, keyed by an exact
+/// signature: stream, slice width, and the bound WHERE filter and GROUP BY
+/// keys. CQs with equal signatures attach to the same SliceAggregator; a
+/// CQ that would need to add aggregates to a pipeline that has already
+/// absorbed rows gets a fresh one (no backfill). Each pipeline is named
+/// "<label>#<n>" for observability, where `n` counts the pipelines the
+/// registry has created.
 class SliceAggregatorRegistry {
  public:
   struct Registration {
     SliceAggregator* aggregator = nullptr;  // owned by the registry
     std::vector<size_t> slot_mapping;       // CQ call -> union slot
-    bool newly_created = false;
   };
 
   /// Finds or creates the pipeline for `signature`, registering `calls`.
+  /// A new pipeline is named after `label`.
   Result<Registration> Attach(const std::string& stream_name,
+                              const std::string& label,
                               const std::string& signature,
                               int64_t slice_width,
                               exec::BoundExprPtr filter,
@@ -47,7 +50,7 @@ class SliceAggregatorRegistry {
 
   /// Removes one member from `aggregator`. The last member's departure
   /// destroys the pipeline: it leaves ForStream (no more absorbing) and
-  /// releases its governor charge. Returns the destroyed pipeline's key,
+  /// releases its governor charge. Returns the destroyed pipeline's name,
   /// or "" while members remain.
   std::string Detach(SliceAggregator* aggregator);
 
@@ -58,11 +61,11 @@ class SliceAggregatorRegistry {
   const std::vector<SliceAggregator*>& ForStream(
       const std::string& stream_name);
 
-  size_t pipeline_count() const { return aggregators_.size(); }
+  size_t pipeline_count() const { return pipelines_.size(); }
 
   /// One live pipeline, for observability enumeration.
   struct PipelineRef {
-    std::string key;     // versioned signature ("sig#N")
+    std::string key;     // the pipeline's name ("<label>#<n>")
     std::string stream;  // lowercased source stream
     const SliceAggregator* aggregator = nullptr;
   };
@@ -70,15 +73,17 @@ class SliceAggregatorRegistry {
 
  private:
   struct Entry {
+    std::string name;
+    std::string signature;
     std::string stream;
     std::unique_ptr<SliceAggregator> aggregator;
   };
-  /// Leaf mutex guarding the maps: ForStream lazily inserts an empty
+  /// Leaf mutex guarding the containers: ForStream lazily inserts an empty
   /// per-stream vector during shared-mode ingest, which can race another
-  /// stream's ingest doing the same. Held only for map operations.
+  /// stream's ingest doing the same. Held only for container operations.
   mutable std::mutex mu_;
-  std::map<std::string, Entry> aggregators_;  // versioned signature -> entry
-  std::map<std::string, int> versions_;
+  std::vector<Entry> pipelines_;  // creation order: Attach tries oldest first
+  int64_t created_ = 0;
   std::map<std::string, std::vector<SliceAggregator*>> by_stream_;
 };
 
@@ -86,11 +91,12 @@ class SliceAggregatorRegistry {
 /// step (the closes that one admitted row, one AdvanceTime, or one
 /// published batch triggers across a stream's subscriptions). A pipeline
 /// with two or more live members merges each (close, VISIBLE) window once
-/// for its whole call union, and members whose post-aggregation programs
-/// are identical evaluate once and share the output rows. The close loop
-/// owns one memo per step, so nothing outlives the step. Entries are held
-/// by pointer and never move: a member's delivery callbacks read its
-/// entry's rows while they re-enter the engine.
+/// for its whole call union, and members whose programs (the slots they
+/// read and the operators above their aggregate) are identical evaluate
+/// once and share the output rows. The close loop owns one memo per step,
+/// so nothing outlives the step. Entries are held by pointer and never
+/// move: a member's delivery callbacks read its entry's rows while they
+/// re-enter the engine.
 class CloseMemo {
  public:
   CloseMemo() = default;
@@ -119,21 +125,23 @@ class CloseMemo {
 /// stream (optionally joined with tables) that emits a relation at every
 /// window close and runs until dropped.
 ///
-/// Two execution strategies:
-///  - *shared*: eligible aggregate CQs (single raw stream, time window,
-///    GROUP BY + aggregates) read pre-merged per-slice partial states from
-///    a shared SliceAggregator and only run the cheap post-aggregation
-///    steps (HAVING/ORDER BY/LIMIT/projection) per window;
-///  - *generic*: everything else re-executes its full plan over the
-///    window's buffered rows, with stream-table joins reading a
-///    window-consistent MVCC snapshot (as of the window close).
+/// Every CQ runs the planner's plan at each close, with stream-table
+/// joins reading a window-consistent MVCC snapshot (as of the window
+/// close). The strategy only decides where the plan's aggregate gets its
+/// groups:
+///  - *shared*: a CQ whose plan aggregates one raw stream in a time
+///    window, with nothing before the aggregation that reads the close,
+///    hands its WHERE filter, keys and calls to a shared SliceAggregator
+///    and at each close feeds the aggregate node the merged groups;
+///  - *generic*: every other CQ feeds the window's buffered rows to the
+///    plan's stream leaf.
 class ContinuousQuery {
  public:
   ~ContinuousQuery() = default;
 
-  /// Builds a CQ from an analyzed statement. Attempts the shared strategy
-  /// when `allow_shared`; falls back to generic. `registry` may be null
-  /// only when `allow_shared` is false.
+  /// Builds a CQ from an analyzed statement. Shares it when
+  /// `allow_shared` and its plan allows; otherwise it is generic.
+  /// `registry` may be null only when `allow_shared` is false.
   static Result<std::unique_ptr<ContinuousQuery>> Build(
       std::string name, const sql::SelectStmt& stmt,
       const catalog::Catalog* catalog,
@@ -205,26 +213,28 @@ class ContinuousQuery {
   }
 
   /// Base tables this CQ's plan references (lowercased; empty for the
-  /// shared strategy, whose pipeline reads no tables). The engine refuses
-  /// to drop these while the CQ runs.
-  std::vector<std::string> referenced_tables() const {
-    return plan_ != nullptr ? plan_->referenced_tables
-                            : std::vector<std::string>{};
+  /// shared strategy, whose plan reads only the stream). The engine
+  /// refuses to drop these while the CQ runs.
+  const std::vector<std::string>& referenced_tables() const {
+    return plan_->referenced_tables;
   }
 
  private:
   ContinuousQuery() = default;
 
-  Status EvaluateGeneric(const WindowBatch& batch, std::vector<Row>* out);
+  /// Moves the plan's aggregation into a pipeline of `registry` when the
+  /// plan allows it (see the class comment); leaves the CQ generic
+  /// otherwise.
+  Status Share(const catalog::Catalog* catalog,
+               SliceAggregatorRegistry* registry);
   /// Returns the rows to deliver: `*own` on a dedicated pipeline, else a
   /// memo entry this or an identical member made.
   Result<const std::vector<Row>*> EvaluateShared(int64_t close,
                                                  CloseMemo* memo,
                                                  std::vector<Row>* own);
-  /// HAVING, projection, ORDER BY and LIMIT/OFFSET over `local` rows laid
-  /// out as [group keys..., this CQ's aggregates...].
-  Status PostAggregate(int64_t close, const std::vector<Row>& local,
-                       std::vector<Row>* out) const;
+  /// Runs the plan for the window closing at `close`, whose input is
+  /// already in place.
+  Status RunPlan(int64_t close, std::vector<Row>* out);
   Status Deliver(int64_t close, const std::vector<Row>& rows);
 
   struct CallbackEntry {
@@ -249,25 +259,16 @@ class ContinuousQuery {
   Counter* rows_metric_ = nullptr;
   Histogram* eval_metric_ = nullptr;
 
-  // Generic path.
   const storage::TransactionManager* txns_ = nullptr;
   std::unique_ptr<exec::PlannedQuery> plan_;
 
   // Shared path.
   SliceAggregator* shared_agg_ = nullptr;  // owned by the registry
-  std::vector<size_t> slot_mapping_;       // local agg slot -> union slot
-  size_t group_count_ = 0;
-  std::vector<exec::BoundExprPtr> projections_;  // over [keys, local aggs]
-  exec::BoundExprPtr having_;
-  struct SharedOrderKey {
-    exec::BoundExprPtr expr;  // over the post-aggregation row
-    bool ascending = true;
-  };
-  std::vector<SharedOrderKey> order_keys_;
-  int64_t limit_ = -1;
-  int64_t offset_ = 0;
-  /// Exact encoding of everything above plus VISIBLE: members of one
-  /// pipeline with equal keys produce equal rows at every close.
+  exec::HashAggregateNode* fed_ = nullptr;  // in plan_, fed each close
+  std::vector<size_t> slot_mapping_;        // local agg slot -> union slot
+  /// Exact encoding of VISIBLE, the slot mapping and the operators above
+  /// `fed_`: members of one pipeline with equal keys produce equal rows
+  /// at every close.
   std::string program_key_;
 };
 

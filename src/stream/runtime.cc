@@ -1050,7 +1050,7 @@ void StreamRuntime::RefreshMetricsGauges() {
   metrics_.GetGauge("overload", "quarantine", "rows_dropped")
       ->Set(quarantine_dropped_.load(std::memory_order_relaxed));
 
-  // Shared pipelines are keyed by their versioned signature; DropCq
+  // Shared pipelines report under their names ("<label>#<n>"); DropCq
   // removes a pipeline's metrics when its last member leaves.
   for (const auto& ref : registry_.Pipelines()) {
     metrics_.GetGauge("aggregator", ref.key, "member_cqs")

@@ -112,7 +112,7 @@ SliceAggregator::Group* SliceAggregator::FindOrCreateGroup(
   const size_t found = slice->lookup.Find(h, [&](size_t idx) {
     return exec::ValuesEqual(slice->groups[idx].keys, keys);
   });
-  if (found != GroupIndex::kNone) return &slice->groups[found];
+  if (found != exec::GroupIndex::kNone) return &slice->groups[found];
   slice->lookup.Insert(h, slice->groups.size());
   Group g;
   g.keys = std::move(keys);
@@ -261,7 +261,7 @@ Status SliceAggregator::AddBatch(const exec::ColumnBatch& batch,
         }
         return true;
       });
-      if (found != GroupIndex::kNone) {
+      if (found != exec::GroupIndex::kNone) {
         group = &slice->groups[found];
       } else {
         slice->lookup.Insert(h, slice->groups.size());
@@ -355,7 +355,7 @@ Result<std::vector<Row>> SliceAggregator::ComputeWindow(
   }
 
   std::vector<Group> merged;
-  GroupIndex lookup;
+  exec::GroupIndex lookup;
 
   // Folds one partial group into the window accumulator, preserving
   // first-occurrence order (the order `absorb` is called in).
@@ -364,7 +364,8 @@ Result<std::vector<Row>> SliceAggregator::ComputeWindow(
     const size_t found = lookup.Find(h, [&](size_t idx) {
       return exec::ValuesEqual(merged[idx].keys, g.keys);
     });
-    Group* target = found != GroupIndex::kNone ? &merged[found] : nullptr;
+    Group* target =
+        found != exec::GroupIndex::kNone ? &merged[found] : nullptr;
     if (target == nullptr) {
       lookup.Insert(h, merged.size());
       Group copy;

@@ -5,7 +5,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/memory_governor.h"
@@ -13,76 +12,9 @@
 #include "common/status.h"
 #include "exec/binder.h"
 #include "exec/column_batch.h"
+#include "exec/group_index.h"
 
 namespace streamrel::stream {
-
-/// Open-addressing (linear-probe) index from a group's 64-bit key hash to
-/// its position in a slice's group vector. This sits on the per-row hot
-/// path of the batch absorption kernel and of the window merge, where a
-/// per-slice unordered_map<hash, vector<index>> cost a heap-node chase per
-/// row; here a probe is one contiguous-array scan. Distinct groups may
-/// share a full hash, so lookups keep probing past hash-equal slots whose
-/// keys do not match, and the caller supplies the key-equality check.
-class GroupIndex {
- public:
-  static constexpr size_t kNone = static_cast<size_t>(-1);
-
-  /// Returns the index recorded under `hash` whose group satisfies `eq`,
-  /// or kNone. `eq(index)` must be pure.
-  template <typename Eq>
-  size_t Find(size_t hash, Eq&& eq) const {
-    if (slots_.empty()) return kNone;
-    const size_t mask = slots_.size() - 1;
-    for (size_t i = hash & mask;; i = (i + 1) & mask) {
-      const Slot& s = slots_[i];
-      if (s.group == kNone) return kNone;
-      if (s.hash == hash && eq(s.group)) return s.group;
-    }
-  }
-
-  /// Records `group` under `hash`; the caller has already Find()-checked
-  /// that no equal-keyed group exists.
-  void Insert(size_t hash, size_t group) {
-    if ((used_ + 1) * 2 > slots_.size()) Grow();
-    InsertNoGrow(hash, group);
-    ++used_;
-  }
-
-  /// Hints the cache about `hash`'s first probe slot. The batch kernel
-  /// issues this a few rows ahead of Find so the probe's dependent load
-  /// is in flight while earlier rows update their aggregate states.
-  void Prefetch(size_t hash) const {
-    if (!slots_.empty()) {
-      __builtin_prefetch(&slots_[hash & (slots_.size() - 1)]);
-    }
-  }
-
- private:
-  struct Slot {
-    size_t hash = 0;
-    size_t group = kNone;
-  };
-
-  void InsertNoGrow(size_t hash, size_t group) {
-    const size_t mask = slots_.size() - 1;
-    size_t i = hash & mask;
-    while (slots_[i].group != kNone) i = (i + 1) & mask;
-    slots_[i].hash = hash;
-    slots_[i].group = group;
-  }
-
-  void Grow() {
-    std::vector<Slot> old = std::move(slots_);
-    slots_.assign(old.empty() ? 16 : old.size() * 2, Slot{});
-    for (const Slot& s : old) {
-      if (s.group != kNone) InsertNoGrow(s.hash, s.group);
-    }
-  }
-
-  // Capacity is a power of two; load factor is kept at or below 1/2.
-  std::vector<Slot> slots_;
-  size_t used_ = 0;
-};
 
 /// The paper's "jellybean processing" engine: one pass over the arriving
 /// stream computes, simultaneously, the partial aggregates that many
@@ -199,7 +131,7 @@ class SliceAggregator {
   };
   struct Slice {
     std::vector<Group> groups;
-    GroupIndex lookup;
+    exec::GroupIndex lookup;
     /// Governor charge attributed to this slice's groups; released whole
     /// when the slice is evicted.
     int64_t bytes = 0;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/time.h"
 #include "test_util.h"
 
@@ -239,7 +241,7 @@ TEST_F(ContinuousQueryTest, SharingAcrossCqs) {
 
 TEST_F(ContinuousQueryTest, OrderByExpressionOverAggregates) {
   // ORDER BY an expression combining aggregates (avg bytes per hit) —
-  // exercises the shared path's post-aggregation sort keys.
+  // a hidden sort column computed over the shared pipeline's groups.
   ContinuousQuery* cq = MustCreateCq(
       "rate",
       "SELECT url, sum(bytes) AS b, count(*) AS c FROM url_stream "
@@ -295,6 +297,110 @@ TEST_F(ContinuousQueryTest, OutputSchemaNamed) {
   ASSERT_EQ(cq->output_schema().num_columns(), 2u);
   EXPECT_EQ(cq->output_schema().column(0).name, "url");
   EXPECT_EQ(cq->output_schema().column(1).name, "hits");
+}
+
+// --- one meaning per CQ, whichever strategy runs it --------------------------
+
+/// Creates `sqls` as CQs c0, c1, ... on a fresh stream s, ingests six rows
+/// inside the first minute in two calls and closes the minute. Returns
+/// every CREATE, Ingest and AdvanceTime result and every delivered row as
+/// transcript lines; `shared` receives each created CQ's strategy.
+std::vector<std::string> RunBothWays(const std::vector<std::string>& sqls,
+                                     bool allow_shared,
+                                     std::vector<bool>* shared) {
+  engine::Database db;
+  MustExecute(&db,
+              "CREATE STREAM s (k varchar, ts timestamp CQTIME USER, "
+              "v bigint)");
+  std::vector<std::string> out;
+  for (size_t i = 0; i < sqls.size(); ++i) {
+    const std::string name = "c" + std::to_string(i);
+    auto cq = db.CreateContinuousQuery(name, sqls[i], allow_shared);
+    out.push_back("create " + name + ": " + cq.status().ToString());
+    if (!cq.ok()) continue;
+    shared->push_back((*cq)->is_shared());
+    (*cq)->AddCallback([&out, name](int64_t close,
+                                    const std::vector<Row>& rows) {
+      out.push_back(name + "@" + std::to_string(close) +
+                    " n=" + std::to_string(rows.size()));
+      for (const Row& row : rows) out.push_back("  " + RowToString(row));
+      return Status::OK();
+    });
+  }
+  const char* keys[] = {"a", "b", "a", "c", "b", "a"};
+  for (int half = 0; half < 2; ++half) {
+    std::vector<Row> rows;
+    for (int i = 3 * half; i < 3 * half + 3; ++i) {
+      rows.push_back(Row{Value::String(keys[i]),
+                         Value::Timestamp((i + 1) * 5 * kSec),
+                         Value::Int64(i + 1)});
+    }
+    out.push_back("ingest: " + db.Ingest("s", rows).ToString());
+  }
+  out.push_back("advance: " + db.AdvanceTime("s", kMin).ToString());
+  return out;
+}
+
+struct BothWays {
+  std::vector<std::string> transcript;  // equal under both strategies
+  std::vector<bool> shared;  // each created CQ's strategy, allow_shared
+};
+
+/// Runs `sqls` with allow_shared true and false and requires identical
+/// transcripts.
+BothWays ExpectSameBothWays(const std::vector<std::string>& sqls) {
+  BothWays with;
+  std::vector<bool> unshared;
+  with.transcript = RunBothWays(sqls, true, &with.shared);
+  EXPECT_EQ(with.transcript, RunBothWays(sqls, false, &unshared));
+  for (bool s : unshared) EXPECT_FALSE(s);
+  return with;
+}
+
+bool Has(const std::vector<std::string>& transcript,
+         const std::string& line) {
+  return std::find(transcript.begin(), transcript.end(), line) !=
+         transcript.end();
+}
+
+TEST(CqStrategyAgreementTest, GroupByOrdinalOutOfRangeIsRejected) {
+  const BothWays r = ExpectSameBothWays(
+      {"SELECT count(*) FROM s <VISIBLE '1 minute'> GROUP BY 2"});
+  EXPECT_TRUE(r.shared.empty());
+  EXPECT_NE(r.transcript[0].find("GROUP BY ordinal out of range"),
+            std::string::npos)
+      << r.transcript[0];
+}
+
+TEST(CqStrategyAgreementTest, NowBeforeAggregationReadsTheClose) {
+  const BothWays r = ExpectSameBothWays(
+      {"SELECT count(*) FROM s <VISIBLE '1 minute'> WHERE ts < now()",
+       "SELECT k, max(now()) FROM s <VISIBLE '1 minute'> GROUP BY k"});
+  EXPECT_EQ(r.shared, (std::vector<bool>{false, false}));
+  EXPECT_TRUE(Has(r.transcript, "  (6)"));
+}
+
+TEST(CqStrategyAgreementTest, CqCloseInAggregateArgumentKeepsIngestWorking) {
+  const BothWays r = ExpectSameBothWays(
+      {"SELECT count(*) FROM s <VISIBLE '1 minute'>",
+       "SELECT k, max(cq_close(*)) FROM s <VISIBLE '1 minute'> GROUP BY k"});
+  EXPECT_EQ(r.shared, (std::vector<bool>{true, false}));
+  EXPECT_EQ(std::count(r.transcript.begin(), r.transcript.end(),
+                       "ingest: OK"),
+            2);
+  EXPECT_TRUE(Has(r.transcript, "c0@60000000 n=1"));
+  EXPECT_TRUE(Has(r.transcript, "c1@60000000 n=3"));
+}
+
+// Sharing is decided on the plan: an aggregate over the stream shares
+// whatever unary operators sit above it, an enclosing query's included.
+TEST(CqStrategyAgreementTest, OperatorsAboveTheAggregateShare) {
+  const BothWays r = ExpectSameBothWays(
+      {"SELECT k, n FROM (SELECT k, count(*) AS n, sum(v) AS t "
+       "FROM s <VISIBLE '1 minute'> GROUP BY k) AS w "
+       "WHERE n > 1 ORDER BY t DESC",
+       "SELECT DISTINCT count(*) FROM s <VISIBLE '1 minute'> GROUP BY k"});
+  EXPECT_EQ(r.shared, (std::vector<bool>{true, true}));
 }
 
 }  // namespace
