@@ -94,7 +94,8 @@ void BM_HeapScan(benchmark::State& state) {
     int64_t n = 0;
     Check(table->heap->Scan(*db.txns(), db.txns()->CurrentSnapshot(),
                             storage::kInvalidTxn,
-                            [&](storage::RowId, const Row&) {
+                            [&](storage::RowId,
+                                const storage::HeapTable::RowMeta&, Row&&) {
                               ++n;
                               return true;
                             }),

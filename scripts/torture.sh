@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Runs the torture suites (ctest labels `torture`, `overload`, `net`,
-# `vectorize`, `ha` and `shared`) under ASan+UBSan, then the concurrency,
-# vectorize, ha, shared and net labels under TSAN.
+# `vectorize`, `ha`, `shared` and `storage`) under ASan+UBSan, then the
+# concurrency, vectorize, ha, shared, net and storage labels under TSAN.
 #
 #   scripts/torture.sh [ctest-args...]
 #
@@ -32,14 +32,17 @@
 # run unshared, and covers the one compile path every CQ takes: the
 # planner (`planner_test`), the sharing decision and the cases where a
 # shared CQ must answer like its unshared twin (`continuous_query_test`),
-# and the shared-vs-generic property (`property_test`). After the
-# ASan+UBSan pass, the
+# and the shared-vs-generic property (`property_test`). The storage
+# suite (`storage`) covers the heap read loop every table reader shares
+# (disk, heap, transaction, B+Tree and operator units, DML and VACUUM,
+# window consistency, and the seeded read-path differential against a
+# row-at-a-time reference). After the ASan+UBSan pass, the
 # concurrency suite (label `concurrency`: concurrent ingest on disjoint
 # streams vs. the control plane, the concurrent-vs-serial-oracle
 # differential, columnar ingest under DDL churn, shared closes under
-# member churn, network client fan-in)
-# plus the vectorize, ha, shared and net labels run again under TSAN —
-# lock-hierarchy violations (DESIGN decision 11) and loop-/worker-/
+# member churn, active-table reads under ingest and VACUUM, network client
+# fan-in) plus the vectorize, ha, shared, net and storage labels run again
+# under TSAN — lock-hierarchy violations (DESIGN decision 11) and loop-/worker-/
 # delivery-thread races (every subscription's pushes pass its gate
 # mutex) surface there, not under ASan. Extra arguments are forwarded to
 # ctest, e.g.
@@ -61,10 +64,10 @@ cmake --build "$BUILD_DIR" -j "$(nproc)"
 export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_stack_use_after_return=1}"
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1}"
 
-(cd "$BUILD_DIR" && ctest --output-on-failure -L "torture|overload|net|vectorize|ha|shared" "$@")
+(cd "$BUILD_DIR" && ctest --output-on-failure -L "torture|overload|net|vectorize|ha|shared|storage" "$@")
 
-# TSAN leg: the concurrency, vectorize, ha, shared and net labels only
-# (the full-suite TSAN run is scripts/sanitize.sh thread). Races between
+# TSAN leg: the concurrency, vectorize, ha, shared, net and storage labels
+# only (the full-suite TSAN run is scripts/sanitize.sh thread). Races between
 # the ingest threads, the server's event loop + request workers, WAL
 # shipping, and delivery callbacks are precisely what these tests provoke.
 TSAN_BUILD_DIR="build-tsan"
@@ -75,4 +78,4 @@ cmake --build "$TSAN_BUILD_DIR" -j "$(nproc)"
 
 export TSAN_OPTIONS="${TSAN_OPTIONS:-second_deadlock_stack=1}"
 
-(cd "$TSAN_BUILD_DIR" && ctest --output-on-failure -L "concurrency|vectorize|ha|shared|net" "$@")
+(cd "$TSAN_BUILD_DIR" && ctest --output-on-failure -L "concurrency|vectorize|ha|shared|net|storage" "$@")

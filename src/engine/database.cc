@@ -1,6 +1,8 @@
 #include "engine/database.h"
 
 #include <mutex>
+#include <optional>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "common/fault_injector.h"
@@ -36,6 +38,7 @@ bool Database::IsExclusiveStatement(const sql::Statement& stmt) {
     case sql::StatementKind::kCreateIndex:
     case sql::StatementKind::kDrop:
     case sql::StatementKind::kSet:
+    case sql::StatementKind::kVacuum:
       return true;
     default:
       return false;
@@ -486,7 +489,7 @@ Result<std::vector<std::pair<storage::RowId, Row>>> Database::CollectMatches(
   Status scan = table->heap->Scan(
       txns_, txns_.CurrentSnapshot(),
       active_txn_.load(std::memory_order_relaxed),
-      [&](storage::RowId id, const Row& row) {
+      [&](storage::RowId id, const storage::HeapTable::RowMeta&, Row&& row) {
         if (predicate != nullptr) {
           auto keep = exec::EvalPredicate(*predicate, row, eval);
           if (!keep.ok()) {
@@ -495,7 +498,7 @@ Result<std::vector<std::pair<storage::RowId, Row>>> Database::CollectMatches(
           }
           if (!*keep) return true;
         }
-        matches.emplace_back(id, row);
+        matches.emplace_back(id, std::move(row));
         return true;
       });
   RETURN_IF_ERROR(inner);
@@ -532,7 +535,8 @@ Result<QueryResult> Database::ExecuteUpdate(const sql::UpdateStmt& stmt) {
       new_row[index] = std::move(v);
     }
     RETURN_IF_ERROR(
-        stream::DeleteFromTable(table, row_id, old_row, txn, wal_.get()));
+        stream::DeleteFromTable(table, row_id, old_row, txn, txns_,
+                                wal_.get()));
     RETURN_IF_ERROR(stream::InsertIntoTable(table, new_row, txn, wal_.get()));
   }
   RETURN_IF_ERROR(EndWrite(txn, autocommit));
@@ -555,7 +559,7 @@ Result<QueryResult> Database::ExecuteDelete(const sql::DeleteStmt& stmt) {
   ASSIGN_OR_RETURN(storage::TxnId txn, BeginWrite(&autocommit));
   for (const auto& [row_id, row] : matches) {
     RETURN_IF_ERROR(
-        stream::DeleteFromTable(table, row_id, row, txn, wal_.get()));
+        stream::DeleteFromTable(table, row_id, row, txn, txns_, wal_.get()));
   }
   RETURN_IF_ERROR(EndWrite(txn, autocommit));
 
@@ -565,8 +569,10 @@ Result<QueryResult> Database::ExecuteDelete(const sql::DeleteStmt& stmt) {
 }
 
 Result<QueryResult> Database::ExecuteVacuum(const sql::VacuumStmt& stmt) {
-  // VACUUM compacts row versions in place; it must not interleave with
-  // writes, so it holds the DML lock like any other table mutation.
+  // VACUUM rewrites the table's heap and indexes in place, so it runs
+  // exclusive (IsExclusiveStatement): no reader, ingest or window close
+  // can see the table half rebuilt. It also takes the DML lock, as every
+  // table mutation does.
   std::lock_guard<OrderedMutex> dml_lock(*runtime_.dml_mutex());
   if (in_transaction()) {
     return Status::InvalidArgument(
@@ -577,8 +583,7 @@ Result<QueryResult> Database::ExecuteVacuum(const sql::VacuumStmt& stmt) {
     return Status::NotFound("table '" + stmt.table + "' does not exist");
   }
   ASSIGN_OR_RETURN(int64_t reclaimed,
-                   stream::VacuumTable(table, &txns_, wal_.get(),
-                                       now_micros()));
+                   stream::VacuumTable(table, txns_, wal_.get()));
   QueryResult result;
   result.message = "VACUUM " + std::to_string(reclaimed);
   return result;
@@ -781,23 +786,36 @@ Result<Database::SubscriptionTicket> Database::SubscribeResume(
   // Rebuild the missed windows from MVCC commit times: each channel batch
   // commits with commit_time == its window close (decision 6), so the
   // rows with xmin commit time in (resume_close, watermark] ARE the
-  // windows the subscriber missed, already grouped. std::map re-delivers
-  // them close-ascending; RowId order preserves within-window row order.
-  std::map<int64_t, std::vector<Row>> windows;
-  const storage::RowId row_count = table->heap->row_count();
-  for (storage::RowId id = 0; id < row_count; ++id) {
-    ASSIGN_OR_RETURN(storage::HeapTable::RowMeta meta,
-                     table->heap->GetRowMeta(id));
-    Result<int64_t> close = txns_.CommitTime(meta.xmin);
-    if (!close.ok()) continue;  // uncommitted writer: not part of a window
-    if (*close <= resume_close || *close > watermark) continue;
-    if (meta.xmax != storage::kInvalidTxn &&
-        txns_.CommitTime(meta.xmax).ok()) {
-      continue;  // REPLACE-mode overwrite: the row is no longer visible
+  // windows the subscriber missed, already grouped. One pass of the heap's
+  // read loop judges each version's stamps before decoding it and asks
+  // for each transaction's commit time once. std::map re-delivers the
+  // windows close-ascending; RowId order preserves within-window order.
+  std::unordered_map<storage::TxnId, std::optional<int64_t>> commit_times;
+  auto commit_time = [&](storage::TxnId txn) {
+    auto [it, inserted] = commit_times.try_emplace(txn);
+    if (inserted) {
+      Result<int64_t> time = txns_.CommitTime(txn);
+      if (time.ok()) it->second = *time;
     }
-    ASSIGN_OR_RETURN(Row row, table->heap->GetRow(id));
-    windows[*close].push_back(std::move(row));
-  }
+    return it->second;  // nullopt: active or aborted
+  };
+  std::map<int64_t, std::vector<Row>> windows;
+  RETURN_IF_ERROR(table->heap->Scan(
+      [&](const storage::HeapTable::RowMeta& meta) {
+        std::optional<int64_t> close = commit_time(meta.xmin);
+        // An uncommitted writer is not part of a window.
+        if (!close || *close <= resume_close || *close > watermark) {
+          return false;
+        }
+        // A committed xmax is a REPLACE-mode overwrite: the row is no
+        // longer visible.
+        return meta.xmax == storage::kInvalidTxn || !commit_time(meta.xmax);
+      },
+      [&](storage::RowId, const storage::HeapTable::RowMeta& meta,
+          Row&& row) {
+        windows[*commit_time(meta.xmin)].push_back(std::move(row));
+        return true;
+      }));
   for (auto& [close, rows] : windows) {
     backfill->push_back(ResumeBatch{close, std::move(rows)});
   }
@@ -1243,7 +1261,7 @@ Result<QueryResult> Database::ExecuteCreateIndex(
   storage::Snapshot snap = txns_.CurrentSnapshot();
   RETURN_IF_ERROR(table->heap->Scan(
       txns_, snap, storage::kInvalidTxn,
-      [&](storage::RowId id, const Row& row) {
+      [&](storage::RowId id, const storage::HeapTable::RowMeta&, Row&& row) {
         index->Insert(row[col], id);
         return true;
       }));

@@ -1,6 +1,8 @@
 #include "exec/operators.h"
 
 #include <algorithm>
+#include <iterator>
+#include <limits>
 
 #include "exec/group_index.h"
 
@@ -73,6 +75,40 @@ Result<bool> BufferScanNode::Next(Row* row) {
   return true;
 }
 
+// --- Heap reads -------------------------------------------------------------
+
+namespace {
+
+/// Moves the rows of a heap read that pass `predicate` (null passes every
+/// row) into `rows`. An evaluation error ends the read and lands in
+/// `error`.
+struct Collector {
+  const BoundExpr* predicate;
+  const EvalContext* eval;
+  std::vector<Row>* rows;
+  Status error = Status::OK();
+
+  // Captures only `this`, so the std::function holds it without
+  // allocating.
+  storage::HeapTable::Visitor Visitor() {
+    return [this](storage::RowId, const storage::HeapTable::RowMeta&,
+                  Row&& row) {
+      if (predicate != nullptr) {
+        Result<bool> keep = EvalPredicate(*predicate, row, *eval);
+        if (!keep.ok()) {
+          error = keep.status();
+          return false;
+        }
+        if (!*keep) return true;
+      }
+      rows->push_back(std::move(row));
+      return true;
+    };
+  }
+};
+
+}  // namespace
+
 // --- SeqScanNode ------------------------------------------------------------
 
 SeqScanNode::SeqScanNode(Schema schema, const catalog::TableInfo* table,
@@ -84,23 +120,10 @@ SeqScanNode::SeqScanNode(Schema schema, const catalog::TableInfo* table,
 Status SeqScanNode::Open(ExecContext* ctx) {
   rows_.clear();
   pos_ = 0;
-  Status inner = Status::OK();
-  Status scan = table_->heap->Scan(
-      *ctx->txns, ctx->snapshot, ctx->reader,
-      [&](storage::RowId, const Row& row) {
-        if (predicate_ != nullptr) {
-          auto keep = EvalPredicate(*predicate_, row, ctx->eval);
-          if (!keep.ok()) {
-            inner = keep.status();
-            return false;
-          }
-          if (!*keep) return true;
-        }
-        rows_.push_back(row);
-        return true;
-      });
-  RETURN_IF_ERROR(inner);
-  return scan;
+  Collector keep{predicate_.get(), &ctx->eval, &rows_};
+  RETURN_IF_ERROR(table_->heap->Scan(*ctx->txns, ctx->snapshot, ctx->reader,
+                                     keep.Visitor()));
+  return keep.error;
 }
 
 Result<bool> SeqScanNode::Next(Row* row) {
@@ -142,20 +165,10 @@ Status IndexScanNode::Open(ExecContext* ctx) {
                       ids.push_back(id);
                       return true;
                     });
-  for (storage::RowId id : ids) {
-    ASSIGN_OR_RETURN(auto meta, table_->heap->GetRowMeta(id));
-    if (!ctx->txns->IsVisible(meta.xmin, meta.xmax, ctx->snapshot,
-                              ctx->reader)) {
-      continue;
-    }
-    ASSIGN_OR_RETURN(Row row, table_->heap->GetRow(id));
-    if (residual_ != nullptr) {
-      ASSIGN_OR_RETURN(bool keep, EvalPredicate(*residual_, row, ctx->eval));
-      if (!keep) continue;
-    }
-    rows_.push_back(std::move(row));
-  }
-  return Status::OK();
+  Collector keep{residual_.get(), &ctx->eval, &rows_};
+  RETURN_IF_ERROR(table_->heap->Fetch(*ctx->txns, ctx->snapshot, ctx->reader,
+                                      ids, keep.Visitor()));
+  return keep.error;
 }
 
 Result<bool> IndexScanNode::Next(Row* row) {
@@ -247,7 +260,14 @@ LimitNode::LimitNode(ExecNodePtr child, int64_t limit, int64_t offset)
     : ExecNode(child->schema()),
       child_(std::move(child)),
       limit_(limit),
-      offset_(offset) {}
+      offset_(offset) {
+  // A sort directly below need only order the rows this node can return.
+  auto* sort = dynamic_cast<SortNode*>(child_.get());
+  if (sort != nullptr && limit_ >= 0 &&
+      limit_ <= std::numeric_limits<int64_t>::max() - offset_) {
+    sort->set_bound(limit_ + offset_);
+  }
+}
 
 Status LimitNode::Open(ExecContext* ctx) {
   returned_ = 0;
@@ -348,13 +368,25 @@ Status SortNode::Open(ExecContext* ctx) {
   const size_t width = keys_.size();
   order_.resize(rows_.size());
   for (size_t i = 0; i < order_.size(); ++i) order_[i] = i;
-  std::stable_sort(order_.begin(), order_.end(), [&](size_t a, size_t b) {
+  auto by_keys = [&](size_t a, size_t b) {
     for (size_t i = 0; i < width; ++i) {
       int c = keys[a * width + i].Compare(keys[b * width + i]);
       if (c != 0) return keys_[i].ascending ? c < 0 : c > 0;
     }
     return false;
-  });
+  };
+  if (bound_ >= 0 && static_cast<size_t>(bound_) < order_.size()) {
+    // Top-K: arrival order breaks ties, so the first bound_ rows are the
+    // prefix the stable sort below would produce.
+    std::partial_sort(order_.begin(), order_.begin() + bound_, order_.end(),
+                      [&](size_t a, size_t b) {
+                        if (by_keys(a, b)) return true;
+                        return !by_keys(b, a) && a < b;
+                      });
+    order_.resize(static_cast<size_t>(bound_));
+  } else {
+    std::stable_sort(order_.begin(), order_.end(), by_keys);
+  }
   return Status::OK();
 }
 
@@ -371,6 +403,7 @@ void SortNode::Explain(int indent, std::string* out) const {
 
 void SortNode::AppendOperatorKey(std::string* key) const {
   ExecNode::AppendOperatorKey(key);
+  AppendKey(bound_, key);
   AppendKey(static_cast<int64_t>(keys_.size()), key);
   for (const SortKey& k : keys_) {
     AppendKey(k.ascending ? 1 : 0, key);
@@ -645,12 +678,17 @@ Result<bool> IndexLookupJoinNode::PullLeft() {
   match_pos_ = 0;
   current_matched_ = false;
   ASSIGN_OR_RETURN(Value key, left_key_->Eval(current_left_, ctx_->eval));
-  if (!key.is_null()) {  // NULL keys never join
-    index_->ScanEqual(key, [&](storage::RowId id) {
-      matches_.push_back(id);
-      return true;
-    });
-  }
+  if (key.is_null()) return true;  // NULL keys never join
+  match_ids_.clear();
+  index_->ScanEqual(key, [&](storage::RowId id) {
+    match_ids_.push_back(id);
+    return true;
+  });
+  Collector keep{nullptr, &ctx_->eval, &matches_};
+  RETURN_IF_ERROR(table_->heap->Fetch(*ctx_->txns, ctx_->snapshot,
+                                      ctx_->reader, match_ids_,
+                                      keep.Visitor()));
+  RETURN_IF_ERROR(keep.error);
   return true;
 }
 
@@ -663,15 +701,10 @@ Result<bool> IndexLookupJoinNode::Next(Row* row) {
   for (;;) {
     if (left_exhausted_) return false;
     while (match_pos_ < matches_.size()) {
-      storage::RowId id = matches_[match_pos_++];
-      ASSIGN_OR_RETURN(auto meta, table_->heap->GetRowMeta(id));
-      if (!ctx_->txns->IsVisible(meta.xmin, meta.xmax, ctx_->snapshot,
-                                 ctx_->reader)) {
-        continue;
-      }
-      ASSIGN_OR_RETURN(Row right_row, table_->heap->GetRow(id));
+      Row& right_row = matches_[match_pos_++];
       Row joined = current_left_;
-      joined.insert(joined.end(), right_row.begin(), right_row.end());
+      joined.insert(joined.end(), std::make_move_iterator(right_row.begin()),
+                    std::make_move_iterator(right_row.end()));
       if (residual_ != nullptr) {
         ASSIGN_OR_RETURN(bool keep,
                          EvalPredicate(*residual_, joined, ctx_->eval));

@@ -110,8 +110,9 @@ class SeqScanNode : public ExecNode {
   size_t pos_ = 0;
 };
 
-/// B+Tree index range scan: fetches matching RowIds, then the rows, then
-/// applies MVCC visibility and the residual predicate.
+/// B+Tree index range scan: takes the matching RowIds from the index, reads
+/// the visible versions in one heap Fetch and applies the residual
+/// predicate.
 class IndexScanNode : public ExecNode {
  public:
   IndexScanNode(Schema schema, const catalog::TableInfo* table,
@@ -232,9 +233,15 @@ class SortNode : public ExecNode {
   ExecNode* input() const override { return child_.get(); }
   void AppendOperatorKey(std::string* key) const override;
 
+  /// Orders only the first `bound` rows and emits no more (top-K); a
+  /// LimitNode directly above sets it to its limit + offset. Negative, the
+  /// default, orders every row.
+  void set_bound(int64_t bound) { bound_ = bound; }
+
  private:
   ExecNodePtr child_;
   std::vector<SortKey> keys_;
+  int64_t bound_ = -1;
   std::vector<Row> rows_;     // in arrival order
   std::vector<size_t> order_;  // rows_ indexes in sorted order
   size_t pos_ = 0;
@@ -326,11 +333,12 @@ class HashJoinNode : public ExecNode {
 };
 
 /// Index nested-loop join: for each left row, the join key expression is
-/// evaluated and probed into a B+Tree index on the right base table
-/// (fetch + MVCC visibility + residual). The preferred plan for the
-/// paper's stream-table joins: the left side is one window's worth of rows
-/// while the right side is an ever-growing active table that must not be
-/// scanned or hashed in full per window.
+/// evaluated and probed into a B+Tree index on the right base table, the
+/// visible matches are read in one heap Fetch, and the residual is applied
+/// to each joined row. The preferred plan for the paper's stream-table
+/// joins: the left side is one window's worth of rows while the right side
+/// is an ever-growing active table that must not be scanned or hashed in
+/// full per window.
 class IndexLookupJoinNode : public ExecNode {
  public:
   IndexLookupJoinNode(Schema schema, ExecNodePtr left,
@@ -358,7 +366,8 @@ class IndexLookupJoinNode : public ExecNode {
   ExecContext* ctx_ = nullptr;
 
   Row current_left_;
-  std::vector<storage::RowId> matches_;
+  std::vector<storage::RowId> match_ids_;
+  std::vector<Row> matches_;  // the current left row's visible right rows
   size_t match_pos_ = 0;
   bool left_exhausted_ = false;
   bool started_ = false;

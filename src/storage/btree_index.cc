@@ -137,6 +137,13 @@ Status BTreeIndex::Remove(const Value& key, RowId row_id) {
   return Status::OK();
 }
 
+void BTreeIndex::Clear() {
+  std::lock_guard<std::mutex> lock(mu_);
+  DeleteTree(root_);
+  root_ = new Node(/*leaf=*/true);
+  size_ = 0;
+}
+
 void BTreeIndex::ScanEqual(const Value& key,
                            const std::function<bool(RowId)>& callback) const {
   ScanRange(key, /*lo_inclusive=*/true, key, /*hi_inclusive=*/true,

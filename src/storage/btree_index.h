@@ -41,6 +41,10 @@ class BTreeIndex {
   /// Removes one (key, row_id) entry; returns NotFound if absent.
   Status Remove(const Value& key, RowId row_id);
 
+  /// Removes every entry. The index object stays, so plans that hold it
+  /// keep a valid index (VACUUM rebuilds indexes this way).
+  void Clear();
+
   /// Invokes `callback(row_id)` for every entry with this exact key;
   /// a false return stops early.
   void ScanEqual(const Value& key,

@@ -9,7 +9,7 @@ SimulatedDisk::SimulatedDisk(DiskModel model) : model_(model) {}
 PageId SimulatedDisk::AllocatePage() {
   std::lock_guard<std::mutex> lock(mu_);
   PageId id = next_page_++;
-  pages_[id] = std::string();
+  pages_[id] = std::make_shared<const std::string>();
   return id;
 }
 
@@ -24,6 +24,8 @@ int64_t SimulatedDisk::WriteCost(int64_t bytes) const {
 
 Status SimulatedDisk::WritePage(PageId page, std::string data) {
   RETURN_IF_ERROR(FaultInjector::Instance().Hit("disk.write"));
+  const auto bytes = static_cast<int64_t>(data.size());
+  auto buffer = std::make_shared<const std::string>(std::move(data));
   std::lock_guard<std::mutex> lock(mu_);
   auto it = pages_.find(page);
   if (it == pages_.end()) {
@@ -31,14 +33,15 @@ Status SimulatedDisk::WritePage(PageId page, std::string data) {
                            std::to_string(page));
   }
   stats_.page_writes++;
-  stats_.bytes_written += static_cast<int64_t>(data.size());
-  stats_.simulated_io_micros += WriteCost(static_cast<int64_t>(data.size()));
-  it->second = std::move(data);
+  stats_.bytes_written += bytes;
+  stats_.simulated_io_micros += WriteCost(bytes);
+  it->second = std::move(buffer);
   InstallInCache(page);
   return Status::OK();
 }
 
-Result<std::string> SimulatedDisk::ReadPage(PageId page) {
+Result<std::shared_ptr<const std::string>> SimulatedDisk::ReadPage(
+    PageId page) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = pages_.find(page);
   if (it == pages_.end()) {
@@ -48,10 +51,10 @@ Result<std::string> SimulatedDisk::ReadPage(PageId page) {
     stats_.cache_hits++;
     TouchLru(page);
   } else {
+    const auto bytes = static_cast<int64_t>(it->second->size());
     stats_.page_reads++;
-    stats_.bytes_read += static_cast<int64_t>(it->second.size());
-    stats_.simulated_io_micros +=
-        ReadCost(static_cast<int64_t>(it->second.size()));
+    stats_.bytes_read += bytes;
+    stats_.simulated_io_micros += ReadCost(bytes);
     InstallInCache(page);
   }
   return it->second;

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <list>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -61,8 +62,11 @@ class SimulatedDisk {
   /// the page is installed in the buffer pool).
   Status WritePage(PageId page, std::string data);
 
-  /// Reads page contents. A buffer-pool hit is free; a miss is charged.
-  Result<std::string> ReadPage(PageId page);
+  /// Returns the page's contents without copying them: pages are
+  /// immutable shared buffers, so the returned one stays valid and
+  /// unchanged after a later WritePage or FreePage of the same page. A
+  /// buffer-pool hit is free; a miss is charged.
+  Result<std::shared_ptr<const std::string>> ReadPage(PageId page);
 
   /// Drops the page (no I/O charge).
   Status FreePage(PageId page);
@@ -95,7 +99,7 @@ class SimulatedDisk {
   const DiskModel model_;
   mutable std::mutex mu_;
   PageId next_page_ = 1;
-  std::unordered_map<PageId, std::string> pages_;
+  std::unordered_map<PageId, std::shared_ptr<const std::string>> pages_;
   // LRU: front = most recent. cache_pos_ maps page -> list iterator.
   std::list<PageId> lru_;
   std::unordered_map<PageId, std::list<PageId>::iterator> cache_pos_;

@@ -40,33 +40,18 @@ Status HeapTable::FlushTailLocked() {
   return Status::OK();
 }
 
-Status HeapTable::Delete(RowId row_id, TxnId xmax) {
+Status HeapTable::Delete(RowId row_id, TxnId xmax,
+                         const TransactionManager& txns) {
   std::lock_guard<std::mutex> lock(mu_);
   if (row_id >= meta_.size()) {
     return Status::InvalidArgument("delete of unknown row id");
   }
-  if (meta_[row_id].xmax != kInvalidTxn) {
+  const TxnId prior = meta_[row_id].xmax;
+  if (prior != kInvalidTxn && !txns.IsAborted(prior)) {
     return Status::Aborted("row already deleted");
   }
   meta_[row_id].xmax = xmax;
   return Status::OK();
-}
-
-Result<Row> HeapTable::ReadRowAtLocked(const RowLocation& loc) const {
-  size_t offset = loc.offset;
-  if (loc.page_index == kTailPage) {
-    return DeserializeRow(tail_, &offset);
-  }
-  ASSIGN_OR_RETURN(std::string page, disk_->ReadPage(pages_[loc.page_index]));
-  return DeserializeRow(page, &offset);
-}
-
-Result<Row> HeapTable::GetRow(RowId row_id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (row_id >= locations_.size()) {
-    return Status::InvalidArgument("read of unknown row id");
-  }
-  return ReadRowAtLocked(locations_[row_id]);
 }
 
 Result<HeapTable::RowMeta> HeapTable::GetRowMeta(RowId row_id) const {
@@ -77,33 +62,73 @@ Result<HeapTable::RowMeta> HeapTable::GetRowMeta(RowId row_id) const {
   return meta_[row_id];
 }
 
-Status HeapTable::Scan(
-    const TransactionManager& txns, const Snapshot& snap, TxnId reader,
-    const std::function<bool(RowId, const Row&)>& callback) const {
+template <typename Accept>
+Status HeapTable::Read(const std::vector<RowId>* row_ids, Accept&& accept,
+                       const Visitor& visitor) const {
   std::lock_guard<std::mutex> lock(mu_);
-  // Sequential page-at-a-time scan: one physical read per page regardless of
-  // how many rows it holds.
-  std::string current_page;
-  uint32_t current_page_index = kTailPage - 1;  // sentinel: nothing loaded
-  for (RowId id = 0; id < locations_.size(); ++id) {
-    const RowMeta& m = meta_[id];
-    if (!txns.IsVisible(m.xmin, m.xmax, snap, reader)) continue;
+  const size_t count = row_ids != nullptr ? row_ids->size() : meta_.size();
+  // The page of the current run of rows: a run of rows on one page reads
+  // it once, and the read shares the disk's buffer instead of copying it.
+  std::shared_ptr<const std::string> page;
+  uint32_t page_index = kTailPage;
+  for (size_t i = 0; i < count; ++i) {
+    const RowId id = row_ids != nullptr ? (*row_ids)[i] : i;
+    if (id >= meta_.size()) {
+      return Status::InvalidArgument("read of unknown row id " +
+                                     std::to_string(id));
+    }
+    const RowMeta& meta = meta_[id];
+    if (!accept(meta)) continue;
     const RowLocation& loc = locations_[id];
-    const std::string* source;
-    if (loc.page_index == kTailPage) {
-      source = &tail_;
-    } else {
-      if (loc.page_index != current_page_index) {
-        ASSIGN_OR_RETURN(current_page, disk_->ReadPage(pages_[loc.page_index]));
-        current_page_index = loc.page_index;
+    const std::string* source = &tail_;
+    if (loc.page_index != kTailPage) {
+      if (loc.page_index != page_index) {
+        ASSIGN_OR_RETURN(page, disk_->ReadPage(pages_[loc.page_index]));
+        page_index = loc.page_index;
       }
-      source = &current_page;
+      source = page.get();
     }
     size_t offset = loc.offset;
     ASSIGN_OR_RETURN(Row row, DeserializeRow(*source, &offset));
-    if (!callback(id, row)) break;
+    if (!visitor(id, meta, std::move(row))) break;
   }
   return Status::OK();
+}
+
+Status HeapTable::Fetch(const TransactionManager& txns, const Snapshot& snap,
+                        TxnId reader, const std::vector<RowId>& row_ids,
+                        const Visitor& visitor) const {
+  VisibilityMemo visible(txns, snap, reader);
+  return Read(
+      &row_ids,
+      [&](const RowMeta& m) { return visible.IsVisible(m.xmin, m.xmax); },
+      visitor);
+}
+
+Status HeapTable::Scan(const TransactionManager& txns, const Snapshot& snap,
+                       TxnId reader, const Visitor& visitor) const {
+  VisibilityMemo visible(txns, snap, reader);
+  return Read(
+      nullptr,
+      [&](const RowMeta& m) { return visible.IsVisible(m.xmin, m.xmax); },
+      visitor);
+}
+
+Status HeapTable::Scan(const VersionFilter& filter,
+                       const Visitor& visitor) const {
+  return Read(nullptr, filter, visitor);
+}
+
+Result<Row> HeapTable::GetRow(RowId row_id) const {
+  const std::vector<RowId> ids{row_id};
+  Row out;
+  RETURN_IF_ERROR(Read(
+      &ids, [](const RowMeta&) { return true; },
+      [&](RowId, const RowMeta&, Row&& row) {
+        out = std::move(row);
+        return false;
+      }));
+  return out;
 }
 
 RowId HeapTable::row_count() const {

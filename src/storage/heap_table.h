@@ -39,12 +39,10 @@ class HeapTable {
   /// Appends `row` stamped with creating transaction `xmin`.
   Result<RowId> Insert(const Row& row, TxnId xmin);
 
-  /// Marks `row_id` deleted by `xmax`. Errors if already deleted.
-  Status Delete(RowId row_id, TxnId xmax);
-
-  /// Reads one row by id (pays page-read cost unless cached); visibility is
-  /// NOT applied — callers pair this with GetRowMeta.
-  Result<Row> GetRow(RowId row_id) const;
+  /// Marks `row_id` deleted by `xmax`. Errors if already deleted by a
+  /// transaction that has not aborted; an aborted deleter's stamp is
+  /// replaced, since the version is live again.
+  Status Delete(RowId row_id, TxnId xmax, const TransactionManager& txns);
 
   struct RowMeta {
     TxnId xmin = kInvalidTxn;
@@ -52,11 +50,34 @@ class HeapTable {
   };
   Result<RowMeta> GetRowMeta(RowId row_id) const;
 
-  /// Scans every version visible under (`snap`, `reader`), invoking
-  /// `callback(row_id, row)`; a false return stops the scan early.
+  /// Receives each version a read passes on: its id, its stamps and its
+  /// decoded row, which the visitor may move from. A false return ends the
+  /// read. Visitors run under the table's mutex and must not call back
+  /// into the table.
+  using Visitor = std::function<bool(RowId, const RowMeta&, Row&&)>;
+  /// Decides from a version's stamps alone, before its row is decoded,
+  /// whether a read passes it on.
+  using VersionFilter = std::function<bool(const RowMeta&)>;
+
+  /// Visits the versions of `row_ids` that are visible under (`snap`,
+  /// `reader`), in the order given. The one read loop: it takes the mutex
+  /// once, reads a page once for each run of ids that lie on it, and
+  /// decides visibility once per transaction (VisibilityMemo). Unknown ids
+  /// are an error.
+  Status Fetch(const TransactionManager& txns, const Snapshot& snap,
+               TxnId reader, const std::vector<RowId>& row_ids,
+               const Visitor& visitor) const;
+
+  /// Fetch over every version, in RowId order.
   Status Scan(const TransactionManager& txns, const Snapshot& snap,
-              TxnId reader,
-              const std::function<bool(RowId, const Row&)>& callback) const;
+              TxnId reader, const Visitor& visitor) const;
+
+  /// The same loop over every version, in RowId order, passing on the
+  /// versions `filter` accepts instead of the visible ones.
+  Status Scan(const VersionFilter& filter, const Visitor& visitor) const;
+
+  /// Reads one version by id, visible or not.
+  Result<Row> GetRow(RowId row_id) const;
 
   /// Number of row versions ever inserted (including deleted ones).
   RowId row_count() const;
@@ -76,7 +97,11 @@ class HeapTable {
 
   // Flushes the tail buffer as a new page. Caller holds mu_.
   Status FlushTailLocked();
-  Result<Row> ReadRowAtLocked(const RowLocation& loc) const;
+  // The read loop behind Fetch, Scan and GetRow: visits the versions of
+  // `row_ids` (every version when null) that `accept(meta)` passes.
+  template <typename Accept>
+  Status Read(const std::vector<RowId>* row_ids, Accept&& accept,
+              const Visitor& visitor) const;
 
   const Schema schema_;
   const size_t page_size_;

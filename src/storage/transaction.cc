@@ -68,18 +68,25 @@ Snapshot TransactionManager::SnapshotAsOf(int64_t time_micros) const {
   return Snapshot{it->second};
 }
 
+bool TransactionManager::CommittedInLocked(TxnId txn, const Snapshot& snap,
+                                           TxnId reader) const {
+  if (txn == reader && txn != kInvalidTxn) return true;  // own writes
+  auto it = txns_.find(txn);
+  return it != txns_.end() && it->second.state == TxnState::kCommitted &&
+         it->second.commit_seq <= snap.commit_seq_high_water;
+}
+
+bool TransactionManager::CommittedIn(TxnId txn, const Snapshot& snap,
+                                     TxnId reader) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return CommittedInLocked(txn, snap, reader);
+}
+
 bool TransactionManager::IsVisible(TxnId xmin, TxnId xmax,
                                    const Snapshot& snap, TxnId reader) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto committed_in_snap = [&](TxnId t) {
-    if (t == reader && t != kInvalidTxn) return true;  // own writes
-    auto it = txns_.find(t);
-    return it != txns_.end() && it->second.state == TxnState::kCommitted &&
-           it->second.commit_seq <= snap.commit_seq_high_water;
-  };
-  if (!committed_in_snap(xmin)) return false;
-  if (xmax != kInvalidTxn && committed_in_snap(xmax)) return false;
-  return true;
+  if (!CommittedInLocked(xmin, snap, reader)) return false;
+  return xmax == kInvalidTxn || !CommittedInLocked(xmax, snap, reader);
 }
 
 uint64_t TransactionManager::last_commit_seq() const {

@@ -59,6 +59,9 @@ class TransactionManager {
   bool IsVisible(TxnId xmin, TxnId xmax, const Snapshot& snap,
                  TxnId reader = kInvalidTxn) const;
 
+  /// True if `txn` is committed in `snap`, or is `reader` itself.
+  bool CommittedIn(TxnId txn, const Snapshot& snap, TxnId reader) const;
+
   uint64_t last_commit_seq() const;
 
   /// Commit time (micros) of a committed transaction, or kNotFound if the
@@ -68,6 +71,9 @@ class TransactionManager {
   Result<int64_t> CommitTime(TxnId txn) const;
 
  private:
+  // Caller holds mu_.
+  bool CommittedInLocked(TxnId txn, const Snapshot& snap, TxnId reader) const;
+
   enum class TxnState { kActive, kCommitted, kAborted };
   struct TxnRecord {
     TxnState state = TxnState::kActive;
@@ -81,6 +87,48 @@ class TransactionManager {
   std::unordered_map<TxnId, TxnRecord> txns_;
   /// commit_time -> highest commit_seq at that time (sorted for AsOf).
   std::map<int64_t, uint64_t> commit_time_index_;
+};
+
+/// Snapshot visibility for the length of one read: asks the manager once
+/// per transaction and remembers the answer. Sound because, for a fixed
+/// snapshot and reader, whether a transaction counts as committed never
+/// changes: committed and aborted are final states, and a transaction that
+/// commits after the snapshot was taken gets a commit_seq above the
+/// snapshot's high-water mark. Answers live in a small direct-mapped table
+/// indexed by TxnId, so a read allocates nothing; when two transactions
+/// share a slot, the evicted one is asked again and gets the same answer.
+class VisibilityMemo {
+ public:
+  VisibilityMemo(const TransactionManager& txns, const Snapshot& snap,
+                 TxnId reader)
+      : txns_(txns), snap_(snap), reader_(reader) {}
+
+  /// The answer TransactionManager::IsVisible gives.
+  bool IsVisible(TxnId xmin, TxnId xmax) {
+    return Committed(xmin) && (xmax == kInvalidTxn || !Committed(xmax));
+  }
+
+ private:
+  struct Slot {
+    TxnId txn = kInvalidTxn;
+    bool committed = false;
+  };
+  // Consecutive TxnIds (one channel transaction per window close) land in
+  // distinct slots.
+  static constexpr size_t kSlots = 64;
+
+  bool Committed(TxnId txn) {
+    Slot& slot = slots_[txn % kSlots];
+    if (slot.txn != txn) {
+      slot = Slot{txn, txns_.CommittedIn(txn, snap_, reader_)};
+    }
+    return slot.committed;
+  }
+
+  const TransactionManager& txns_;
+  const Snapshot snap_;
+  const TxnId reader_;
+  Slot slots_[kSlots];
 };
 
 }  // namespace streamrel::storage

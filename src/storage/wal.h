@@ -22,8 +22,8 @@ enum class WalRecordType : uint8_t {
   kDelete = 5,           // (table, row_id)
   kChannelProgress = 6,  // (channel, window-close watermark micros)
   kCheckpoint = 7,       // opaque operator-state blob (checkpoint recovery)
-  kVacuum = 8,           // (table, compaction commit time) — replayed as a
-                         // barrier so post-vacuum RowIds stay stable
+  kVacuum = 8,           // (table) — replayed as a barrier so post-vacuum
+                         // RowIds stay stable
 };
 
 struct WalRecord {

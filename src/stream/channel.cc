@@ -43,8 +43,9 @@ Status InsertIntoTable(catalog::TableInfo* table, const Row& row,
 
 Status DeleteFromTable(catalog::TableInfo* table, storage::RowId row_id,
                        const Row& row, storage::TxnId txn,
+                       const storage::TransactionManager& txns,
                        storage::WriteAheadLog* wal) {
-  RETURN_IF_ERROR(table->heap->Delete(row_id, txn));
+  RETURN_IF_ERROR(table->heap->Delete(row_id, txn, txns));
   for (const auto& index : table->indexes) {
     ASSIGN_OR_RETURN(size_t col, table->schema.FindColumn(
                                      index->column_name()));
@@ -71,44 +72,43 @@ Status DeleteFromTable(catalog::TableInfo* table, storage::RowId row_id,
 }
 
 Result<int64_t> VacuumTable(catalog::TableInfo* table,
-                            storage::TransactionManager* txns,
-                            storage::WriteAheadLog* wal,
-                            int64_t commit_time) {
-  // Collect the surviving rows in ascending RowId order (Scan guarantees
-  // it), then rebuild the heap and indexes from scratch.
-  std::vector<Row> survivors;
-  storage::Snapshot snap = txns->CurrentSnapshot();
-  RETURN_IF_ERROR(table->heap->Scan(*txns, snap, storage::kInvalidTxn,
-                                    [&](storage::RowId, const Row& row) {
-                                      survivors.push_back(row);
-                                      return true;
-                                    }));
+                            const storage::TransactionManager& txns,
+                            storage::WriteAheadLog* wal) {
+  // The survivors are the versions visible now, in ascending RowId order
+  // (the loop's order). Each keeps its xmin, and with it its commit time,
+  // so window-consistent snapshots and SUBSCRIBE RESUME still place it in
+  // the window that wrote it.
+  struct Survivor {
+    storage::TxnId xmin;
+    Row row;
+  };
+  std::vector<Survivor> survivors;
+  RETURN_IF_ERROR(table->heap->Scan(
+      txns, txns.CurrentSnapshot(), storage::kInvalidTxn,
+      [&](storage::RowId, const storage::HeapTable::RowMeta& meta,
+          Row&& row) {
+        survivors.push_back(Survivor{meta.xmin, std::move(row)});
+        return true;
+      }));
   int64_t reclaimed = static_cast<int64_t>(table->heap->row_count()) -
                       static_cast<int64_t>(survivors.size());
 
+  // Rebuild in place: the heap and the index objects stay, so plans that
+  // hold them (a CQ's IndexLookupJoin keeps its index) stay valid.
   RETURN_IF_ERROR(table->heap->Truncate());
-  std::vector<std::shared_ptr<storage::BTreeIndex>> fresh_indexes;
-  fresh_indexes.reserve(table->indexes.size());
-  for (const auto& index : table->indexes) {
-    fresh_indexes.push_back(
-        std::make_shared<storage::BTreeIndex>(index->column_name()));
-  }
-  table->indexes = std::move(fresh_indexes);
-
-  storage::TxnId txn = txns->Begin();
-  for (const Row& row : survivors) {
+  for (const auto& index : table->indexes) index->Clear();
+  for (const Survivor& survivor : survivors) {
     // Indexes are maintained by InsertIntoTable; re-inserts are NOT
     // WAL-logged — the kVacuum barrier record replays this whole
     // compaction deterministically instead.
-    RETURN_IF_ERROR(InsertIntoTable(table, row, txn, /*wal=*/nullptr));
+    RETURN_IF_ERROR(
+        InsertIntoTable(table, survivor.row, survivor.xmin, /*wal=*/nullptr));
   }
-  RETURN_IF_ERROR(txns->Commit(txn, commit_time).status());
 
   if (wal != nullptr) {
     storage::WalRecord record;
     record.type = storage::WalRecordType::kVacuum;
     record.object_name = table->name;
-    record.int_payload = commit_time;
     RETURN_IF_ERROR(wal->Append(record));
     RETURN_IF_ERROR(wal->Sync());
   }
@@ -151,12 +151,14 @@ Status Channel::OnBatch(int64_t close, const std::vector<Row>& rows) {
     storage::Snapshot snap = txns_->CurrentSnapshot();
     std::vector<std::pair<storage::RowId, Row>> victims;
     RETURN_IF_ERROR(table_->heap->Scan(
-        *txns_, snap, txn, [&](storage::RowId id, const Row& row) {
-          victims.emplace_back(id, row);
+        *txns_, snap, txn,
+        [&](storage::RowId id, const storage::HeapTable::RowMeta&,
+            Row&& row) {
+          victims.emplace_back(id, std::move(row));
           return true;
         }));
     for (const auto& [id, row] : victims) {
-      RETURN_IF_ERROR(DeleteFromTable(table_, id, row, txn, wal_));
+      RETURN_IF_ERROR(DeleteFromTable(table_, id, row, txn, *txns_, wal_));
     }
   }
 

@@ -94,18 +94,20 @@ Status InsertIntoTable(catalog::TableInfo* table, const Row& row,
 /// Shared helper: MVCC-deletes a row and removes its index entries.
 Status DeleteFromTable(catalog::TableInfo* table, storage::RowId row_id,
                        const Row& row, storage::TxnId txn,
+                       const storage::TransactionManager& txns,
                        storage::WriteAheadLog* wal);
 
 /// Compacts `table`: row versions invisible to the current snapshot are
-/// dropped, survivors are re-written densely (in ascending old-RowId order,
-/// so replaying the logged kVacuum barrier reproduces identical RowIds),
-/// and indexes are rebuilt. Time-travel snapshots taken before the vacuum
-/// no longer see this table's history. `commit_time` stamps the
-/// re-inserted versions. Returns the number of dead versions reclaimed.
+/// dropped, and survivors are re-written densely in ascending old-RowId
+/// order (so replaying the logged kVacuum barrier reproduces identical
+/// RowIds), each keeping its xmin. The heap and index objects are rebuilt
+/// in place. Time-travel snapshots taken before the vacuum no longer see
+/// the dropped (deleted or aborted) versions. The caller must exclude
+/// every reader and writer of the table for the duration. Returns the
+/// number of dead versions reclaimed.
 Result<int64_t> VacuumTable(catalog::TableInfo* table,
-                            storage::TransactionManager* txns,
-                            storage::WriteAheadLog* wal,
-                            int64_t commit_time);
+                            const storage::TransactionManager& txns,
+                            storage::WriteAheadLog* wal);
 
 }  // namespace streamrel::stream
 

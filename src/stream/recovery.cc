@@ -46,7 +46,7 @@ Status WalApplier::Apply(const storage::WalRecord& record) {
       auto row_id = static_cast<storage::RowId>(record.int_payload);
       ASSIGN_OR_RETURN(Row row, table->heap->GetRow(row_id));
       RETURN_IF_ERROR(DeleteFromTable(table, row_id, row,
-                                      MappedTxn(record.txn_id),
+                                      MappedTxn(record.txn_id), *txns_,
                                       /*wal=*/nullptr));
       ++result_.rows_deleted;
       return Status::OK();
@@ -91,8 +91,7 @@ Status WalApplier::Apply(const storage::WalRecord& record) {
       }
       // Replaying the compaction reproduces the post-vacuum RowIds,
       // so later logged deletes keep targeting the right rows.
-      return VacuumTable(table, txns_, /*wal=*/nullptr, record.int_payload)
-          .status();
+      return VacuumTable(table, *txns_, /*wal=*/nullptr).status();
     }
   }
   return Status::IoError("unknown WAL record type");

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <string>
@@ -500,7 +501,149 @@ TEST(ConcurrencyStressTest, SharedClosesUnderMemberChurn) {
   EXPECT_EQ(db.runtime()->rows_ingested(), kBatches * kRowsPerBatch);
 }
 
-// The lock-contention gauges from DESIGN decision 11 must be visible in
+// Active-table reads under ingest and VACUUM, shaped like the report
+// workload: two readers run per-URL history lookups (an index scan) and a
+// top-N over a time range (an index range scan under GROUP BY, ORDER BY and
+// LIMIT) on a channel table, while ingest commits one window per minute
+// into small pages (every commit flushes tail pages) and a third thread
+// runs VACUUM. Every answer must be snapshot-consistent: each minute's
+// rows appear all together or not at all, and minutes commit in order.
+TEST(ConcurrencyStressTest, ActiveTableReadsUnderIngestAndVacuum) {
+  constexpr int kMinutes = 40;
+  constexpr int kUrls = 8;
+  constexpr int kFirst = 10;  // the top-N range holds minutes [10, 30)
+  constexpr int kLast = 30;
+  // Minute m's window writes one row per URL u with this count.
+  auto count_of = [](int m, int u) { return (m * 5 + u * 3) % 7 + 1; };
+  auto url = [](int u) { return "u" + std::to_string(u); };
+
+  engine::DatabaseOptions options;
+  options.heap_page_size = 256;
+  engine::Database db(options);
+  MustExecute(&db,
+              "CREATE STREAM s (url varchar, ts timestamp CQTIME USER);"
+              "CREATE STREAM pm AS SELECT url, count(*) AS c, "
+              "cq_close(*) AS t FROM s <VISIBLE '1 minute'> GROUP BY url;"
+              "CREATE TABLE hist (url varchar, c bigint, t timestamp);"
+              "CREATE INDEX hist_url ON hist (url);"
+              "CREATE INDEX hist_t ON hist (t);"
+              "CREATE CHANNEL hist_ch FROM pm INTO hist APPEND");
+
+  std::atomic<bool> failed{false};
+  std::atomic<bool> done{false};
+  auto record_failure = [&failed](const std::string& what) {
+    if (!failed.exchange(true)) ADD_FAILURE() << what;
+  };
+
+  std::atomic<int> answers{0};
+  std::atomic<int> vacuums{0};
+  std::thread producer([&] {
+    for (int m = 0; m <= kMinutes; ++m) {
+      // Pace the minutes by the other threads' progress, so reads and
+      // vacuums interleave with every commit however the threads run.
+      while (!failed.load() &&
+             (answers.load() < 2 * m || vacuums.load() < m / 2)) {
+        std::this_thread::yield();
+      }
+      std::vector<Row> rows;
+      for (int u = 0; u < kUrls; ++u) {
+        for (int i = 0; i < (m < kMinutes ? count_of(m, u) : 1); ++i) {
+          rows.push_back(Row{Value::String(url(u)),
+                             Value::Timestamp(m * kMicrosPerMinute +
+                                              (u * 7 + i + 1) * kSec)});
+        }
+      }
+      Status st = db.Ingest("s", rows);
+      if (!st.ok()) record_failure(st.ToString());
+    }
+    done.store(true);
+  });
+
+  // A history answer is the first n minutes of one URL, in order.
+  auto check_history = [&](int u, const engine::QueryResult& r) {
+    for (size_t i = 0; i < r.rows.size(); ++i) {
+      const int m = static_cast<int>(i);
+      if (r.rows[i][0].AsInt64() != (m + 1) * kMicrosPerMinute ||
+          r.rows[i][1].AsInt64() != count_of(m, u)) {
+        record_failure("history of " + url(u) + " broken at row " +
+                       std::to_string(i) + ": " + RowToString(r.rows[i]));
+        return;
+      }
+    }
+  };
+  // A top-N answer is the top-N of the first p minutes of the range, for
+  // some p.
+  auto check_topn = [&](const engine::QueryResult& r) {
+    for (int p = 0; p <= kLast - kFirst; ++p) {
+      std::vector<std::pair<int64_t, std::string>> sums;
+      for (int u = 0; p > 0 && u < kUrls; ++u) {
+        int64_t n = 0;
+        for (int m = kFirst; m < kFirst + p; ++m) n += count_of(m, u);
+        sums.emplace_back(-n, url(u));
+      }
+      std::sort(sums.begin(), sums.end());
+      if (sums.size() > 5) sums.resize(5);
+      std::vector<std::string> want;
+      for (const auto& [neg, name] : sums) {
+        want.push_back(RowToString(Row{Value::String(name), Value::Int64(-neg)}));
+      }
+      if (RowStrings(r) == want) return;
+    }
+    std::string got;
+    for (const std::string& row : RowStrings(r)) got += row + " ";
+    record_failure("top-N matches no prefix of the range: " + got);
+  };
+  const std::string topn =
+      "SELECT url, sum(c) AS n FROM hist WHERE t > timestamp '" +
+      FormatTimestampMicros(kFirst * kMicrosPerMinute) +
+      "' AND t <= timestamp '" +
+      FormatTimestampMicros(kLast * kMicrosPerMinute) +
+      "' GROUP BY url ORDER BY n DESC, url LIMIT 5";
+  auto reader = [&](int seed) {
+    for (int i = seed; !done.load() || i < seed + 4; ++i) {
+      if (i % 2 == 0) {
+        const int u = i % kUrls;
+        auto r = db.Execute("SELECT t, c FROM hist WHERE url = '" + url(u) +
+                            "' ORDER BY t");
+        if (!r.ok()) return record_failure(r.status().ToString());
+        check_history(u, *r);
+      } else {
+        auto r = db.Execute(topn);
+        if (!r.ok()) return record_failure(r.status().ToString());
+        check_topn(*r);
+      }
+      answers.fetch_add(1);
+    }
+  };
+  std::thread reader_a(reader, 0);
+  std::thread reader_b(reader, 1);
+  std::thread vacuum([&] {
+    while (!done.load()) {
+      auto r = db.Execute("VACUUM hist");
+      if (!r.ok() || r->message != "VACUUM 0") {
+        return record_failure(r.ok() ? r->message : r.status().ToString());
+      }
+      vacuums.fetch_add(1);
+    }
+  });
+  producer.join();
+  reader_a.join();
+  reader_b.join();
+  vacuum.join();
+  ASSERT_FALSE(failed.load());
+  EXPECT_GE(answers.load(), 2 * kMinutes);
+  // Every minute committed: the final answers are complete.
+  for (int u = 0; u < kUrls; ++u) {
+    auto r = MustExecute(&db, "SELECT t, c FROM hist WHERE url = '" +
+                                  url(u) + "' ORDER BY t");
+    EXPECT_EQ(r.rows.size(), static_cast<size_t>(kMinutes));
+    check_history(u, r);
+  }
+  EXPECT_GT(db.disk()->stats().page_writes, kMinutes);
+  ASSERT_FALSE(failed.load());
+}
+
+
 // the stats snapshot after a concurrent run: the shared tier counts every
 // data-plane entry, the exclusive tier counts DDL, and the stream tier
 // counts per-stream ingest acquisitions.

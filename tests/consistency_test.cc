@@ -129,7 +129,8 @@ TEST_F(WindowConsistencyTest, ChannelCommitTimeIsWindowClose) {
     EXPECT_TRUE(table->heap
                     ->Scan(*db_.txns(), db_.txns()->SnapshotAsOf(t),
                            storage::kInvalidTxn,
-                           [&](storage::RowId, const Row&) {
+                           [&](storage::RowId,
+                               const storage::HeapTable::RowMeta&, Row&&) {
                              ++n;
                              return true;
                            })

@@ -11,7 +11,23 @@ TEST(SimulatedDiskTest, WriteReadRoundTrip) {
   ASSERT_TRUE(disk.WritePage(p, "hello").ok());
   auto r = disk.ReadPage(p);
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(*r, "hello");
+  EXPECT_EQ(**r, "hello");
+}
+
+TEST(SimulatedDiskTest, ReadsShareOneImmutableBuffer) {
+  SimulatedDisk disk;
+  PageId p = disk.AllocatePage();
+  ASSERT_TRUE(disk.WritePage(p, "first").ok());
+  auto a = disk.ReadPage(p);
+  auto b = disk.ReadPage(p);
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_EQ(a->get(), b->get());  // no copy per read
+  // A held buffer outlives a rewrite and a free of its page.
+  ASSERT_TRUE(disk.WritePage(p, "second").ok());
+  EXPECT_EQ(**a, "first");
+  EXPECT_EQ(**disk.ReadPage(p), "second");
+  ASSERT_TRUE(disk.FreePage(p).ok());
+  EXPECT_EQ(**a, "first");
 }
 
 TEST(SimulatedDiskTest, UnallocatedPageErrors) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <thread>
+
 #include "common/time.h"
 #include "test_util.h"
 
@@ -141,6 +145,139 @@ TEST_F(DmlTest, VacuumAfterReplaceChannelChurn) {
   ASSERT_EQ(rows.rows.size(), 1u);
 }
 
+TEST_F(DmlTest, VacuumKeepsACqsIndexLookupJoinValid) {
+  // The CQ's plan keeps the index it probes from planning time; VACUUM
+  // must rebuild that index object, not replace it (replacing it freed it
+  // under the plan).
+  MustExecute(&db_,
+              "CREATE STREAM s (k bigint, ts timestamp CQTIME USER);"
+              "CREATE TABLE hist (k bigint, v varchar);"
+              "CREATE INDEX hist_k ON hist (k)");
+  MustExecute(&db_, "INSERT INTO hist VALUES (1, 'one'), (2, 'two'), "
+                    "(3, 'three')");
+  auto cq = db_.CreateContinuousQuery(
+      "j", "SELECT s.k, h.v FROM s <VISIBLE '1 minute'> JOIN hist h "
+           "ON s.k = h.k");
+  ASSERT_TRUE(cq.ok()) << cq.status().ToString();
+  auto plan = MustExecute(&db_,
+                          "EXPLAIN SELECT s.k, h.v FROM s <VISIBLE '1 minute'>"
+                          " JOIN hist h ON s.k = h.k");
+  std::string text;
+  for (const Row& row : plan.rows) text += row[0].AsString() + "\n";
+  ASSERT_NE(text.find("IndexLookupJoin(hist.k"), std::string::npos) << text;
+  streamrel::CqCapture cap;
+  (*cq)->AddCallback(cap.Callback());
+
+  // Reclaiming row 0 renumbers the survivors; the insert after the vacuum
+  // lands only in the rebuilt index.
+  MustExecute(&db_, "DELETE FROM hist WHERE k = 1");
+  EXPECT_EQ(MustExecute(&db_, "VACUUM hist").message, "VACUUM 1");
+  MustExecute(&db_, "INSERT INTO hist VALUES (4, 'four')");
+  std::vector<Row> rows;
+  for (int64_t k : {1, 2, 3, 4}) {
+    rows.push_back(Row{Value::Int64(k), Value::Timestamp(k * kSec)});
+  }
+  ASSERT_TRUE(db_.Ingest("s", rows).ok());
+  ASSERT_TRUE(db_.AdvanceTime("s", kMin).ok());
+  ASSERT_EQ(cap.batches.size(), 1u);
+  std::vector<std::string> joined;
+  for (const Row& row : cap.batches[0].rows) joined.push_back(RowToString(row));
+  std::sort(joined.begin(), joined.end());
+  EXPECT_EQ(joined, (std::vector<std::string>{"(2, two)", "(3, three)",
+                                              "(4, four)"}));
+}
+
+TEST(VacuumConcurrencyTest, ReadersNeverSeeAHalfRebuiltTable) {
+  // VACUUM runs exclusive: a concurrent snapshot query sees the whole
+  // table before or after the rebuild, never the truncated heap or the
+  // survivors' re-insert in flight.
+  Database db;
+  MustExecute(&db, "CREATE TABLE t (k bigint, v varchar);"
+                   "CREATE INDEX t_k ON t (k)");
+  constexpr int64_t kRows = 5000;
+  for (int64_t base = 0; base < kRows; base += 500) {
+    std::string insert = "INSERT INTO t VALUES ";
+    for (int64_t k = base; k < base + 500; ++k) {
+      if (k > base) insert += ", ";
+      insert += "(" + std::to_string(k) + ", 'v" + std::to_string(k) + "')";
+    }
+    MustExecute(&db, insert);
+  }
+  std::atomic<bool> stop{false};
+  std::atomic<int> vacuum_errors{0};
+  std::thread vacuum([&] {
+    while (!stop.load()) {
+      auto r = db.Execute("VACUUM t");
+      if (!r.ok() || r->message != "VACUUM 0") vacuum_errors.fetch_add(1);
+    }
+  });
+  int wrong = 0;
+  int failed = 0;
+  for (int i = 0; i < 60; ++i) {
+    for (const char* sql : {"SELECT count(*) FROM t",
+                            "SELECT count(*) FROM t WHERE k >= 0"}) {
+      auto r = db.Execute(sql);
+      if (!r.ok()) {
+        ++failed;
+      } else if (r->rows.size() != 1 || r->rows[0][0].AsInt64() != kRows) {
+        ++wrong;
+      }
+    }
+  }
+  stop.store(true);
+  vacuum.join();
+  EXPECT_EQ(wrong, 0);
+  EXPECT_EQ(failed, 0);
+  EXPECT_EQ(vacuum_errors.load(), 0);
+}
+
+TEST_F(DmlTest, VacuumKeepsEverySurvivorsWindowForResume) {
+  // Survivors keep their xmin, so the resume backfill still groups them
+  // into the windows that wrote them.
+  MustExecute(&db_,
+              "CREATE STREAM s (url varchar, ts timestamp CQTIME USER);"
+              "CREATE STREAM pm AS SELECT url, count(*) AS c, "
+              "cq_close(*) AS t FROM s <VISIBLE '1 minute'> GROUP BY url;"
+              "CREATE TABLE hist (url varchar, c bigint, t timestamp);"
+              "CREATE CHANNEL hist_ch FROM pm INTO hist APPEND");
+  for (int64_t m = 0; m < 11; ++m) {
+    std::vector<Row> rows;
+    for (int64_t i = 0; i <= m % 3; ++i) {
+      rows.push_back(Row{Value::String("/u" + std::to_string(i)),
+                         Value::Timestamp(m * kMin + (i + 1) * kSec)});
+    }
+    ASSERT_TRUE(db_.Ingest("s", rows).ok());
+  }
+  ASSERT_TRUE(db_.AdvanceTime("s", 11 * kMin).ok());
+
+  auto resume = [&] {
+    std::vector<Database::ResumeBatch> backfill;
+    auto ticket = db_.SubscribeResume(
+        "pm", 5 * kMin, [](int64_t, const std::vector<Row>&) {
+          return Status::OK();
+        },
+        &backfill);
+    EXPECT_TRUE(ticket.ok()) << ticket.status().ToString();
+    if (ticket.ok()) {
+      EXPECT_TRUE(db_.Unsubscribe(*ticket).ok());
+    }
+    std::vector<std::string> out;
+    for (const auto& batch : backfill) {
+      for (const Row& row : batch.rows) {
+        out.push_back(std::to_string(batch.close) + " " + RowToString(row));
+      }
+    }
+    return out;
+  };
+  const std::vector<std::string> before = resume();
+  // Windows closing at minutes 6..11 hold 3, 1, 2, 3, 1 and 2 rows.
+  EXPECT_EQ(before.size(), 12u);
+  // A server's clock reads wall time, far past the stream's minutes.
+  db_.SetClock(24 * 60 * kMin);
+  EXPECT_EQ(MustExecute(&db_, "VACUUM hist").message, "VACUUM 0");
+  EXPECT_EQ(resume(), before);
+}
+
 TEST_F(DmlTest, TransactionCommit) {
   MustExecute(&db_, "BEGIN");
   EXPECT_TRUE(db_.in_transaction());
@@ -172,6 +309,17 @@ TEST_F(DmlTest, TransactionStateErrors) {
   EXPECT_FALSE(db_.Execute("BEGIN").ok());
   EXPECT_FALSE(db_.Execute("VACUUM t").ok());
   MustExecute(&db_, "ROLLBACK");
+}
+
+TEST_F(DmlTest, RowsARolledBackDeleteLeftCanBeDeletedAgain) {
+  MustExecute(&db_, "BEGIN; DELETE FROM t WHERE k = 1; ROLLBACK");
+  MustExecute(&db_, "BEGIN; UPDATE t SET v = 'x' WHERE k = 2; ROLLBACK");
+  EXPECT_EQ(MustExecute(&db_, "DELETE FROM t WHERE k = 1").message,
+            "DELETE 1");
+  EXPECT_EQ(MustExecute(&db_, "UPDATE t SET v = 'y' WHERE k = 2").message,
+            "UPDATE 1");
+  EXPECT_EQ(RowStrings(MustExecute(&db_, "SELECT k, v FROM t ORDER BY k")),
+            (std::vector<std::string>{"(2, y)", "(3, c)", "(4, d)"}));
 }
 
 TEST_F(DmlTest, RolledBackTransactionStaysGoneAfterRecovery) {

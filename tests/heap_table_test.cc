@@ -30,8 +30,8 @@ class HeapTableTest : public ::testing::Test {
     std::vector<Row> rows;
     EXPECT_TRUE(table_
                     .Scan(txns_, snap, reader,
-                          [&](RowId, const Row& row) {
-                            rows.push_back(row);
+                          [&](RowId, const HeapTable::RowMeta&, Row&& row) {
+                            rows.push_back(std::move(row));
                             return true;
                           })
                     .ok());
@@ -84,7 +84,7 @@ TEST_F(HeapTableTest, DeleteHidesRow) {
   CommittedInsert(1, "victim");
   Snapshot before_delete = txns_.CurrentSnapshot();
   TxnId deleter = txns_.Begin();
-  ASSERT_TRUE(table_.Delete(0, deleter).ok());
+  ASSERT_TRUE(table_.Delete(0, deleter, txns_).ok());
   ASSERT_TRUE(txns_.Commit(deleter, 100).ok());
   EXPECT_TRUE(ScanAll(txns_.CurrentSnapshot()).empty());
   // Old snapshot still sees it (MVCC).
@@ -94,9 +94,21 @@ TEST_F(HeapTableTest, DeleteHidesRow) {
 TEST_F(HeapTableTest, DoubleDeleteRejected) {
   CommittedInsert(1, "x");
   TxnId d1 = txns_.Begin();
-  ASSERT_TRUE(table_.Delete(0, d1).ok());
+  ASSERT_TRUE(table_.Delete(0, d1, txns_).ok());
   TxnId d2 = txns_.Begin();
-  EXPECT_FALSE(table_.Delete(0, d2).ok());
+  EXPECT_FALSE(table_.Delete(0, d2, txns_).ok());
+}
+
+TEST_F(HeapTableTest, DeleteReplacesAnAbortedDeleter) {
+  CommittedInsert(1, "x");
+  TxnId d1 = txns_.Begin();
+  ASSERT_TRUE(table_.Delete(0, d1, txns_).ok());
+  ASSERT_TRUE(txns_.Abort(d1).ok());
+  EXPECT_EQ(ScanAll(txns_.CurrentSnapshot()).size(), 1u);
+  TxnId d2 = txns_.Begin();
+  ASSERT_TRUE(table_.Delete(0, d2, txns_).ok());
+  ASSERT_TRUE(txns_.Commit(d2, 100).ok());
+  EXPECT_TRUE(ScanAll(txns_.CurrentSnapshot()).empty());
 }
 
 TEST_F(HeapTableTest, GetRowByRowId) {
@@ -135,15 +147,85 @@ TEST_F(HeapTableTest, EarlyTerminationStopsScan) {
   int seen = 0;
   ASSERT_TRUE(table_
                   .Scan(txns_, txns_.CurrentSnapshot(), kInvalidTxn,
-                        [&](RowId, const Row&) { return ++seen < 3; })
+                        [&](RowId, const HeapTable::RowMeta&, Row&&) {
+                          return ++seen < 3;
+                        })
                   .ok());
   EXPECT_EQ(seen, 3);
+}
+
+TEST_F(HeapTableTest, FetchKeepsTheGivenOrderAndSkipsInvisible) {
+  for (int i = 0; i < 6; ++i) CommittedInsert(i, "r" + std::to_string(i));
+  TxnId open = txns_.Begin();  // uncommitted insert: row 6
+  ASSERT_TRUE(table_.Insert({Value::Int64(6), Value::String("r6")}, open).ok());
+  TxnId deleter = txns_.Begin();
+  ASSERT_TRUE(table_.Delete(2, deleter, txns_).ok());
+  ASSERT_TRUE(txns_.Commit(deleter, 100).ok());
+
+  std::vector<int64_t> seen;
+  auto collect = [&](RowId, const HeapTable::RowMeta&, Row&& row) {
+    seen.push_back(row[0].AsInt64());
+    return true;
+  };
+  ASSERT_TRUE(table_
+                  .Fetch(txns_, txns_.CurrentSnapshot(), kInvalidTxn,
+                         {5, 2, 6, 0, 5}, collect)
+                  .ok());
+  EXPECT_EQ(seen, (std::vector<int64_t>{5, 0, 5}));
+  seen.clear();
+  ASSERT_TRUE(
+      table_.Fetch(txns_, txns_.CurrentSnapshot(), open, {6, 1}, collect)
+          .ok());
+  EXPECT_EQ(seen, (std::vector<int64_t>{6, 1}));  // a reader sees its own
+  EXPECT_FALSE(table_
+                   .Fetch(txns_, txns_.CurrentSnapshot(), kInvalidTxn, {1, 7},
+                          collect)
+                   .ok());
+}
+
+TEST_F(HeapTableTest, FetchReadsEachRunOfRowsOnAPageOnce) {
+  for (int i = 0; i < 200; ++i) CommittedInsert(i, std::string(32, 'p'));
+  // Rows 0..2 share the first page and row 150 is on a later one.
+  disk_->DropCache();
+  disk_->ResetStats();
+  ASSERT_TRUE(table_
+                  .Fetch(txns_, txns_.CurrentSnapshot(), kInvalidTxn,
+                         {0, 1, 2, 150, 0},
+                         [](RowId, const HeapTable::RowMeta&, Row&&) {
+                           return true;
+                         })
+                  .ok());
+  // Runs {0,1,2}, {150}, {0}: two misses, then a hit on the first page.
+  EXPECT_EQ(disk_->stats().page_reads, 2);
+  EXPECT_EQ(disk_->stats().cache_hits, 1);
+}
+
+TEST_F(HeapTableTest, FilteredScanJudgesStampsBeforeDecoding) {
+  TxnId a = CommittedInsert(1, "a");
+  TxnId b = CommittedInsert(2, "b");
+  CommittedInsert(3, "c");
+  std::vector<TxnId> judged;
+  std::vector<std::pair<TxnId, int64_t>> visited;
+  ASSERT_TRUE(table_
+                  .Scan(
+                      [&](const HeapTable::RowMeta& meta) {
+                        judged.push_back(meta.xmin);
+                        return meta.xmin != a;
+                      },
+                      [&](RowId, const HeapTable::RowMeta& meta, Row&& row) {
+                        visited.emplace_back(meta.xmin, row[0].AsInt64());
+                        return meta.xmin != b;  // stop after row 2
+                      })
+                  .ok());
+  EXPECT_EQ(judged, (std::vector<TxnId>{a, b}));  // the read stopped at b
+  ASSERT_EQ(visited.size(), 1u);
+  EXPECT_EQ(visited[0], std::make_pair(b, int64_t{2}));
 }
 
 TEST_F(HeapTableTest, RowCountCountsAllVersions) {
   CommittedInsert(1, "a");
   TxnId d = txns_.Begin();
-  ASSERT_TRUE(table_.Delete(0, d).ok());
+  ASSERT_TRUE(table_.Delete(0, d, txns_).ok());
   ASSERT_TRUE(txns_.Commit(d, 10).ok());
   EXPECT_EQ(table_.row_count(), 1u);  // version still exists
 }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+
 #include "exec/binder.h"
 #include "sql/parser.h"
 
@@ -157,6 +160,65 @@ TEST(SortTest, MultiKey) {
   EXPECT_EQ(rows[0][0].AsInt64(), 3);  // a,3
   EXPECT_EQ(rows[1][0].AsInt64(), 2);  // a,2
   EXPECT_EQ(rows[2][0].AsInt64(), 1);  // b,1
+}
+
+// Ties at the limit's boundary: a sort bounded by the LIMIT above it must
+// return exactly the prefix of the full stable sort, arrival order first.
+TEST(SortTest, TopKUnderLimitIsTheStableSortsPrefix) {
+  std::vector<Row> input;
+  for (int i = 0; i < 40; ++i) {
+    input.push_back({Value::Int64((i * 7) % 5),
+                     Value::String("r" + std::to_string(i))});
+  }
+  std::vector<Row> stable = input;
+  std::stable_sort(stable.begin(), stable.end(),
+                   [](const Row& a, const Row& b) {
+                     return a[0].Compare(b[0]) > 0;  // DESC
+                   });
+  for (int64_t limit : {0, 1, 7, 8, 9, 16, 39, 40, 100}) {
+    for (int64_t offset : {0, 3, 8}) {
+      std::vector<SortKey> keys;
+      keys.push_back({ColRef(0, DataType::kInt64), false});
+      auto node = std::make_unique<LimitNode>(
+          std::make_unique<SortNode>(Source(AB(), input), std::move(keys)),
+          limit, offset);
+      std::vector<Row> want;
+      for (int64_t i = offset;
+           i < std::min<int64_t>(offset + limit, stable.size()); ++i) {
+        want.push_back(stable[i]);
+      }
+      // Run twice: a re-opened plan (a CQ's next close) sorts afresh.
+      for (int run = 0; run < 2; ++run) {
+        auto rows = RunPlan(node.get());
+        ASSERT_EQ(rows.size(), want.size()) << limit << " " << offset;
+        for (size_t i = 0; i < rows.size(); ++i) {
+          EXPECT_EQ(RowToString(rows[i]), RowToString(want[i]))
+              << "limit " << limit << " offset " << offset << " row " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(SortTest, OperatorKeyEncodesTheLimitBound) {
+  auto sort_key_under = [](std::optional<int64_t> limit) {
+    std::vector<SortKey> keys;
+    keys.push_back({ColRef(0, DataType::kInt64), true});
+    ExecNodePtr node =
+        std::make_unique<SortNode>(Source(AB(), {}), std::move(keys));
+    const ExecNode* sort = node.get();
+    if (limit.has_value()) {
+      node = std::make_unique<LimitNode>(std::move(node), *limit, 0);
+    }
+    std::string key;
+    sort->AppendOperatorKey(&key);
+    return key;
+  };
+  EXPECT_NE(sort_key_under(std::nullopt), sort_key_under(10));
+  EXPECT_NE(sort_key_under(10), sort_key_under(5));
+  EXPECT_EQ(sort_key_under(10), sort_key_under(10));
+  // LIMIT ALL leaves the sort unbounded.
+  EXPECT_EQ(sort_key_under(std::nullopt), sort_key_under(-1));
 }
 
 std::unique_ptr<HashAggregateNode> MakeCountByB(std::vector<Row> input) {
