@@ -14,11 +14,12 @@
 # budget plus the sink-retry and quarantine fault
 # drills; exact accounting and oracle equivalence are asserted while
 # ASan+UBSan watch the shed/requeue paths. The network suite (`net`)
-# exercises the TCP front-end — corrupt frames, slow-consumer policies,
-# net.* fault drills, and the seeded INGEST_BATCH decoder drill (every
-# proper prefix plus 100k mutated bodies, decoded like a row-by-row
-# reference) — with the sanitizers watching the event loop, the decoder
-# and per-connection send queues. The vectorize suite (`vectorize`) replays
+# exercises the TCP front-end — corrupt frames and every single-bit flip
+# of one, pushes encoded in place, slow-consumer policies, frames written
+# in pieces through the smallest send buffer, net.* fault drills, and the
+# seeded INGEST_BATCH decoder drill (every proper prefix plus 100k mutated
+# bodies, decoded like a row-by-row reference) — with the sanitizers
+# watching the event loop, the decoder and per-connection send queues. The vectorize suite (`vectorize`) replays
 # the 200-seed differential of shared CQs against the same SQL on the
 # generic evaluator, with the sanitizers watching the arena/bitmap/
 # selection kernels and torn-row quarantine. UBSan findings are fatal
@@ -36,12 +37,14 @@
 # suite (`storage`) covers the heap read loop every table reader shares
 # (disk, heap, transaction, B+Tree and operator units, DML and VACUUM,
 # window consistency, and the seeded read-path differential against a
-# row-at-a-time reference). After the ASan+UBSan pass, the
-# concurrency suite (label `concurrency`: concurrent ingest on disjoint
-# streams vs. the control plane, the concurrent-vs-serial-oracle
-# differential, columnar ingest under DDL churn, shared closes under
-# member churn, active-table reads under ingest and VACUUM, network client
-# fan-in) plus the vectorize, ha, shared, net and storage labels run again
+# row-at-a-time reference) and the WAL: its one-pass framing and
+# checksum, every single-bit flip of a record rejected on replay and on
+# shipping (`wal_test`), and replay into tables (`recovery_test`). After
+# the ASan+UBSan pass, the concurrency suite (label `concurrency`:
+# concurrent ingest on disjoint streams vs. the control plane, the
+# concurrent-vs-serial-oracle differential, columnar ingest under DDL
+# churn, shared closes under member churn, active-table reads under ingest
+# and VACUUM, network client fan-in) plus the vectorize, ha, shared, net and storage labels run again
 # under TSAN — lock-hierarchy violations (DESIGN decision 11) and loop-/worker-/
 # delivery-thread races (every subscription's pushes pass its gate
 # mutex) surface there, not under ASan. Extra arguments are forwarded to

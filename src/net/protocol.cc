@@ -47,15 +47,6 @@ bool IsResponseType(uint8_t type) {
          type <= static_cast<uint8_t>(FrameType::kShutdown);
 }
 
-uint32_t Fnv1a(const char* data, size_t n) {
-  uint32_t h = 2166136261u;
-  for (size_t i = 0; i < n; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 16777619u;
-  }
-  return h;
-}
-
 namespace {
 
 void PutU32(uint32_t v, std::string* out) {
@@ -130,17 +121,38 @@ bool IsKnownType(uint8_t type) {
   return IsRequestType(type) || IsResponseType(type);
 }
 
+/// Starts a frame at the end of *out: the header placeholder, then the
+/// (type, request id) prefix. SealFrame finishes it once the body is in.
+size_t BeginFrame(FrameType type, uint64_t request_id, std::string* out) {
+  const size_t start = streamrel::BeginFrame(out);
+  out->push_back(static_cast<char>(type));
+  PutU64(request_id, out);
+  return start;
+}
+
+void PutStreamRows(const std::string& source, int64_t close,
+                   const std::vector<Row>& rows, std::string* out) {
+  PutString(source, out);
+  PutI64(close, out);
+  PutRows(rows, out);
+}
+
 }  // namespace
 
 void EncodeFrame(const Frame& frame, std::string* out) {
-  std::string payload;
-  payload.reserve(kFramePrefixBytes + frame.body.size());
-  payload.push_back(static_cast<char>(frame.type));
-  PutU64(frame.request_id, &payload);
-  payload.append(frame.body);
-  PutU32(static_cast<uint32_t>(payload.size()), out);
-  PutU32(Fnv1a(payload.data(), payload.size()), out);
-  out->append(payload);
+  out->reserve(out->size() + kFrameHeaderBytes + kFramePrefixBytes +
+               frame.body.size());
+  const size_t start = BeginFrame(frame.type, frame.request_id, out);
+  out->append(frame.body);
+  SealFrame(start, out);
+}
+
+void EncodeStreamRowsFrame(uint64_t request_id, const std::string& source,
+                           int64_t close, const std::vector<Row>& rows,
+                           std::string* out) {
+  const size_t start = BeginFrame(FrameType::kStreamRows, request_id, out);
+  PutStreamRows(source, close, rows, out);
+  SealFrame(start, out);
 }
 
 DecodeStatus TryDecodeFrame(const std::string& buf, size_t* offset,
@@ -160,7 +172,7 @@ DecodeStatus TryDecodeFrame(const std::string& buf, size_t* offset,
   }
   if (avail < kFrameHeaderBytes + len) return DecodeStatus::kNeedMore;
   const char* payload = buf.data() + pos + kFrameHeaderBytes;
-  if (Fnv1a(payload, len) != checksum) {
+  if (FrameChecksum(payload, len) != checksum) {
     if (error != nullptr) *error = "frame checksum mismatch";
     return DecodeStatus::kCorrupt;
   }
@@ -394,9 +406,7 @@ Result<RowSet> DecodeRowSetBody(const std::string& body) {
 
 std::string EncodeStreamRowsBody(const StreamRowsBody& batch) {
   std::string out;
-  PutString(batch.source, &out);
-  PutI64(batch.close, &out);
-  PutRows(batch.rows, &out);
+  PutStreamRows(batch.source, batch.close, batch.rows, &out);
   return out;
 }
 

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/checksum.h"
 #include "common/schema.h"
 #include "common/status.h"
 #include "exec/column_batch.h"
@@ -50,18 +51,15 @@ struct Frame {
   std::string body;
 };
 
-/// Frame layout on the wire (mirrors the WAL's framing convention):
-///   u32 payload length | u32 FNV-1a checksum of payload | payload
+/// Frame layout on the wire (the WAL's framing, common/checksum.h):
+///   u32 payload length | u32 FrameChecksum(payload) | payload
 /// where payload = u8 frame type | u64 request id | body.
-constexpr size_t kFrameHeaderBytes = 2 * sizeof(uint32_t);
 constexpr size_t kFramePrefixBytes = 1 + sizeof(uint64_t);
 /// Upper bound on one frame's payload; a length beyond this is treated as
 /// a corrupt (or hostile) stream, not an allocation request.
 constexpr size_t kMaxFramePayload = 64u << 20;
 
-/// Same function and constants as the WAL's per-record checksum.
-uint32_t Fnv1a(const char* data, size_t n);
-
+/// Appends the encoded frame to *out.
 void EncodeFrame(const Frame& frame, std::string* out);
 
 enum class DecodeStatus {
@@ -148,6 +146,13 @@ struct StreamRowsBody {
 };
 std::string EncodeStreamRowsBody(const StreamRowsBody& batch);
 Result<StreamRowsBody> DecodeStreamRowsBody(const std::string& body);
+/// Appends a whole STREAM_ROWS frame straight from the delivered rows, in
+/// one pass and without a StreamRowsBody copy. The bytes equal
+/// EncodeFrame({kStreamRows, request_id,
+///              EncodeStreamRowsBody({source, close, rows})}).
+void EncodeStreamRowsFrame(uint64_t request_id, const std::string& source,
+                           int64_t close, const std::vector<Row>& rows,
+                           std::string* out);
 
 /// Errors round-trip the engine Status (code + message).
 std::string EncodeErrorBody(const Status& status);

@@ -555,15 +555,13 @@ void Server::DoSubscribe(const ConnPtr& conn, uint64_t request_id,
                Status::AlreadyExists("already subscribed to '" + name + "'"));
     return;
   }
-  // Every pushed frame of this subscription, live or replayed.
+  // Every pushed frame of this subscription, live or replayed, encoded
+  // straight from the delivered rows.
   auto push_frame = [request_id, name](int64_t close,
                                        const std::vector<Row>& rows) {
-    StreamRowsBody batch;
-    batch.source = name;
-    batch.close = close;
-    batch.rows = rows;
-    return Frame{FrameType::kStreamRows, request_id,
-                 EncodeStreamRowsBody(batch)};
+    std::string bytes;
+    EncodeStreamRowsFrame(request_id, name, close, rows, &bytes);
+    return bytes;
   };
   // The engine attaches the callback before this worker enqueues the ack
   // (and the backfill), so a window that closes in that gap would jump
@@ -583,8 +581,7 @@ void Server::DoSubscribe(const ConnPtr& conn, uint64_t request_id,
                                     int64_t close,
                                     const std::vector<Row>& rows) {
     if (c->closed.load(std::memory_order_acquire)) return Status::OK();
-    std::string bytes;
-    EncodeFrame(push_frame(close, rows), &bytes);
+    std::string bytes = push_frame(close, rows);
     // Holding gate->mu while enqueueing keeps this frame behind any held
     // ones the subscribing worker is still flushing. Deliveries to one
     // subscription are already serialized by the source stream's ingest
@@ -715,6 +712,10 @@ void Server::DoUnsubscribe(const ConnPtr& conn, uint64_t request_id,
 void Server::EnqueueResponse(const ConnPtr& conn, const Frame& frame) {
   std::string bytes;
   EncodeFrame(frame, &bytes);
+  EnqueueResponse(conn, std::move(bytes));
+}
+
+void Server::EnqueueResponse(const ConnPtr& conn, std::string bytes) {
   const size_t sz = bytes.size();
   {
     std::lock_guard<std::mutex> lock(conn->mu);
@@ -726,7 +727,10 @@ void Server::EnqueueResponse(const ConnPtr& conn, const Frame& frame) {
   }
   db_->runtime()->governor()->Add(MemoryGovernor::Account::kNetSendQueue,
                                   static_cast<int64_t>(sz));
-  TryFlush(conn);
+  // The loop polls for POLLOUT only on queues it saw non-empty when it
+  // built its poll set, so bytes the socket would not take now need a
+  // wake, or they wait out the poll timeout.
+  if (TryFlush(conn)) Wake();
 }
 
 void Server::ReplyError(const ConnPtr& conn, uint64_t request_id,
@@ -860,15 +864,15 @@ void Server::EnqueuePush(const ConnPtr& conn,
   }
 }
 
-void Server::TryFlush(const ConnPtr& conn) {
+bool Server::TryFlush(const ConnPtr& conn) {
   std::lock_guard<std::mutex> lock(conn->mu);
-  if (conn->fd < 0 || conn->dead) return;
-  if (conn->out.empty()) return;
+  if (conn->fd < 0 || conn->dead) return false;
+  if (conn->out.empty()) return false;
   if (!FaultInjector::Instance().Hit("net.write").ok()) {
     conn->dead = true;
     conn->broken = true;
     conn->drain_cv.notify_all();
-    return;
+    return false;
   }
   MemoryGovernor* governor = db_->runtime()->governor();
   bool progressed = false;
@@ -882,7 +886,7 @@ void Server::TryFlush(const ConnPtr& conn) {
       conn->dead = true;
       conn->broken = true;
       conn->drain_cv.notify_all();
-      return;
+      return false;
     }
     counters_.bytes_out.fetch_add(n);
     front.offset += static_cast<size_t>(n);
@@ -897,6 +901,7 @@ void Server::TryFlush(const ConnPtr& conn) {
   }
   // Wake BLOCK-policy deliveries the moment queue bytes retire.
   if (progressed) conn->drain_cv.notify_all();
+  return !conn->out.empty();
 }
 
 void Server::KillConnection(const ConnPtr& conn) {

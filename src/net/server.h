@@ -207,8 +207,11 @@ class Server {
   void DoReplFetch(const ConnPtr& conn, uint64_t request_id,
                    const ReplFetchRequest& req);
 
-  /// Enqueues a response frame (never shed; the client awaits it).
+  /// Enqueues a response frame (never shed; the client awaits it) and
+  /// flushes it inline; if the socket leaves part of it queued, wakes the
+  /// loop to poll for POLLOUT.
   void EnqueueResponse(const ConnPtr& conn, const Frame& frame);
+  void EnqueueResponse(const ConnPtr& conn, std::string bytes);
   void ReplyError(const ConnPtr& conn, uint64_t request_id,
                   const Status& status);
   /// Enqueues a pushed subscription frame under `policy_stream`'s overload
@@ -219,10 +222,11 @@ class Server {
   void EnqueuePush(const ConnPtr& conn, const std::string& policy_stream,
                    std::string bytes);
 
-  /// Writes as much queued output as the socket accepts right now.
+  /// Writes as much queued output as the socket accepts right now and
+  /// returns whether bytes are left queued on a live connection.
   /// Callable from any thread (BLOCK-policy deliverers drain the socket
   /// themselves so a busy loop thread cannot deadlock them).
-  void TryFlush(const ConnPtr& conn);
+  bool TryFlush(const ConnPtr& conn);
 
   /// Marks a connection dead and wakes the loop to reap it.
   void KillConnection(const ConnPtr& conn);

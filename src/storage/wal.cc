@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "common/checksum.h"
 #include "common/fault_injector.h"
 
 namespace streamrel::storage {
@@ -13,22 +14,6 @@ WriteAheadLog::WriteAheadLog(std::shared_ptr<SimulatedDisk> disk,
 
 namespace {
 
-// Frame layout: u32 payload length, u32 FNV-1a checksum of the payload,
-// then the payload (one encoded record).
-constexpr size_t kFrameHeaderBytes = 2 * sizeof(uint32_t);
-
-uint32_t Fnv1a(const char* data, size_t n) {
-  uint32_t h = 2166136261u;
-  for (size_t i = 0; i < n; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 16777619u;
-  }
-  return h;
-}
-
-void PutU32(uint32_t v, std::string* out) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
 void PutU64(uint64_t v, std::string* out) {
   out->append(reinterpret_cast<const char*>(&v), sizeof(v));
 }
@@ -103,11 +88,11 @@ Status WriteAheadLog::Append(const WalRecord& record) {
     std::lock_guard<std::mutex> lock(mu_);
     // A recovering system truncates any damaged tail before it writes.
     tail_damage_.clear();
-    std::string payload;
-    Encode(record, &payload);
-    PutU32(static_cast<uint32_t>(payload.size()), &log_);
-    PutU32(Fnv1a(payload.data(), payload.size()), &log_);
-    log_.append(payload);
+    // One frame per record (common/checksum.h), encoded straight into the
+    // log behind its header.
+    const size_t start = BeginFrame(&log_);
+    Encode(record, &log_);
+    SealFrame(start, &log_);
     ++record_count_;
   }
   if (sync_every_append_) return Sync();
@@ -204,7 +189,7 @@ Status WriteAheadLog::Replay(
       local.stopped_at_torn_tail = true;  // frame extends past end-of-log
       break;
     }
-    if (Fnv1a(snapshot.data() + payload_at, len) != checksum) {
+    if (FrameChecksum(snapshot.data() + payload_at, len) != checksum) {
       if (payload_at + len == snapshot.size()) {
         local.stopped_at_corrupt_tail = true;  // last frame, bad bytes
         break;
@@ -297,7 +282,7 @@ Status WriteAheadLog::DecodeShipped(const std::string& bytes,
            sizeof(checksum));
     const size_t payload_at = *consumed + kFrameHeaderBytes;
     if (payload_at + len > bytes.size()) break;  // partial frame: re-fetch
-    if (Fnv1a(bytes.data() + payload_at, len) != checksum) {
+    if (FrameChecksum(bytes.data() + payload_at, len) != checksum) {
       return Status::IoError(
           "shipped WAL frame at slice offset " + std::to_string(*consumed) +
           " fails its checksum; the synced source prefix is intact, so the "

@@ -56,12 +56,12 @@ struct WalReplayStats {
 /// (the expensive store-first configuration) or explicitly by the caller.
 ///
 /// Crash model: the durable image is the *synced prefix* only. Each record
-/// is framed with its length and an FNV-1a checksum; SimulateCrash()
-/// discards everything unsynced (optionally leaving a torn or corrupt
-/// final frame, as a real device would after a mid-write power cut), and
-/// Replay treats a damaged frame at the tail as end-of-log rather than a
-/// recovery failure. Damage anywhere BEFORE the tail is real corruption
-/// and still fails replay.
+/// is framed with its length and a FrameChecksum (common/checksum.h; wire
+/// frames use the same framing); SimulateCrash() discards everything
+/// unsynced (optionally leaving a torn or corrupt final frame, as a real
+/// device would after a mid-write power cut), and Replay treats a damaged
+/// frame at the tail as end-of-log rather than a recovery failure. Damage
+/// anywhere BEFORE the tail is real corruption and still fails replay.
 ///
 /// Fault points: `wal.append` (before anything is buffered) and
 /// `wal.sync` (before anything is charged or marked durable).

@@ -27,15 +27,24 @@ void Histogram::Record(int64_t value) {
 int64_t Histogram::Percentile(double q) const {
   std::lock_guard<std::mutex> lock(mu_);
   if (count_ == 0) return 0;
-  int64_t rank =
-      static_cast<int64_t>(std::ceil(q * static_cast<double>(count_)));
-  if (rank < 1) rank = 1;
-  int64_t seen = 0;
+  // In double throughout, so no product of a value and a count overflows.
+  const double rank = std::clamp(q, 0.0, 1.0) * static_cast<double>(count_);
+  int64_t before = 0;  // samples in the buckets below bucket i
   for (size_t i = 0; i < buckets_.size(); ++i) {
-    seen += buckets_[i];
-    if (seen >= rank) {
-      return i < bounds_.size() ? bounds_[i] : max_;
+    if (buckets_[i] == 0) continue;
+    if (static_cast<double>(before + buckets_[i]) >= rank) {
+      // The bucket's samples are taken as spread evenly over the part of
+      // it the observed range covers: (previous bound, bound] clipped to
+      // [min, max].
+      const double lo = static_cast<double>(
+          i == 0 ? min_ : std::max(bounds_[i - 1], min_));
+      const double hi = static_cast<double>(
+          i < bounds_.size() ? std::min(bounds_[i], max_) : max_);
+      const double frac = (rank - static_cast<double>(before)) /
+                          static_cast<double>(buckets_[i]);
+      return static_cast<int64_t>(std::llround(lo + (hi - lo) * frac));
     }
+    before += buckets_[i];
   }
   return max_;
 }

@@ -39,9 +39,10 @@ class Gauge {
 };
 
 /// Bounded histogram over fixed bucket upper bounds (no per-sample
-/// allocation, O(buckets) memory forever). Percentiles are reported as the
-/// upper bound of the bucket where the cumulative count crosses the rank —
-/// exact enough for latency dashboards, cheap enough for the hot path.
+/// allocation, O(buckets) memory forever). A percentile interpolates
+/// linearly inside the bucket where the cumulative count crosses the rank,
+/// between the bucket's edges clipped to the observed min and max, so it
+/// can read any value, not only a bucket bound.
 class Histogram {
  public:
   /// `bounds` are ascending bucket upper bounds; an implicit overflow
@@ -71,8 +72,12 @@ class Histogram {
     return count_ == 0 ? 0 : max_;
   }
 
-  /// Upper bound of the bucket containing the q-quantile (0 < q <= 1);
-  /// the overflow bucket reports the observed max. 0 when empty.
+  /// The q-quantile (0 <= q <= 1) at rank q * count, interpolated inside
+  /// its bucket: the bucket's lower edge is the previous bound or the
+  /// observed min, whichever is higher, and its upper edge the bound or
+  /// the observed max, whichever is lower (the overflow bucket's is the
+  /// max). So q = 0 reads the min, q = 1 the max, and a single sample
+  /// reads itself. 0 when empty.
   int64_t Percentile(double q) const;
 
  private:

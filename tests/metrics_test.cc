@@ -26,11 +26,23 @@ TEST(HistogramTest, BucketsMinMaxAndPercentiles) {
   EXPECT_EQ(h.sum(), 555);
   EXPECT_EQ(h.min(), 5);
   EXPECT_EQ(h.max(), 500);
-  // Nearest-rank (rank = ceil(q * n)) over the bucket upper bounds;
-  // the overflow bucket reports the observed max.
-  EXPECT_EQ(h.Percentile(0.33), 10);   // rank 1 of 3
-  EXPECT_EQ(h.Percentile(0.66), 100);  // rank 2 of 3
-  EXPECT_EQ(h.Percentile(0.99), 500);  // rank 3 of 3 (overflow)
+  // Rank q * n, interpolated linearly inside its bucket between the
+  // edges clipped to the observed [min, max]: bucket 0 spans [5, 10],
+  // bucket 1 (10, 100], the overflow bucket (100, 500].
+  EXPECT_EQ(h.Percentile(0.33), 10);   // rank 0.99: 5 + 5 * 0.99 = 9.95
+  EXPECT_EQ(h.Percentile(0.66), 98);   // rank 1.98: 10 + 90 * 0.98 = 98.2
+  EXPECT_EQ(h.Percentile(0.99), 488);  // rank 2.97: 100 + 400 * 0.97
+  EXPECT_EQ(h.Percentile(0.5), 55);    // rank 1.5: 10 + 90 * 0.5
+  EXPECT_EQ(h.Percentile(0.0), 5);     // the min
+  EXPECT_EQ(h.Percentile(1.0), 500);   // the max
+
+  // Values inside one bucket no longer all read as its bound.
+  Histogram latency(Histogram::LatencyMicrosBounds());
+  latency.Record(1234);
+  EXPECT_EQ(latency.Percentile(0.5), 1234);  // a lone sample reads itself
+  for (int64_t v = 1100; v <= 2000; v += 100) latency.Record(v);
+  // 11 samples in (1000, 2500], clipped to [1100, 2000]: rank 5.5.
+  EXPECT_EQ(latency.Percentile(0.5), 1550);  // 1100 + 900 * 5.5 / 11
 }
 
 TEST(MetricsRegistryTest, SnapshotAndRemoveObject) {

@@ -18,6 +18,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -35,6 +38,12 @@ namespace {
 
 constexpr int64_t kSec = kMicrosPerSecond;
 constexpr int64_t kRpcTimeout = 10'000'000;  // generous for CI machines
+
+int64_t NowMicros() {
+  return std::chrono::duration_cast<std::chrono::microseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
 
 // --- protocol --------------------------------------------------------------
 
@@ -146,6 +155,109 @@ TEST(Protocol, CorruptFramesRejectedWithoutCrashing) {
   Frame frame;
   EXPECT_EQ(TryDecodeFrame(absurd, &offset, &frame, nullptr),
             DecodeStatus::kCorrupt);
+}
+
+// The push path encodes STREAM_ROWS frames in place, straight from the
+// delivered rows; its bytes must equal the reference encoding through a
+// StreamRowsBody, for rows of every type, NULLs, empty rows and no rows.
+TEST(Protocol, InPlaceStreamRowsFrameMatchesReferenceEncoding) {
+  std::mt19937_64 rng(20);
+  auto random_value = [&rng]() -> Value {
+    switch (rng() % 7) {
+      case 0:
+        return Value::Null();
+      case 1:
+        return Value::Bool(rng() % 2 == 0);
+      case 2:
+        return Value::Int64(static_cast<int64_t>(rng()));
+      case 3:
+        return Value::Double(static_cast<double>(rng() % 100000) / 7.0);
+      case 4:
+        return Value::String(
+            std::string(rng() % 40, static_cast<char>('a' + rng() % 26)));
+      case 5:
+        return Value::Timestamp(static_cast<int64_t>(rng() % (1ull << 50)));
+      default:
+        return Value::Interval(-static_cast<int64_t>(rng() % 1000000));
+    }
+  };
+  for (int round = 0; round < 200; ++round) {
+    std::vector<Row> rows(rng() % 12);  // zero rows on some rounds
+    for (Row& row : rows) {
+      row.resize(rng() % 6);  // some rows are empty
+      for (Value& v : row) v = random_value();
+    }
+    const std::string source = round % 2 == 0 ? "Mixed_Case_CQ" : "m7";
+    const int64_t close = static_cast<int64_t>(rng() % (1ull << 40));
+    const uint64_t request_id = rng();
+
+    std::string want;
+    EncodeFrame({FrameType::kStreamRows, request_id,
+                 EncodeStreamRowsBody({source, close, rows})},
+                &want);
+    // Appended after bytes already in the buffer: the length and the
+    // checksum are patched at the frame's own offset.
+    std::string got;
+    EncodeFrame({FrameType::kPing, 1, ""}, &got);
+    const std::string before = got;
+    EncodeStreamRowsFrame(request_id, source, close, rows, &got);
+    ASSERT_EQ(got, before + want) << "round " << round;
+
+    size_t offset = before.size();
+    Frame frame;
+    ASSERT_EQ(TryDecodeFrame(got, &offset, &frame, nullptr),
+              DecodeStatus::kFrame);
+    EXPECT_EQ(offset, got.size());
+    auto body = DecodeStreamRowsBody(frame.body);
+    ASSERT_TRUE(body.ok()) << body.status().ToString();
+    EXPECT_EQ(body->source, source);
+    EXPECT_EQ(body->close, close);
+    ASSERT_EQ(body->rows.size(), rows.size());
+    for (size_t r = 0; r < rows.size(); ++r) {
+      EXPECT_EQ(RowToString(body->rows[r]), RowToString(rows[r]));
+    }
+  }
+}
+
+// Wire frames and WAL records share one checksum (common/checksum.h).
+// Known answers, computed independently from the definition: two FNV-1a
+// lanes over alternating little-endian 4-byte words, XORed, then a
+// byte-wise FNV-1a tail.
+TEST(Protocol, FrameChecksumKnownAnswers) {
+  EXPECT_EQ(FrameChecksum("", 0), 0x8410c0dau);
+  EXPECT_EQ(FrameChecksum("123456789", 9), 0x0ac326e1u);  // 1 step, 1 tail
+  const std::string text = "StreamRel frame checksum";   // 3 steps, no tail
+  EXPECT_EQ(FrameChecksum(text.data(), text.size()), 0x843e6c35u);
+}
+
+// Every single-bit flip of a whole frame, header included, must be
+// rejected: a payload or checksum flip fails the checksum, a length flip
+// fails the checksum, the range check or waits for bytes that never come.
+// Never a frame.
+TEST(Protocol, EveryBitFlipOfAFrameIsRejected) {
+  std::mt19937_64 rng(64);
+  for (size_t frame_bytes : {size_t{64}, size_t{4096}}) {
+    const size_t body_bytes =
+        frame_bytes - kFrameHeaderBytes - kFramePrefixBytes;
+    std::string body(body_bytes, '\0');
+    for (char& c : body) c = static_cast<char>(rng());
+    std::string wire;
+    EncodeFrame({FrameType::kAck, 9, body}, &wire);
+    ASSERT_EQ(wire.size(), frame_bytes);
+    for (size_t bit = 0; bit < 8 * wire.size(); ++bit) {
+      wire[bit / 8] = static_cast<char>(wire[bit / 8] ^ (1 << (bit % 8)));
+      size_t offset = 0;
+      Frame frame;
+      const DecodeStatus ds = TryDecodeFrame(wire, &offset, &frame, nullptr);
+      wire[bit / 8] = static_cast<char>(wire[bit / 8] ^ (1 << (bit % 8)));
+      ASSERT_NE(ds, DecodeStatus::kFrame)
+          << frame_bytes << "-byte frame, bit " << bit << " flipped";
+      if (bit >= 8 * sizeof(uint32_t)) {
+        // Length intact: the checksum itself must catch it.
+        ASSERT_EQ(ds, DecodeStatus::kCorrupt) << "bit " << bit;
+      }
+    }
+  }
 }
 
 // --- server fixture --------------------------------------------------------
@@ -331,13 +443,18 @@ class RawSocket {
     EncodeFrame(frame, &wire);
     return RoundtripBytes(wire);
   }
-  Result<Frame> RoundtripBytes(const std::string& wire) {
+  /// `longest_wait`, if given, receives the longest time between two
+  /// reads of the reply once its first bytes have arrived.
+  Result<Frame> RoundtripBytes(const std::string& wire,
+                               int64_t* longest_wait = nullptr) {
     if (send(fd_, wire.data(), wire.size(), 0) !=
         static_cast<ssize_t>(wire.size())) {
       return Status::IoError("send failed");
     }
     std::string buf;
-    char tmp[4096];
+    std::vector<char> tmp(64 * 1024);
+    int64_t last_read = 0;
+    if (longest_wait != nullptr) *longest_wait = 0;
     for (;;) {
       size_t offset = 0;
       Frame reply;
@@ -345,9 +462,14 @@ class RawSocket {
           DecodeStatus::kFrame) {
         return reply;
       }
-      ssize_t n = recv(fd_, tmp, sizeof(tmp), 0);
+      ssize_t n = recv(fd_, tmp.data(), tmp.size(), 0);
       if (n <= 0) return Status::IoError("server closed the connection");
-      buf.append(tmp, static_cast<size_t>(n));
+      const int64_t now = NowMicros();
+      if (longest_wait != nullptr && !buf.empty()) {
+        *longest_wait = std::max(*longest_wait, now - last_read);
+      }
+      last_read = now;
+      buf.append(tmp.data(), static_cast<size_t>(n));
     }
   }
   /// Blocks until the server closes the connection; false if it sends
@@ -663,6 +785,136 @@ TEST_F(SlowConsumerTest, ShedOldestEvictsAndBalances) {
   EXPECT_EQ(s.slow_disconnects, 0);
   EXPECT_EQ(s.pushes_total,
             s.pushes_admitted + s.pushes_shed + s.pushes_disconnected);
+}
+
+// Pushes bigger than the smallest kernel send buffer, to two readers of
+// one CQ: a plain SUBSCRIBE from the start, and a SUBSCRIBE ... RESUME
+// whose backfill rides the response path. Every frame is written in
+// pieces; each side must still decode exactly the in-process
+// subscriber's windows, in order, and the push accounting must balance.
+class TinySendBufferTest : public NetworkTest {
+ protected:
+  void SetUp() override {
+    options_.so_sndbuf = 1;  // kernel clamps to its minimum
+    NetworkTest::SetUp();
+  }
+};
+
+TEST_F(TinySendBufferTest, PlainAndResumedSubscribersMatchInProcess) {
+  Client control = MakeClient();
+  auto ddl = control.Query(
+      "CREATE STREAM clicks (url varchar, ts timestamp CQTIME USER);"
+      "CREATE STREAM counts AS SELECT url, count(*) AS c, cq_close(*) AS w "
+      "FROM clicks <VISIBLE '1 minute'> GROUP BY url;"
+      "CREATE TABLE archive (url varchar, c bigint, w timestamp);"
+      "CREATE CHANNEL ch FROM counts INTO archive APPEND");
+  ASSERT_TRUE(ddl.ok()) << ddl.status().ToString();
+  CqCapture local;
+  auto ticket = db_.Subscribe("counts", local.Callback());
+  ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
+  Client plain = MakeClient();
+  ASSERT_TRUE(plain.Subscribe("counts", kRpcTimeout).ok());
+
+  // 40 URLs of ~300 bytes: each window's push is ~13 KB, several times
+  // the minimum send buffer.
+  auto ingest_minute = [&](int minute) {
+    std::vector<Row> rows;
+    for (int i = 0; i < 60; ++i) {
+      rows.push_back({Value::String("/" + std::string(300, 'p') +
+                                    std::to_string((minute * 7 + i) % 40)),
+                      Value::Timestamp((minute * 60 + i) * kSec)});
+    }
+    return db_.Ingest("clicks", rows);
+  };
+  for (int minute = 0; minute < 4; ++minute) {
+    ASSERT_TRUE(ingest_minute(minute).ok());
+  }
+  ASSERT_GE(local.batches.size(), 3u);
+  const int64_t token = local.batches[0].close;
+  Client resumed = MakeClient();
+  auto sub = resumed.Query("SUBSCRIBE TO counts RESUME " +
+                           std::to_string(token));
+  ASSERT_TRUE(sub.ok()) << sub.status().ToString();
+  for (int minute = 4; minute < 8; ++minute) {
+    ASSERT_TRUE(ingest_minute(minute).ok());
+  }
+  ASSERT_TRUE(db_.AdvanceTime("clicks", 8 * 60 * kSec).ok());
+  ASSERT_EQ(local.batches.size(), 8u);
+
+  auto expect_windows = [&](Client* client, size_t first, const char* who) {
+    for (size_t b = first; b < local.batches.size(); ++b) {
+      auto push = client->NextPush(kRpcTimeout);
+      ASSERT_TRUE(push.ok()) << who << ": " << push.status().ToString();
+      EXPECT_EQ(push->source, "counts") << who;
+      EXPECT_EQ(push->close, local.batches[b].close) << who << " window " << b;
+      ASSERT_EQ(push->rows.size(), local.batches[b].rows.size()) << who;
+      for (size_t r = 0; r < push->rows.size(); ++r) {
+        std::string got, want;
+        SerializeRow(push->rows[r], &got);
+        SerializeRow(local.batches[b].rows[r], &want);
+        EXPECT_EQ(got, want) << who << " window " << b << " row " << r;
+      }
+    }
+    EXPECT_EQ(client->NextPush(100'000).status().code(),
+              StatusCode::kUnavailable)
+        << who << " got a push past the last window";
+  };
+  expect_windows(&plain, 0, "plain");
+  expect_windows(&resumed, 1, "resumed");
+
+  const NetStats s = server_->stats();
+  EXPECT_EQ(s.pushes_total,
+            s.pushes_admitted + s.pushes_shed + s.pushes_disconnected);
+  EXPECT_EQ(s.pushes_shed, 0);
+  EXPECT_EQ(s.pushes_disconnected, 0);
+  ASSERT_TRUE(db_.Unsubscribe(*ticket).ok());
+}
+
+// A response larger than the socket's free send space is flushed in part
+// by the worker; the event loop must be woken to send the rest, not find
+// it at its next 50 ms poll timeout. The measure is the longest pause
+// between reads once the response has started to arrive, so neither the
+// engine's own work nor a slow transfer under sanitizers counts, only a
+// stall.
+class SmallSendBufferTest : public NetworkTest {
+ protected:
+  void SetUp() override {
+    options_.so_sndbuf = 128 * 1024;
+    NetworkTest::SetUp();
+  }
+};
+
+TEST_F(SmallSendBufferTest, LargeResponseIsNotHeldUntilThePollTimeout) {
+  MustExecute(&db_, "CREATE TABLE t (id bigint, pad varchar)");
+  const std::string pad(200, 'x');
+  for (int chunk = 0; chunk < 50; ++chunk) {
+    std::string sql = "INSERT INTO t VALUES ";
+    for (int i = 0; i < 100; ++i) {
+      if (i > 0) sql += ", ";
+      sql += "(" + std::to_string(chunk * 100 + i) + ", '" + pad + "')";
+    }
+    MustExecute(&db_, sql);
+  }
+  RawSocket raw(server_->port());
+  ASSERT_TRUE(raw.connected());
+  std::string query;
+  EncodeFrame({FrameType::kQuery, 1, EncodeQueryBody("SELECT * FROM t")},
+              &query);
+  int64_t shortest_stall = INT64_MAX;
+  for (int attempt = 0; attempt < 3; ++attempt) {
+    int64_t longest_wait = 0;
+    auto reply = raw.RoundtripBytes(query, &longest_wait);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    ASSERT_EQ(reply->type, FrameType::kRowSet);
+    auto rowset = DecodeRowSetBody(reply->body);
+    ASSERT_TRUE(rowset.ok()) << rowset.status().ToString();
+    ASSERT_EQ(rowset->rows.size(), 5000u);  // ~1 MB on the wire
+    shortest_stall = std::min(shortest_stall, longest_wait);
+  }
+  // Well under a millisecond between reads when the loop is woken; one
+  // pause of ~45 ms when the rest waits for the poll timeout.
+  EXPECT_LT(shortest_stall, 20'000)
+      << "longest pause inside a 1 MB response, best of 3";
 }
 
 // --- fault-injection drills -----------------------------------------------

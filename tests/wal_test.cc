@@ -4,6 +4,8 @@
 
 #include <memory>
 
+#include "common/checksum.h"
+
 namespace streamrel::storage {
 namespace {
 
@@ -274,6 +276,75 @@ TEST_F(WalTest, RowWithAllValueTypesRoundTrips) {
                     return Status::OK();
                   })
                   .ok());
+}
+
+// Every single-bit flip of a WAL record's frame must be rejected, both
+// when a crash leaves it as the log's last frame (Replay) and when it is
+// shipped to a standby (DecodeShipped). A flip in the payload or the
+// checksum is a corrupt tail; a flip in the length either tears the tail
+// (the frame now runs past the end) or fails the checksum before the end.
+TEST_F(WalTest, EveryBitFlipOfARecordIsRejected) {
+  WalRecord first;
+  first.type = WalRecordType::kBegin;
+  first.txn_id = 1;
+  WalRecord insert;
+  insert.type = WalRecordType::kInsert;
+  insert.txn_id = 1;
+  insert.object_name = "Hist";
+  insert.row = {Value::Null(),        Value::Bool(true), Value::Int64(-7),
+                Value::Double(0.1),   Value::String("/a/b/c"),
+                Value::Timestamp(60), Value::Interval(5)};
+  ASSERT_TRUE(wal_->Append(first).ok());
+  ASSERT_TRUE(wal_->Sync().ok());
+  const std::string head = wal_->ReadSynced(0, wal_->synced_bytes());
+  ASSERT_TRUE(wal_->Append(insert).ok());
+  ASSERT_TRUE(wal_->Sync().ok());
+  std::string record = wal_->ReadSynced(
+      static_cast<int64_t>(head.size()), wal_->synced_bytes());
+  ASSERT_GT(record.size(), kFrameHeaderBytes);
+
+  for (size_t bit = 0; bit < 8 * record.size(); ++bit) {
+    record[bit / 8] = static_cast<char>(record[bit / 8] ^ (1 << (bit % 8)));
+    const bool length_bit = bit < 8 * sizeof(uint32_t);
+
+    WriteAheadLog log(std::make_shared<SimulatedDisk>());
+    ASSERT_TRUE(log.AppendShipped(head + record, 2).ok());
+    int replayed = 0;
+    WalReplayStats stats;
+    const Status st = log.Replay(
+        [&](const WalRecord& r) {
+          EXPECT_EQ(r.type, WalRecordType::kBegin) << "bit " << bit;
+          ++replayed;
+          return Status::OK();
+        },
+        &stats);
+    EXPECT_EQ(replayed, 1) << "bit " << bit;
+    if (length_bit) {
+      EXPECT_TRUE(!st.ok() || stats.stopped_at_torn_tail) << "bit " << bit;
+    } else {
+      EXPECT_TRUE(st.ok()) << "bit " << bit << ": " << st.ToString();
+      EXPECT_TRUE(stats.stopped_at_corrupt_tail) << "bit " << bit;
+    }
+
+    size_t consumed = 0;
+    std::vector<WalRecord> shipped;
+    const Status ship =
+        WriteAheadLog::DecodeShipped(head + record, &consumed, &shipped);
+    EXPECT_EQ(shipped.size(), 1u) << "bit " << bit;
+    EXPECT_EQ(consumed, head.size()) << "bit " << bit;
+    if (!length_bit) {
+      EXPECT_FALSE(ship.ok()) << "bit " << bit;
+    }
+
+    record[bit / 8] = static_cast<char>(record[bit / 8] ^ (1 << (bit % 8)));
+  }
+  // Unflipped, the same bytes replay and ship whole.
+  size_t consumed = 0;
+  std::vector<WalRecord> shipped;
+  ASSERT_TRUE(
+      WriteAheadLog::DecodeShipped(head + record, &consumed, &shipped).ok());
+  EXPECT_EQ(shipped.size(), 2u);
+  EXPECT_EQ(consumed, head.size() + record.size());
 }
 
 }  // namespace
