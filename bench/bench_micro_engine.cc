@@ -53,7 +53,7 @@ void BM_AggregateUpdate(benchmark::State& state) {
 BENCHMARK(BM_AggregateUpdate);
 
 void BM_BTreeInsert(benchmark::State& state) {
-  storage::BTreeIndex index("k");
+  storage::BTreeIndex index("k", 0);
   uint64_t i = 0;
   for (auto _ : state) {
     index.Insert(Value::Int64(static_cast<int64_t>((i * 2654435761u) %
@@ -66,7 +66,7 @@ void BM_BTreeInsert(benchmark::State& state) {
 BENCHMARK(BM_BTreeInsert);
 
 void BM_BTreeLookup(benchmark::State& state) {
-  storage::BTreeIndex index("k");
+  storage::BTreeIndex index("k", 0);
   for (int64_t i = 0; i < 100000; ++i) {
     index.Insert(Value::Int64(i), static_cast<storage::RowId>(i));
   }
@@ -113,8 +113,8 @@ void BM_WalAppend(benchmark::State& state) {
   record.type = storage::WalRecordType::kInsert;
   record.txn_id = 1;
   record.object_name = "t";
-  record.row = {Value::Int64(42), Value::String("payload-payload"),
-                Value::Timestamp(123456789)};
+  record.rows = {{Value::Int64(42), Value::String("payload-payload"),
+                  Value::Timestamp(123456789)}};
   for (auto _ : state) {
     benchmark::DoNotOptimize(wal.Append(record).ok());
   }

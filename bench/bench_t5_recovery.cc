@@ -178,7 +178,7 @@ void BM_Restart_AfterCrash(benchmark::State& state) {
   Check(db.wal()->Append(tail), "tail begin");
   tail.type = storage::WalRecordType::kInsert;
   tail.object_name = "port_hist";
-  tail.row = {Value::Int64(80), Value::Int64(1), Value::Timestamp(0)};
+  tail.rows = {{Value::Int64(80), Value::Int64(1), Value::Timestamp(0)}};
   Check(db.wal()->Append(tail), "tail insert");
   db.wal()->SimulateCrash(mode);
 

@@ -105,7 +105,9 @@ class UrlClickWorkload {
       ts_ += step_micros_;
       batch.AppendString(0, urls_[zipf_.Next()]);
       batch.AppendTimestamp(1, ts_);
-      snprintf(ip, sizeof(ip), "10.0.%u.%u", rng_() % 256u, rng_() % 256u);
+      snprintf(ip, sizeof(ip), "10.0.%u.%u",
+               static_cast<unsigned>(rng_() % 256u),
+               static_cast<unsigned>(rng_() % 256u));
       batch.AppendString(2, ip);
       batch.CommitRow();
     }
@@ -187,8 +189,8 @@ inline engine::DatabaseOptions StoreFirstOptions(size_t cache_pages = 256) {
   return options;
 }
 
-/// Loads `rows` into `table` through plain SQL-path inserts (WAL + heap +
-/// indexes), in groups to bound statement size.
+/// Loads `rows` into `table` through the SQL write path (WAL + heap +
+/// indexes) as one logged transaction.
 inline void BulkLoad(engine::Database* db, const std::string& table,
                      const std::vector<Row>& rows) {
   auto* info = db->catalog()->GetTable(table);
@@ -196,13 +198,13 @@ inline void BulkLoad(engine::Database* db, const std::string& table,
     fprintf(stderr, "BulkLoad: no table %s\n", table.c_str());
     abort();
   }
-  storage::TxnId txn = db->txns()->Begin();
-  for (const Row& row : rows) {
-    Check(stream::InsertIntoTable(info, row, txn, db->wal().get()),
-          "bulk insert");
-  }
-  db->wal()->Sync();
-  Check(db->txns()->Commit(txn, db->now_micros()).status(), "bulk commit");
+  storage::WriteAheadLog* wal = db->wal().get();
+  Check(storage::LoggedTxn::Run(db->txns(), wal, db->now_micros(),
+                                [&](storage::TxnId txn) {
+                                  return stream::InsertRows(info, rows, txn,
+                                                            wal);
+                                }),
+        "bulk load");
 }
 
 }  // namespace streamrel::bench

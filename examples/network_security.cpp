@@ -85,13 +85,13 @@ int main() {
         "batch ddl");
   {
     auto* table = batch_db.catalog()->GetTable("conn_log");
-    auto txn = batch_db.txns()->Begin();
-    for (const Row& row : log) {
-      Check(streamrel::stream::InsertIntoTable(table, row, txn,
-                                               batch_db.wal().get()),
-            "load");
-    }
-    Check(batch_db.txns()->Commit(txn, 0).status(), "load commit");
+    auto* wal = batch_db.wal().get();
+    Check(streamrel::storage::LoggedTxn::Run(
+              batch_db.txns(), wal, /*commit_time_micros=*/0,
+              [&](streamrel::storage::TxnId txn) {
+                return streamrel::stream::InsertRows(table, log, txn, wal);
+              }),
+          "load");
   }
   batch_db.disk()->DropCache();  // the nightly report starts cold
   batch_db.disk()->ResetStats();

@@ -8,8 +8,12 @@
 # The crash-recovery suite (`torture`) replays 100 randomized workloads,
 # crashing each one at sampled k-th fault-point hits (with clean/torn/
 # corrupt WAL tails) and recovering via both strategies; recovered tables
-# must match a no-crash oracle byte for byte. A failure prints the (seed,
-# strategy, k, mode) tuple to re-run with --gtest_filter. The overload
+# must match a no-crash oracle byte for byte. It also fails every k-th
+# wal.append, wal.sync and disk.write hit once in a seeded workload: later
+# writes must land, and recovery and a standby must reproduce the live
+# tables. A
+# failure prints the (seed, strategy, k, mode) tuple to re-run with
+# --gtest_filter. The overload
 # suite (`overload`) drives every admission policy over a forced memory
 # budget plus the sink-retry and quarantine fault
 # drills; exact accounting and oracle equivalence are asserted while
@@ -37,9 +41,11 @@
 # suite (`storage`) covers the heap read loop every table reader shares
 # (disk, heap, transaction, B+Tree and operator units, DML and VACUUM,
 # window consistency, and the seeded read-path differential against a
-# row-at-a-time reference) and the WAL: its one-pass framing and
-# checksum, every single-bit flip of a record rejected on replay and on
-# shipping (`wal_test`), and replay into tables (`recovery_test`). After
+# row-at-a-time reference), the one table write path (channel closes in
+# `channel_test`, the sys_* refresh in `system_tables_test`) and the WAL:
+# its one-pass framing and checksum, record batching under the slice cap,
+# every single-bit flip of a record rejected on replay and on shipping
+# (`wal_test`), and replay into tables (`recovery_test`). After
 # the ASan+UBSan pass, the concurrency suite (label `concurrency`:
 # concurrent ingest on disjoint streams vs. the control plane, the
 # concurrent-vs-serial-oracle differential, columnar ingest under DDL

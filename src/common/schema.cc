@@ -1,8 +1,8 @@
 #include "common/schema.h"
 
 #include <algorithm>
-#include <cstring>
 
+#include "common/bytes.h"
 #include "common/string_util.h"
 
 namespace streamrel {
@@ -80,18 +80,13 @@ bool Schema::Equals(const Schema& other) const {
 }
 
 void SerializeRow(const Row& row, std::string* out) {
-  uint32_t n = static_cast<uint32_t>(row.size());
-  out->append(reinterpret_cast<const char*>(&n), sizeof(n));
+  PutU32(static_cast<uint32_t>(row.size()), out);
   for (const Value& v : row) v.Serialize(out);
 }
 
 Result<Row> DeserializeRow(const std::string& data, size_t* offset) {
-  if (*offset + sizeof(uint32_t) > data.size()) {
-    return Status::IoError("truncated row header");
-  }
-  uint32_t n;
-  memcpy(&n, data.data() + *offset, sizeof(n));
-  *offset += sizeof(n);
+  uint32_t n = 0;
+  RETURN_IF_ERROR(GetFixed(data, offset, &n));
   Row row;
   // Every value needs at least its 1-byte type tag.
   row.reserve(std::min<size_t>(n, data.size() - *offset));

@@ -1,9 +1,9 @@
 #include "common/value.h"
 
 #include <cmath>
-#include <cstring>
 #include <functional>
 
+#include "common/bytes.h"
 #include "common/time.h"
 
 namespace streamrel {
@@ -192,20 +192,15 @@ void Value::Serialize(std::string* out) const {
     case DataType::kBool:
     case DataType::kInt64:
     case DataType::kTimestamp:
-    case DataType::kInterval: {
-      out->append(reinterpret_cast<const char*>(&i_), sizeof(i_));
+    case DataType::kInterval:
+      PutI64(i_, out);
       break;
-    }
-    case DataType::kDouble: {
+    case DataType::kDouble:
       out->append(reinterpret_cast<const char*>(&d_), sizeof(d_));
       break;
-    }
-    case DataType::kString: {
-      uint32_t len = static_cast<uint32_t>(s_.size());
-      out->append(reinterpret_cast<const char*>(&len), sizeof(len));
-      out->append(s_);
+    case DataType::kString:
+      PutString(s_, out);
       break;
-    }
   }
 }
 
@@ -215,12 +210,6 @@ Result<Value> Value::Deserialize(const std::string& data, size_t* offset) {
   }
   DataType type = static_cast<DataType>(data[*offset]);
   ++*offset;
-  auto need = [&](size_t n) -> Status {
-    if (*offset + n > data.size()) {
-      return Status::IoError("truncated value payload");
-    }
-    return Status::OK();
-  };
   switch (type) {
     case DataType::kNull:
       return Value::Null();
@@ -228,31 +217,22 @@ Result<Value> Value::Deserialize(const std::string& data, size_t* offset) {
     case DataType::kInt64:
     case DataType::kTimestamp:
     case DataType::kInterval: {
-      RETURN_IF_ERROR(need(sizeof(int64_t)));
-      int64_t v;
-      memcpy(&v, data.data() + *offset, sizeof(v));
-      *offset += sizeof(v);
+      int64_t v = 0;
+      RETURN_IF_ERROR(GetFixed(data, offset, &v));
       if (type == DataType::kBool) return Value::Bool(v != 0);
       if (type == DataType::kTimestamp) return Value::Timestamp(v);
       if (type == DataType::kInterval) return Value::Interval(v);
       return Value::Int64(v);
     }
     case DataType::kDouble: {
-      RETURN_IF_ERROR(need(sizeof(double)));
-      double v;
-      memcpy(&v, data.data() + *offset, sizeof(v));
-      *offset += sizeof(v);
+      double v = 0;
+      RETURN_IF_ERROR(GetFixed(data, offset, &v));
       return Value::Double(v);
     }
     case DataType::kString: {
-      RETURN_IF_ERROR(need(sizeof(uint32_t)));
-      uint32_t len;
-      memcpy(&len, data.data() + *offset, sizeof(len));
-      *offset += sizeof(len);
-      RETURN_IF_ERROR(need(len));
-      Value v = Value::String(data.substr(*offset, len));
-      *offset += len;
-      return v;
+      std::string v;
+      RETURN_IF_ERROR(GetString(data, offset, &v));
+      return Value::String(std::move(v));
     }
   }
   return Status::IoError("unknown value type tag");

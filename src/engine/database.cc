@@ -22,10 +22,8 @@ Database::Database(std::shared_ptr<storage::SimulatedDisk> disk,
                    DatabaseOptions options)
     : options_(options),
       disk_(std::move(disk)),
-      wal_(wal != nullptr
-               ? std::move(wal)
-               : std::make_shared<storage::WriteAheadLog>(
-                     disk_, options.wal_sync_every_append)),
+      wal_(wal != nullptr ? std::move(wal)
+                          : std::make_shared<storage::WriteAheadLog>(disk_)),
       runtime_(&catalog_, &txns_, wal_.get()) {}
 
 bool Database::IsExclusiveStatement(const sql::Statement& stmt) {
@@ -203,17 +201,17 @@ Status Database::RefreshSystemTables() {
                                    Column("row_versions", DataType::kInt64),
                                    Column("bytes", DataType::kInt64),
                                    Column("indexes", DataType::kInt64)})));
+  std::vector<Row> rows;
   for (const std::string& name : catalog_.TableNames()) {
     const catalog::TableInfo* info = catalog_.GetTable(name);
-    RETURN_IF_ERROR(stream::InsertIntoTable(
-        tables,
+    rows.push_back(
         {Value::String(info->name),
          Value::Int64(static_cast<int64_t>(info->schema.num_columns())),
          Value::Int64(static_cast<int64_t>(info->heap->row_count())),
          Value::Int64(info->heap->byte_size()),
-         Value::Int64(static_cast<int64_t>(info->indexes.size()))},
-        txn, /*wal=*/nullptr));
+         Value::Int64(static_cast<int64_t>(info->indexes.size()))});
   }
+  RETURN_IF_ERROR(stream::InsertRows(tables, std::move(rows), txn, nullptr));
 
   ASSIGN_OR_RETURN(
       catalog::TableInfo * streams,
@@ -222,17 +220,17 @@ Status Database::RefreshSystemTables() {
                      Column("kind", DataType::kString),
                      Column("columns", DataType::kInt64),
                      Column("watermark", DataType::kTimestamp)})));
+  rows.clear();
   for (const std::string& name : catalog_.StreamNames()) {
     const catalog::StreamInfo* info = catalog_.GetStream(name);
     int64_t wm = runtime_.watermark(name);
-    RETURN_IF_ERROR(stream::InsertIntoTable(
-        streams,
+    rows.push_back(
         {Value::String(info->name),
          Value::String(info->is_derived ? "derived" : "raw"),
          Value::Int64(static_cast<int64_t>(info->schema.num_columns())),
-         wm == INT64_MIN ? Value::Null() : Value::Timestamp(wm)},
-        txn, /*wal=*/nullptr));
+         wm == INT64_MIN ? Value::Null() : Value::Timestamp(wm)});
   }
+  RETURN_IF_ERROR(stream::InsertRows(streams, std::move(rows), txn, nullptr));
 
   ASSIGN_OR_RETURN(
       catalog::TableInfo * cqs,
@@ -244,18 +242,18 @@ Status Database::RefreshSystemTables() {
                                        DataType::kInt64),
                                 Column("rows_emitted", DataType::kInt64),
                                 Column("eval_micros", DataType::kInt64)})));
+  rows.clear();
   for (const std::string& name : runtime_.CqNames()) {
     stream::ContinuousQuery* cq = runtime_.GetCq(name);
-    RETURN_IF_ERROR(stream::InsertIntoTable(
-        cqs,
+    rows.push_back(
         {Value::String(cq->name()), Value::String(cq->stream_name()),
          Value::String(cq->window().ToString()),
          Value::String(cq->is_shared() ? "shared" : "generic"),
          Value::Int64(cq->windows_evaluated()),
          Value::Int64(cq->rows_emitted()),
-         Value::Int64(cq->eval_micros_total())},
-        txn, /*wal=*/nullptr));
+         Value::Int64(cq->eval_micros_total())});
   }
+  RETURN_IF_ERROR(stream::InsertRows(cqs, std::move(rows), txn, nullptr));
 
   ASSIGN_OR_RETURN(
       catalog::TableInfo * channels,
@@ -266,19 +264,19 @@ Status Database::RefreshSystemTables() {
                      Column("mode", DataType::kString),
                      Column("watermark", DataType::kTimestamp),
                      Column("rows_persisted", DataType::kInt64)})));
+  rows.clear();
   for (const catalog::ChannelInfo* info : catalog_.Channels()) {
     stream::Channel* channel = runtime_.GetChannel(info->name);
     int64_t wm = channel != nullptr ? channel->watermark() : INT64_MIN;
-    RETURN_IF_ERROR(stream::InsertIntoTable(
-        channels,
+    rows.push_back(
         {Value::String(info->name), Value::String(info->from_stream),
          Value::String(info->into_table),
          Value::String(info->mode == sql::ChannelMode::kReplace ? "replace"
                                                                 : "append"),
          wm == INT64_MIN ? Value::Null() : Value::Timestamp(wm),
-         Value::Int64(channel != nullptr ? channel->rows_persisted() : 0)},
-        txn, /*wal=*/nullptr));
+         Value::Int64(channel != nullptr ? channel->rows_persisted() : 0)});
   }
+  RETURN_IF_ERROR(stream::InsertRows(channels, std::move(rows), txn, nullptr));
 
   return txns_.Commit(txn, now_micros()).status();
 }
@@ -381,44 +379,27 @@ Result<QueryResult> Database::ExecuteInsert(const sql::InsertStmt& stmt) {
   // same lock. (The stream branch above must NOT hold it — ingest takes
   // stream locks, which rank below DML.)
   std::lock_guard<OrderedMutex> dml_lock(*runtime_.dml_mutex());
-  bool autocommit = false;
-  ASSIGN_OR_RETURN(storage::TxnId txn, BeginWrite(&autocommit));
-  for (const Row& row : full_rows) {
-    RETURN_IF_ERROR(stream::InsertIntoTable(table, row, txn, wal_.get()));
-  }
-  RETURN_IF_ERROR(EndWrite(txn, autocommit));
+  const size_t count = full_rows.size();
+  RETURN_IF_ERROR(Write([&](storage::TxnId txn) {
+    return stream::InsertRows(table, std::move(full_rows), txn, wal_.get());
+  }));
 
   QueryResult result;
-  result.message = "INSERT " + std::to_string(full_rows.size());
+  result.message = "INSERT " + std::to_string(count);
   return result;
 }
 
-Result<storage::TxnId> Database::BeginWrite(bool* autocommit) {
+Status Database::Write(const std::function<Status(storage::TxnId)>& write) {
   // Callers hold the DML lock, so the check-then-act on active_txn_ is
   // race-free against BEGIN/COMMIT.
   const storage::TxnId open = active_txn_.load(std::memory_order_relaxed);
-  if (open != storage::kInvalidTxn) {
-    *autocommit = false;
-    return open;
+  if (open == storage::kInvalidTxn) {
+    return storage::LoggedTxn::Run(&txns_, wal_.get(), now_micros(), write);
   }
-  *autocommit = true;
-  storage::TxnId txn = txns_.Begin();
-  storage::WalRecord begin;
-  begin.type = storage::WalRecordType::kBegin;
-  begin.txn_id = txn;
-  RETURN_IF_ERROR(wal_->Append(begin));
-  return txn;
-}
-
-Status Database::EndWrite(storage::TxnId txn, bool autocommit) {
-  if (!autocommit) return Status::OK();
-  storage::WalRecord commit;
-  commit.type = storage::WalRecordType::kCommit;
-  commit.txn_id = txn;
-  commit.int_payload = now_micros();
-  RETURN_IF_ERROR(wal_->Append(commit));
-  RETURN_IF_ERROR(wal_->Sync());
-  return txns_.Commit(txn, now_micros()).status();
+  Status status = write(open);
+  if (status.ok()) return status;
+  active_txn_.store(storage::kInvalidTxn, std::memory_order_relaxed);
+  return storage::LoggedTxn(&txns_, wal_.get(), open).Abort(std::move(status));
 }
 
 Result<QueryResult> Database::ExecuteTransaction(
@@ -429,60 +410,41 @@ Result<QueryResult> Database::ExecuteTransaction(
   std::lock_guard<OrderedMutex> dml_lock(*runtime_.dml_mutex());
   QueryResult result;
   const storage::TxnId open = active_txn_.load(std::memory_order_relaxed);
-  switch (stmt.op) {
-    case sql::TransactionOp::kBegin: {
-      if (open != storage::kInvalidTxn) {
-        return Status::InvalidArgument("a transaction is already open");
-      }
-      storage::TxnId txn = txns_.Begin();
-      storage::WalRecord begin;
-      begin.type = storage::WalRecordType::kBegin;
-      begin.txn_id = txn;
-      RETURN_IF_ERROR(wal_->Append(begin));
-      active_txn_.store(txn, std::memory_order_relaxed);
-      result.message = "BEGIN";
-      return result;
+  if (stmt.op == sql::TransactionOp::kBegin) {
+    if (open != storage::kInvalidTxn) {
+      return Status::InvalidArgument("a transaction is already open");
     }
-    case sql::TransactionOp::kCommit: {
-      if (open == storage::kInvalidTxn) {
-        return Status::InvalidArgument("no transaction is open");
-      }
-      storage::WalRecord commit;
-      commit.type = storage::WalRecordType::kCommit;
-      commit.txn_id = open;
-      commit.int_payload = now_micros();
-      RETURN_IF_ERROR(wal_->Append(commit));
-      RETURN_IF_ERROR(wal_->Sync());
-      RETURN_IF_ERROR(txns_.Commit(open, now_micros()).status());
-      active_txn_.store(storage::kInvalidTxn, std::memory_order_relaxed);
-      result.message = "COMMIT";
-      return result;
-    }
-    case sql::TransactionOp::kRollback: {
-      if (open == storage::kInvalidTxn) {
-        return Status::InvalidArgument("no transaction is open");
-      }
-      storage::WalRecord abort;
-      abort.type = storage::WalRecordType::kAbort;
-      abort.txn_id = open;
-      RETURN_IF_ERROR(wal_->Append(abort));
-      RETURN_IF_ERROR(txns_.Abort(open));
-      active_txn_.store(storage::kInvalidTxn, std::memory_order_relaxed);
-      result.message = "ROLLBACK";
-      return result;
-    }
+    ASSIGN_OR_RETURN(storage::LoggedTxn txn,
+                     storage::LoggedTxn::Begin(&txns_, wal_.get()));
+    active_txn_.store(txn.id(), std::memory_order_relaxed);
+    result.message = "BEGIN";
+    return result;
   }
-  return Status::Internal("unreachable transaction op");
+  if (open == storage::kInvalidTxn) {
+    return Status::InvalidArgument("no transaction is open");
+  }
+  // COMMIT and ROLLBACK both end the transaction: a commit that fails has
+  // aborted it.
+  active_txn_.store(storage::kInvalidTxn, std::memory_order_relaxed);
+  storage::LoggedTxn txn(&txns_, wal_.get(), open);
+  if (stmt.op == sql::TransactionOp::kCommit) {
+    RETURN_IF_ERROR(txn.Commit(now_micros()));
+    result.message = "COMMIT";
+  } else {
+    RETURN_IF_ERROR(txn.Abort(Status::OK()));
+    result.message = "ROLLBACK";
+  }
+  return result;
 }
 
-Result<std::vector<std::pair<storage::RowId, Row>>> Database::CollectMatches(
+Result<Database::Matches> Database::CollectMatches(
     catalog::TableInfo* table, const sql::Expr* where) {
   exec::BoundExprPtr predicate;
   if (where != nullptr) {
     exec::ExprBinder binder(table->schema);
     ASSIGN_OR_RETURN(predicate, binder.BindScalar(*where));
   }
-  std::vector<std::pair<storage::RowId, Row>> matches;
+  Matches matches;
   exec::EvalContext eval;
   eval.now_micros = now_micros();
   Status inner = Status::OK();
@@ -498,7 +460,8 @@ Result<std::vector<std::pair<storage::RowId, Row>>> Database::CollectMatches(
           }
           if (!*keep) return true;
         }
-        matches.emplace_back(id, std::move(row));
+        matches.ids.push_back(id);
+        matches.rows.push_back(std::move(row));
         return true;
       });
   RETURN_IF_ERROR(inner);
@@ -523,26 +486,27 @@ Result<QueryResult> Database::ExecuteUpdate(const sql::UpdateStmt& stmt) {
     ASSIGN_OR_RETURN(exec::BoundExprPtr bound, binder.BindScalar(*value));
     assignments.emplace_back(index, std::move(bound));
   }
-  ASSIGN_OR_RETURN(auto matches, CollectMatches(table, stmt.where.get()));
+  ASSIGN_OR_RETURN(Matches matches, CollectMatches(table, stmt.where.get()));
 
-  bool autocommit = false;
-  ASSIGN_OR_RETURN(storage::TxnId txn, BeginWrite(&autocommit));
   exec::EvalContext eval;
-  for (const auto& [row_id, old_row] : matches) {
-    Row new_row = old_row;
+  for (Row& row : matches.rows) {
+    Row new_row = row;
     for (const auto& [index, expr] : assignments) {
-      ASSIGN_OR_RETURN(Value v, expr->Eval(old_row, eval));
-      new_row[index] = std::move(v);
+      ASSIGN_OR_RETURN(new_row[index], expr->Eval(row, eval));
     }
-    RETURN_IF_ERROR(
-        stream::DeleteFromTable(table, row_id, old_row, txn, txns_,
-                                wal_.get()));
-    RETURN_IF_ERROR(stream::InsertIntoTable(table, new_row, txn, wal_.get()));
+    row = std::move(new_row);
   }
-  RETURN_IF_ERROR(EndWrite(txn, autocommit));
+  // Delete the old versions, then insert the new ones.
+  const size_t count = matches.ids.size();
+  RETURN_IF_ERROR(Write([&](storage::TxnId txn) {
+    RETURN_IF_ERROR(
+        stream::DeleteRows(table, matches.ids, txn, txns_, wal_.get()));
+    return stream::InsertRows(table, std::move(matches.rows), txn,
+                              wal_.get());
+  }));
 
   QueryResult result;
-  result.message = "UPDATE " + std::to_string(matches.size());
+  result.message = "UPDATE " + std::to_string(count);
   return result;
 }
 
@@ -553,18 +517,13 @@ Result<QueryResult> Database::ExecuteDelete(const sql::DeleteStmt& stmt) {
   }
   // DML lock across collect + delete (see ExecuteUpdate).
   std::lock_guard<OrderedMutex> dml_lock(*runtime_.dml_mutex());
-  ASSIGN_OR_RETURN(auto matches, CollectMatches(table, stmt.where.get()));
-
-  bool autocommit = false;
-  ASSIGN_OR_RETURN(storage::TxnId txn, BeginWrite(&autocommit));
-  for (const auto& [row_id, row] : matches) {
-    RETURN_IF_ERROR(
-        stream::DeleteFromTable(table, row_id, row, txn, txns_, wal_.get()));
-  }
-  RETURN_IF_ERROR(EndWrite(txn, autocommit));
+  ASSIGN_OR_RETURN(Matches matches, CollectMatches(table, stmt.where.get()));
+  RETURN_IF_ERROR(Write([&](storage::TxnId txn) {
+    return stream::DeleteRows(table, matches.ids, txn, txns_, wal_.get());
+  }));
 
   QueryResult result;
-  result.message = "DELETE " + std::to_string(matches.size());
+  result.message = "DELETE " + std::to_string(matches.ids.size());
   return result;
 }
 
@@ -1080,15 +1039,13 @@ Result<QueryResult> Database::ExecuteCreateTable(
         info.schema, disk_, options_.heap_page_size);
     RETURN_IF_ERROR(catalog_.CreateTable(std::move(info)));
     catalog::TableInfo* table = catalog_.GetTable(stmt.name);
+    const size_t count = select.rows.size();
     storage::TxnId txn = txns_.Begin();
-    for (const Row& row : select.rows) {
-      RETURN_IF_ERROR(stream::InsertIntoTable(table, row, txn,
-                                              /*wal=*/nullptr));
-    }
+    RETURN_IF_ERROR(stream::InsertRows(table, std::move(select.rows), txn,
+                                       /*wal=*/nullptr));
     RETURN_IF_ERROR(txns_.Commit(txn, now_micros()).status());
     QueryResult result;
-    result.message =
-        "CREATE TABLE AS (" + std::to_string(select.rows.size()) + " rows)";
+    result.message = "CREATE TABLE AS (" + std::to_string(count) + " rows)";
     return result;
   }
 
@@ -1256,7 +1213,7 @@ Result<QueryResult> Database::ExecuteCreateIndex(
   }
   ASSIGN_OR_RETURN(size_t col, table->schema.FindColumn(stmt.column));
   auto index = std::make_shared<storage::BTreeIndex>(
-      table->schema.column(col).name);
+      table->schema.column(col).name, col);
   // Backfill from the currently committed table contents.
   storage::Snapshot snap = txns_.CurrentSnapshot();
   RETURN_IF_ERROR(table->heap->Scan(

@@ -27,10 +27,6 @@ namespace streamrel::engine {
 /// Engine configuration.
 struct DatabaseOptions {
   storage::DiskModel disk_model;
-  /// fsync the WAL after every append (the expensive, fully-durable
-  /// store-first configuration); otherwise syncs happen at commit
-  /// boundaries.
-  bool wal_sync_every_append = false;
   size_t heap_page_size = 64 * 1024;
 };
 
@@ -299,16 +295,17 @@ class Database {
   /// calls take the exclusive lock — see SetPromotionHandler().
   Result<QueryResult> ExecutePromote();
 
-  /// The write transaction for a DML statement: the open explicit
-  /// transaction if any (already WAL-logged), else a fresh autocommit one
-  /// (logs kBegin). `*autocommit` tells the caller whether to commit it.
-  Result<storage::TxnId> BeginWrite(bool* autocommit);
-  /// Commits an autocommit write (WAL kCommit + sync); no-op inside an
-  /// explicit transaction.
-  Status EndWrite(storage::TxnId txn, bool autocommit);
-  /// Scans `table`'s rows visible now that satisfy `where` (nullable AST).
-  Result<std::vector<std::pair<storage::RowId, Row>>> CollectMatches(
-      catalog::TableInfo* table, const sql::Expr* where);
+  /// Runs one DML statement's writes in a logged transaction: the open
+  /// explicit one, or else an autocommit one that commits now. A failure
+  /// aborts that transaction, an explicit one whole. Caller holds DML lock.
+  Status Write(const std::function<Status(storage::TxnId)>& write);
+  /// `table`'s rows (and ids) visible now that satisfy `where` (nullable).
+  struct Matches {
+    std::vector<storage::RowId> ids;
+    std::vector<Row> rows;
+  };
+  Result<Matches> CollectMatches(catalog::TableInfo* table,
+                                 const sql::Expr* where);
   Result<QueryResult> ExecuteCreateTable(const sql::CreateTableStmt& stmt);
   Result<QueryResult> ExecuteCreateStream(const sql::CreateStreamStmt& stmt);
   Result<QueryResult> ExecuteCreateDerivedStream(

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "common/bytes.h"
+
 namespace streamrel::net {
 
 const char* FrameTypeName(FrameType type) {
@@ -48,74 +50,6 @@ bool IsResponseType(uint8_t type) {
 }
 
 namespace {
-
-void PutU32(uint32_t v, std::string* out) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-void PutU64(uint64_t v, std::string* out) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-void PutI64(int64_t v, std::string* out) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-void PutString(const std::string& s, std::string* out) {
-  PutU32(static_cast<uint32_t>(s.size()), out);
-  out->append(s);
-}
-
-Status GetU32(const std::string& data, size_t* offset, uint32_t* v) {
-  if (*offset + sizeof(*v) > data.size()) {
-    return Status::IoError("truncated frame u32");
-  }
-  memcpy(v, data.data() + *offset, sizeof(*v));
-  *offset += sizeof(*v);
-  return Status::OK();
-}
-Status GetI64(const std::string& data, size_t* offset, int64_t* v) {
-  if (*offset + sizeof(*v) > data.size()) {
-    return Status::IoError("truncated frame i64");
-  }
-  memcpy(v, data.data() + *offset, sizeof(*v));
-  *offset += sizeof(*v);
-  return Status::OK();
-}
-Status GetU64(const std::string& data, size_t* offset, uint64_t* v) {
-  if (*offset + sizeof(*v) > data.size()) {
-    return Status::IoError("truncated frame u64");
-  }
-  memcpy(v, data.data() + *offset, sizeof(*v));
-  *offset += sizeof(*v);
-  return Status::OK();
-}
-Status GetString(const std::string& data, size_t* offset, std::string* s) {
-  uint32_t len;
-  RETURN_IF_ERROR(GetU32(data, offset, &len));
-  if (*offset + len > data.size()) {
-    return Status::IoError("truncated frame string payload");
-  }
-  *s = data.substr(*offset, len);
-  *offset += len;
-  return Status::OK();
-}
-
-void PutRows(const std::vector<Row>& rows, std::string* out) {
-  PutU32(static_cast<uint32_t>(rows.size()), out);
-  for (const Row& row : rows) SerializeRow(row, out);
-}
-
-Status GetRows(const std::string& data, size_t* offset,
-               std::vector<Row>* rows) {
-  uint32_t n;
-  RETURN_IF_ERROR(GetU32(data, offset, &n));
-  rows->clear();
-  // Every row needs at least its 4-byte arity.
-  rows->reserve(std::min<size_t>(n, (data.size() - *offset) / sizeof(n)));
-  for (uint32_t i = 0; i < n; ++i) {
-    ASSIGN_OR_RETURN(Row row, DeserializeRow(data, offset));
-    rows->push_back(std::move(row));
-  }
-  return Status::OK();
-}
 
 bool IsKnownType(uint8_t type) {
   return IsRequestType(type) || IsResponseType(type);
@@ -217,9 +151,9 @@ Result<bool> DecodeIngestBodyColumnar(const std::string& body,
                                       IngestColumnarRequest* req) {
   size_t offset = 0;
   RETURN_IF_ERROR(GetString(body, &offset, &req->stream));
-  RETURN_IF_ERROR(GetI64(body, &offset, &req->system_time));
-  uint32_t n_rows;
-  RETURN_IF_ERROR(GetU32(body, &offset, &n_rows));
+  RETURN_IF_ERROR(GetFixed(body, &offset, &req->system_time));
+  uint32_t n_rows = 0;
+  RETURN_IF_ERROR(GetFixed(body, &offset, &n_rows));
   // Counts are checked against the bytes left before they size anything:
   // a row needs at least its 4-byte arity, a cell at least its tag byte.
   if (n_rows > (body.size() - offset) / sizeof(uint32_t)) {
@@ -229,12 +163,8 @@ Result<bool> DecodeIngestBodyColumnar(const std::string& body,
   exec::ColumnBatch batch{0};
   for (uint32_t r = 0; r < n_rows; ++r) {
     const size_t row_start = offset;
-    uint32_t arity;
-    if (offset + sizeof(arity) > body.size()) {
-      return Status::IoError("truncated row header");
-    }
-    memcpy(&arity, body.data() + offset, sizeof(arity));
-    offset += sizeof(arity);
+    uint32_t arity = 0;
+    RETURN_IF_ERROR(GetFixed(body, &offset, &arity));
     if (r == 0) {
       if (arity > body.size() - offset) {
         return Status::IoError("row arity " + std::to_string(arity) +
@@ -265,12 +195,6 @@ Result<bool> DecodeIngestBodyColumnar(const std::string& body,
       }
       const DataType type = static_cast<DataType>(body[offset]);
       ++offset;
-      auto need = [&](size_t want) -> Status {
-        if (offset + want > body.size()) {
-          return Status::IoError("truncated value payload");
-        }
-        return Status::OK();
-      };
       switch (type) {
         case DataType::kNull:
           batch.AppendNull(col);
@@ -279,10 +203,8 @@ Result<bool> DecodeIngestBodyColumnar(const std::string& body,
         case DataType::kInt64:
         case DataType::kTimestamp:
         case DataType::kInterval: {
-          RETURN_IF_ERROR(need(sizeof(int64_t)));
-          int64_t v;
-          memcpy(&v, body.data() + offset, sizeof(v));
-          offset += sizeof(v);
+          int64_t v = 0;
+          RETURN_IF_ERROR(GetFixed(body, &offset, &v));
           if (type == DataType::kBool) {
             batch.AppendBool(col, v != 0);
           } else if (type == DataType::kTimestamp) {
@@ -295,19 +217,17 @@ Result<bool> DecodeIngestBodyColumnar(const std::string& body,
           break;
         }
         case DataType::kDouble: {
-          RETURN_IF_ERROR(need(sizeof(double)));
-          double v;
-          memcpy(&v, body.data() + offset, sizeof(v));
-          offset += sizeof(v);
+          double v = 0;
+          RETURN_IF_ERROR(GetFixed(body, &offset, &v));
           batch.AppendDouble(col, v);
           break;
         }
         case DataType::kString: {
-          RETURN_IF_ERROR(need(sizeof(uint32_t)));
-          uint32_t len;
-          memcpy(&len, body.data() + offset, sizeof(len));
-          offset += sizeof(len);
-          RETURN_IF_ERROR(need(len));
+          uint32_t len = 0;
+          RETURN_IF_ERROR(GetFixed(body, &offset, &len));
+          if (offset + len > body.size()) {
+            return Status::IoError("truncated string payload");
+          }
           batch.AppendString(col,
                              std::string_view(body.data() + offset, len));
           offset += len;
@@ -346,8 +266,8 @@ std::string EncodeReplFetchBody(const ReplFetchRequest& req) {
 Result<ReplFetchRequest> DecodeReplFetchBody(const std::string& body) {
   size_t offset = 0;
   ReplFetchRequest req;
-  RETURN_IF_ERROR(GetU64(body, &offset, &req.from_offset));
-  RETURN_IF_ERROR(GetU64(body, &offset, &req.applied_frames));
+  RETURN_IF_ERROR(GetFixed(body, &offset, &req.from_offset));
+  RETURN_IF_ERROR(GetFixed(body, &offset, &req.applied_frames));
   return req;
 }
 
@@ -363,7 +283,7 @@ Result<SubscribeResumeRequest> DecodeSubscribeResumeBody(
   size_t offset = 0;
   SubscribeResumeRequest req;
   RETURN_IF_ERROR(GetString(body, &offset, &req.name));
-  RETURN_IF_ERROR(GetI64(body, &offset, &req.resume_close));
+  RETURN_IF_ERROR(GetFixed(body, &offset, &req.resume_close));
   return req;
 }
 
@@ -385,18 +305,16 @@ Result<RowSet> DecodeRowSetBody(const std::string& body) {
   size_t offset = 0;
   RowSet rowset;
   RETURN_IF_ERROR(GetString(body, &offset, &rowset.message));
-  uint32_t ncols;
-  RETURN_IF_ERROR(GetU32(body, &offset, &ncols));
+  uint32_t ncols = 0;
+  RETURN_IF_ERROR(GetFixed(body, &offset, &ncols));
   std::vector<Column> columns;
   columns.reserve(ncols);
   for (uint32_t i = 0; i < ncols; ++i) {
     Column col;
+    uint8_t type = 0;
     RETURN_IF_ERROR(GetString(body, &offset, &col.name));
-    if (offset >= body.size()) {
-      return Status::IoError("truncated rowset column type");
-    }
-    col.type = static_cast<DataType>(body[offset]);
-    ++offset;
+    RETURN_IF_ERROR(GetFixed(body, &offset, &type));
+    col.type = static_cast<DataType>(type);
     columns.push_back(std::move(col));
   }
   rowset.schema = Schema(std::move(columns));
@@ -414,7 +332,7 @@ Result<StreamRowsBody> DecodeStreamRowsBody(const std::string& body) {
   size_t offset = 0;
   StreamRowsBody batch;
   RETURN_IF_ERROR(GetString(body, &offset, &batch.source));
-  RETURN_IF_ERROR(GetI64(body, &offset, &batch.close));
+  RETURN_IF_ERROR(GetFixed(body, &offset, &batch.close));
   RETURN_IF_ERROR(GetRows(body, &offset, &batch.rows));
   return batch;
 }
@@ -464,8 +382,8 @@ std::string EncodeReplFramesBody(const ReplFramesBody& body) {
 Result<ReplFramesBody> DecodeReplFramesBody(const std::string& body) {
   size_t offset = 0;
   ReplFramesBody out;
-  RETURN_IF_ERROR(GetU64(body, &offset, &out.start_offset));
-  RETURN_IF_ERROR(GetU64(body, &offset, &out.primary_synced_bytes));
+  RETURN_IF_ERROR(GetFixed(body, &offset, &out.start_offset));
+  RETURN_IF_ERROR(GetFixed(body, &offset, &out.primary_synced_bytes));
   RETURN_IF_ERROR(GetString(body, &offset, &out.bytes));
   return out;
 }

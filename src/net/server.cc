@@ -664,15 +664,14 @@ void Server::DoReplFetch(const ConnPtr& conn, uint64_t request_id,
                prev, records, std::memory_order_relaxed)) {
     }
   }
-  // ~1MB per fetch bounds a response frame well under kMaxFramePayload
-  // while amortizing the round trip; a lagging standby just fetches in a
-  // tight loop until it catches up.
-  constexpr int64_t kReplSliceBytes = 1 << 20;
+  // One slice per fetch (the WAL's frame cap) bounds a response frame well
+  // under kMaxFramePayload while amortizing the round trip; a lagging
+  // standby just fetches in a tight loop until it catches up.
   const storage::WriteAheadLog& wal = *db_->wal();
   ReplFramesBody body;
   body.start_offset = req.from_offset;
   body.bytes = wal.ReadSynced(static_cast<int64_t>(req.from_offset),
-                              kReplSliceBytes);
+                              storage::kWalSliceBytes);
   body.primary_synced_bytes = static_cast<uint64_t>(wal.synced_bytes());
   counters_.repl_shipped_bytes.fetch_add(
       static_cast<int64_t>(body.bytes.size()), std::memory_order_relaxed);

@@ -18,8 +18,10 @@ struct BTreeIndex::Node {
   explicit Node(bool leaf) : is_leaf(leaf) {}
 };
 
-BTreeIndex::BTreeIndex(std::string column_name, size_t fanout)
+BTreeIndex::BTreeIndex(std::string column_name, size_t column,
+                       size_t fanout)
     : column_name_(std::move(column_name)),
+      column_(column),
       fanout_(std::max<size_t>(fanout, 4)),
       root_(new Node(/*leaf=*/true)) {}
 

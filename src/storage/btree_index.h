@@ -27,14 +27,17 @@ namespace streamrel::storage {
 /// Thread-safe via a single mutex.
 class BTreeIndex {
  public:
-  /// `fanout` is the maximum number of entries/keys per node.
-  explicit BTreeIndex(std::string column_name, size_t fanout = 64);
+  /// Indexes column `column_name`, at position `column` in the table's rows
+  /// (resolved at CREATE INDEX, so no write looks it up by name). `fanout`
+  /// is the maximum number of entries/keys per node.
+  BTreeIndex(std::string column_name, size_t column, size_t fanout = 64);
   ~BTreeIndex();
 
   BTreeIndex(const BTreeIndex&) = delete;
   BTreeIndex& operator=(const BTreeIndex&) = delete;
 
   const std::string& column_name() const { return column_name_; }
+  size_t column() const { return column_; }
 
   void Insert(const Value& key, RowId row_id);
 
@@ -80,6 +83,7 @@ class BTreeIndex {
   static void DeleteTree(Node* node);
 
   const std::string column_name_;
+  const size_t column_;
   const size_t fanout_;
   mutable std::mutex mu_;
   Node* root_;

@@ -22,10 +22,9 @@ int64_t SimulatedDisk::WriteCost(int64_t bytes) const {
   return model_.seek_micros + bytes / model_.write_mb_per_sec;
 }
 
-Status SimulatedDisk::WritePage(PageId page, std::string data) {
+Status SimulatedDisk::WritePage(PageId page, std::string&& data) {
   RETURN_IF_ERROR(FaultInjector::Instance().Hit("disk.write"));
   const auto bytes = static_cast<int64_t>(data.size());
-  auto buffer = std::make_shared<const std::string>(std::move(data));
   std::lock_guard<std::mutex> lock(mu_);
   auto it = pages_.find(page);
   if (it == pages_.end()) {
@@ -35,7 +34,7 @@ Status SimulatedDisk::WritePage(PageId page, std::string data) {
   stats_.page_writes++;
   stats_.bytes_written += bytes;
   stats_.simulated_io_micros += WriteCost(bytes);
-  it->second = std::move(buffer);
+  it->second = std::make_shared<const std::string>(std::move(data));
   InstallInCache(page);
   return Status::OK();
 }

@@ -59,8 +59,9 @@ class SimulatedDisk {
   PageId AllocatePage();
 
   /// Writes `data` as the page contents (charged as a physical write;
-  /// the page is installed in the buffer pool).
-  Status WritePage(PageId page, std::string data);
+  /// the page is installed in the buffer pool). `data` is moved from only
+  /// when the write succeeds, so a failed write leaves it intact.
+  Status WritePage(PageId page, std::string&& data);
 
   /// Returns the page's contents without copying them: pages are
   /// immutable shared buffers, so the returned one stays valid and

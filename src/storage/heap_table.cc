@@ -8,28 +8,44 @@ HeapTable::HeapTable(Schema schema, std::shared_ptr<SimulatedDisk> disk,
       page_size_(page_size),
       disk_(std::move(disk)) {}
 
-Result<RowId> HeapTable::Insert(const Row& row, TxnId xmin) {
-  if (row.size() != schema_.num_columns()) {
-    return Status::InvalidArgument(
-        "row arity " + std::to_string(row.size()) + " does not match schema " +
-        schema_.ToString());
+Result<RowId> HeapTable::Append(const std::vector<Row>& rows, TxnId xmin) {
+  for (const Row& row : rows) {
+    if (row.size() != schema_.num_columns()) {
+      return Status::InvalidArgument(
+          "row arity " + std::to_string(row.size()) +
+          " does not match schema " + schema_.ToString());
+    }
   }
   std::lock_guard<std::mutex> lock(mu_);
-  RowLocation loc{kTailPage, static_cast<uint32_t>(tail_.size())};
-  SerializeRow(row, &tail_);
-  locations_.push_back(loc);
-  meta_.push_back(RowMeta{xmin, kInvalidTxn});
-  if (tail_.size() >= page_size_) {
-    RETURN_IF_ERROR(FlushTailLocked());
+  const auto first = static_cast<RowId>(locations_.size());
+  // Every row is appended even when a page flush fails (the rows stay in
+  // the tail), so the heap holds exactly the versions the call's kInsert
+  // record logs; the flush error is returned after the loop.
+  Status flushed = Status::OK();
+  for (const Row& row : rows) {
+    locations_.push_back(
+        RowLocation{kTailPage, static_cast<uint32_t>(tail_.size())});
+    meta_.push_back(RowMeta{xmin, kInvalidTxn});
+    SerializeRow(row, &tail_);
+    if (flushed.ok() && tail_.size() >= page_size_) {
+      flushed = FlushTailLocked();
+    }
   }
-  return static_cast<RowId>(locations_.size() - 1);
+  RETURN_IF_ERROR(flushed);
+  return first;
 }
 
 Status HeapTable::FlushTailLocked() {
   if (tail_.empty()) return Status::OK();
   PageId page = disk_->AllocatePage();
-  flushed_bytes_ += static_cast<int64_t>(tail_.size());
-  RETURN_IF_ERROR(disk_->WritePage(page, std::move(tail_)));
+  const auto bytes = static_cast<int64_t>(tail_.size());
+  Status written = disk_->WritePage(page, std::move(tail_));
+  if (!written.ok()) {
+    // A failed write leaves the tail intact; a later flush retries it.
+    (void)disk_->FreePage(page);
+    return written;
+  }
+  flushed_bytes_ += bytes;
   tail_.clear();
   uint32_t page_index = static_cast<uint32_t>(pages_.size());
   pages_.push_back(page);
@@ -40,17 +56,19 @@ Status HeapTable::FlushTailLocked() {
   return Status::OK();
 }
 
-Status HeapTable::Delete(RowId row_id, TxnId xmax,
+Status HeapTable::Delete(const std::vector<RowId>& row_ids, TxnId xmax,
                          const TransactionManager& txns) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (row_id >= meta_.size()) {
-    return Status::InvalidArgument("delete of unknown row id");
+  for (RowId id : row_ids) {
+    if (id >= meta_.size()) {
+      return Status::InvalidArgument("delete of unknown row id");
+    }
+    const TxnId prior = meta_[id].xmax;
+    if (prior != kInvalidTxn && !txns.IsAborted(prior)) {
+      return Status::Aborted("row already deleted");
+    }
   }
-  const TxnId prior = meta_[row_id].xmax;
-  if (prior != kInvalidTxn && !txns.IsAborted(prior)) {
-    return Status::Aborted("row already deleted");
-  }
-  meta_[row_id].xmax = xmax;
+  for (RowId id : row_ids) meta_[id].xmax = xmax;
   return Status::OK();
 }
 

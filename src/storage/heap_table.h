@@ -36,13 +36,15 @@ class HeapTable {
 
   const Schema& schema() const { return schema_; }
 
-  /// Appends `row` stamped with creating transaction `xmin`.
-  Result<RowId> Insert(const Row& row, TxnId xmin);
+  /// Appends `rows`, each stamped with creating transaction `xmin`, under
+  /// one lock. They take consecutive ids; returns the first.
+  Result<RowId> Append(const std::vector<Row>& rows, TxnId xmin);
 
-  /// Marks `row_id` deleted by `xmax`. Errors if already deleted by a
-  /// transaction that has not aborted; an aborted deleter's stamp is
-  /// replaced, since the version is live again.
-  Status Delete(RowId row_id, TxnId xmax, const TransactionManager& txns);
+  /// Marks each of `row_ids` deleted by `xmax`, under one lock. Stamps none
+  /// if an id is unknown or deleted by a transaction that has not aborted;
+  /// an aborted deleter's stamp is replaced (the version is live again).
+  Status Delete(const std::vector<RowId>& row_ids, TxnId xmax,
+                const TransactionManager& txns);
 
   struct RowMeta {
     TxnId xmin = kInvalidTxn;

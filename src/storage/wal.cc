@@ -3,99 +3,92 @@
 #include <algorithm>
 #include <cstring>
 
+#include "common/bytes.h"
 #include "common/checksum.h"
 #include "common/fault_injector.h"
 
 namespace streamrel::storage {
 
-WriteAheadLog::WriteAheadLog(std::shared_ptr<SimulatedDisk> disk,
-                             bool sync_every_append)
-    : disk_(std::move(disk)), sync_every_append_(sync_every_append) {}
+WriteAheadLog::WriteAheadLog(std::shared_ptr<SimulatedDisk> disk)
+    : disk_(std::move(disk)) {}
 
 namespace {
 
-void PutU64(uint64_t v, std::string* out) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-void PutI64(int64_t v, std::string* out) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-void PutString(const std::string& s, std::string* out) {
-  uint32_t len = static_cast<uint32_t>(s.size());
-  out->append(reinterpret_cast<const char*>(&len), sizeof(len));
-  out->append(s);
-}
-
-Status GetU64(const std::string& data, size_t* offset, uint64_t* v) {
-  if (*offset + sizeof(*v) > data.size()) {
-    return Status::IoError("truncated WAL u64");
-  }
-  memcpy(v, data.data() + *offset, sizeof(*v));
-  *offset += sizeof(*v);
-  return Status::OK();
-}
-Status GetI64(const std::string& data, size_t* offset, int64_t* v) {
-  if (*offset + sizeof(*v) > data.size()) {
-    return Status::IoError("truncated WAL i64");
-  }
-  memcpy(v, data.data() + *offset, sizeof(*v));
-  *offset += sizeof(*v);
-  return Status::OK();
-}
-Status GetString(const std::string& data, size_t* offset, std::string* s) {
-  uint32_t len;
-  if (*offset + sizeof(len) > data.size()) {
-    return Status::IoError("truncated WAL string header");
-  }
-  memcpy(&len, data.data() + *offset, sizeof(len));
-  *offset += sizeof(len);
-  if (*offset + len > data.size()) {
-    return Status::IoError("truncated WAL string payload");
-  }
-  *s = data.substr(*offset, len);
-  *offset += len;
-  return Status::OK();
-}
-
-}  // namespace
-
-void WriteAheadLog::Encode(const WalRecord& record, std::string* out) {
+// A record's payload: this header, then a u32 count and that many rows
+// (kInsert) or u64 row ids (any other type; none but kDelete has any).
+void PutHeader(const WalRecord& record, std::string* out) {
   out->push_back(static_cast<char>(record.type));
   PutU64(record.txn_id, out);
   PutString(record.object_name, out);
   PutI64(record.int_payload, out);
   PutString(record.blob, out);
-  SerializeRow(record.row, out);
 }
 
-Result<WalRecord> WriteAheadLog::Decode(const std::string& data,
-                                        size_t* offset) {
+Result<WalRecord> Decode(const std::string& data, size_t* offset) {
   if (*offset >= data.size()) return Status::IoError("truncated WAL record");
   WalRecord record;
   record.type = static_cast<WalRecordType>(data[*offset]);
   ++*offset;
-  RETURN_IF_ERROR(GetU64(data, offset, &record.txn_id));
+  RETURN_IF_ERROR(GetFixed(data, offset, &record.txn_id));
   RETURN_IF_ERROR(GetString(data, offset, &record.object_name));
-  RETURN_IF_ERROR(GetI64(data, offset, &record.int_payload));
+  RETURN_IF_ERROR(GetFixed(data, offset, &record.int_payload));
   RETURN_IF_ERROR(GetString(data, offset, &record.blob));
-  ASSIGN_OR_RETURN(record.row, DeserializeRow(data, offset));
+  if (record.type == WalRecordType::kInsert) {
+    RETURN_IF_ERROR(GetRows(data, offset, &record.rows));
+    return record;
+  }
+  uint32_t n = 0;
+  RETURN_IF_ERROR(GetFixed(data, offset, &n));
+  if (n > (data.size() - *offset) / sizeof(uint64_t)) {
+    return Status::IoError("truncated WAL row ids");
+  }
+  record.row_ids.resize(n);
+  for (uint64_t& id : record.row_ids) {
+    RETURN_IF_ERROR(GetFixed(data, offset, &id));
+  }
   return record;
 }
 
+}  // namespace
+
 Status WriteAheadLog::Append(const WalRecord& record) {
   RETURN_IF_ERROR(FaultInjector::Instance().Hit("wal.append"));
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    // A recovering system truncates any damaged tail before it writes.
-    tail_damage_.clear();
-    // One frame per record (common/checksum.h), encoded straight into the
-    // log behind its header.
+  const bool ids = record.type == WalRecordType::kDelete;
+  const size_t items = ids ? record.row_ids.size()
+                       : record.type == WalRecordType::kInsert
+                           ? record.rows.size()
+                           : 0;
+  std::lock_guard<std::mutex> lock(mu_);
+  // A recovering system truncates any damaged tail before it writes.
+  tail_damage_.clear();
+  size_t next = 0;
+  do {
+    // One frame (common/checksum.h) per run of rows or ids that fits under
+    // kWalSliceBytes, encoded straight into the log. A frame takes at least
+    // one item, so a row larger than the cap gets a frame of its own.
     const size_t start = BeginFrame(&log_);
-    Encode(record, &log_);
+    PutHeader(record, &log_);
+    const size_t count_at = log_.size();
+    PutU32(0, &log_);
+    const size_t first = next;
+    for (; next < items; ++next) {
+      const size_t before = log_.size();
+      if (ids) {
+        PutU64(record.row_ids[next], &log_);
+      } else {
+        SerializeRow(record.rows[next], &log_);
+      }
+      if (next > first &&
+          log_.size() - start > static_cast<size_t>(kWalSliceBytes)) {
+        log_.resize(before);
+        break;
+      }
+    }
+    const auto count = static_cast<uint32_t>(next - first);
+    memcpy(&log_[count_at], &count, sizeof(count));
     SealFrame(start, &log_);
     ++record_count_;
-  }
-  if (sync_every_append_) return Sync();
+  } while (next < items);
   return Status::OK();
 }
 
@@ -133,11 +126,36 @@ Status WriteAheadLog::AppendShipped(const std::string& bytes,
   return Status::OK();
 }
 
+Status WriteAheadLog::AppendAndSync(const WalRecord& record) {
+  int64_t bytes, records;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    bytes = static_cast<int64_t>(log_.size());
+    records = record_count_;
+  }
+  RETURN_IF_ERROR(Append(record));
+  Status status = Sync();
+  if (!status.ok() && !FaultInjector::IsInjectedCrash(status)) {
+    std::lock_guard<std::mutex> lock(mu_);
+    DropUnsyncedLocked(bytes, records);
+  }
+  return status;
+}
+
+void WriteAheadLog::DropUnsyncedLocked(int64_t bytes, int64_t records) {
+  if (bytes < synced_bytes_) {
+    bytes = synced_bytes_;
+    records = synced_records_;
+  }
+  if (bytes >= static_cast<int64_t>(log_.size())) return;
+  log_.resize(static_cast<size_t>(bytes));
+  record_count_ = records;
+}
+
 void WriteAheadLog::SimulateCrash(CrashMode mode) {
   std::lock_guard<std::mutex> lock(mu_);
   const std::string unsynced = log_.substr(static_cast<size_t>(synced_bytes_));
-  log_.resize(static_cast<size_t>(synced_bytes_));
-  record_count_ = synced_records_;
+  DropUnsyncedLocked(synced_bytes_, synced_records_);
   tail_damage_.clear();
   if (mode == CrashMode::kClean || unsynced.empty()) return;
 
@@ -163,6 +181,36 @@ void WriteAheadLog::SimulateCrash(CrashMode mode) {
   tail_damage_ = unsynced.substr(0, frame_total - 1);
 }
 
+Result<WriteAheadLog::WalkStop> WriteAheadLog::WalkFrames(
+    const std::string& bytes, const std::function<Status(WalRecord&&)>& visit,
+    size_t* end) {
+  *end = 0;
+  while (*end < bytes.size()) {
+    if (bytes.size() - *end < kFrameHeaderBytes) {
+      return WalkStop::kPartial;  // the header itself is cut
+    }
+    uint32_t len = 0, checksum = 0;
+    memcpy(&len, bytes.data() + *end, sizeof(len));
+    memcpy(&checksum, bytes.data() + *end + sizeof(len), sizeof(checksum));
+    const size_t payload_at = *end + kFrameHeaderBytes;
+    if (bytes.size() - payload_at < len) {
+      return WalkStop::kPartial;  // the frame runs past the end
+    }
+    const size_t frame_end = payload_at + len;
+    if (FrameChecksum(bytes.data() + payload_at, len) != checksum) {
+      return frame_end == bytes.size() ? WalkStop::kBadTail
+                                       : WalkStop::kBadFrame;
+    }
+    const std::string payload = bytes.substr(payload_at, len);
+    size_t decoded = 0;
+    Result<WalRecord> record = Decode(payload, &decoded);
+    if (!record.ok() || decoded != payload.size()) return WalkStop::kBadFrame;
+    RETURN_IF_ERROR(visit(record.TakeValue()));
+    *end = frame_end;
+  }
+  return WalkStop::kEnd;
+}
+
 Status WriteAheadLog::Replay(
     const std::function<Status(const WalRecord&)>& callback,
     WalReplayStats* stats) const {
@@ -173,60 +221,25 @@ Status WriteAheadLog::Replay(
   }
   disk_->ChargeSequentialRead(static_cast<int64_t>(snapshot.size()));
   WalReplayStats local;
-  size_t offset = 0;
-  int64_t frame_seq = 0;  // 0-based index of the frame being examined
-  while (offset < snapshot.size()) {
-    if (offset + kFrameHeaderBytes > snapshot.size()) {
-      local.stopped_at_torn_tail = true;  // header itself is torn
-      break;
-    }
-    uint32_t len, checksum;
-    memcpy(&len, snapshot.data() + offset, sizeof(len));
-    memcpy(&checksum, snapshot.data() + offset + sizeof(len),
-           sizeof(checksum));
-    const size_t payload_at = offset + kFrameHeaderBytes;
-    if (payload_at + len > snapshot.size()) {
-      local.stopped_at_torn_tail = true;  // frame extends past end-of-log
-      break;
-    }
-    if (FrameChecksum(snapshot.data() + payload_at, len) != checksum) {
-      if (payload_at + len == snapshot.size()) {
-        local.stopped_at_corrupt_tail = true;  // last frame, bad bytes
-        break;
-      }
-      // A bad checksum with intact frames after it is not a crash
-      // artifact — the log is genuinely damaged mid-stream.
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++midlog_corruptions_seen_;
-      }
-      return Status::IoError(
-          "WAL checksum mismatch in frame " + std::to_string(frame_seq) +
-          " at byte offset " + std::to_string(offset) + " (after " +
-          std::to_string(local.records) +
-          " replayed records, not at tail); log is corrupt");
-    }
-    const std::string payload = snapshot.substr(payload_at, len);
-    size_t consumed = 0;
-    ASSIGN_OR_RETURN(WalRecord record, Decode(payload, &consumed));
-    if (consumed != payload.size()) {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++midlog_corruptions_seen_;
-      return Status::IoError("WAL record in frame " +
-                             std::to_string(frame_seq) + " at byte offset " +
-                             std::to_string(offset) +
-                             " has trailing garbage inside its frame");
-    }
-    offset = payload_at + len;
-    ++frame_seq;
+  auto replay = [&](WalRecord&& record) {
     ++local.records;
-    RETURN_IF_ERROR(callback(record));
+    return callback(record);
+  };
+  size_t end = 0;
+  ASSIGN_OR_RETURN(WalkStop stop, WalkFrames(snapshot, replay, &end));
+  std::lock_guard<std::mutex> lock(mu_);
+  if (stop == WalkStop::kBadFrame) {
+    // Damage with intact frames after it, or a checksum-valid frame that
+    // does not decode, is not a crash artifact: the log is corrupt.
+    ++midlog_corruptions_seen_;
+    return Status::IoError("WAL frame " + std::to_string(local.records) +
+                           " at byte offset " + std::to_string(end) +
+                           " is damaged before the tail; the log is corrupt");
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (local.stopped_at_torn_tail) ++torn_tails_seen_;
-    if (local.stopped_at_corrupt_tail) ++corrupt_tails_seen_;
-  }
+  local.stopped_at_torn_tail = stop == WalkStop::kPartial;
+  local.stopped_at_corrupt_tail = stop == WalkStop::kBadTail;
+  torn_tails_seen_ += local.stopped_at_torn_tail ? 1 : 0;
+  corrupt_tails_seen_ += local.stopped_at_corrupt_tail ? 1 : 0;
   if (stats != nullptr) *stats = local;
   return Status::OK();
 }
@@ -266,40 +279,42 @@ std::string WriteAheadLog::ReadSynced(int64_t from_offset,
   if (from_offset < 0 || from_offset >= synced_bytes_ || max_bytes <= 0) {
     return {};
   }
-  const int64_t n = std::min(max_bytes, synced_bytes_ - from_offset);
-  return log_.substr(static_cast<size_t>(from_offset),
-                     static_cast<size_t>(n));
+  const auto from = static_cast<size_t>(from_offset);
+  const auto left = static_cast<size_t>(synced_bytes_ - from_offset);
+  size_t n = std::min(static_cast<size_t>(max_bytes), left);
+  if (left >= kFrameHeaderBytes) {
+    // A slice that held no whole frame would leave the receiver fetching
+    // the same offset forever, so a longer frame ships whole. Only a
+    // checksum-valid frame counts: `from_offset` need not be a frame start.
+    uint32_t len = 0, checksum = 0;
+    memcpy(&len, log_.data() + from, sizeof(len));
+    memcpy(&checksum, log_.data() + from + sizeof(len), sizeof(checksum));
+    const size_t whole = kFrameHeaderBytes + len;
+    if (whole > n && whole <= left &&
+        FrameChecksum(log_.data() + from + kFrameHeaderBytes, len) ==
+            checksum) {
+      n = whole;
+    }
+  }
+  return log_.substr(from, n);
 }
 
 Status WriteAheadLog::DecodeShipped(const std::string& bytes,
                                     size_t* consumed,
                                     std::vector<WalRecord>* records) {
-  *consumed = 0;
-  while (*consumed + kFrameHeaderBytes <= bytes.size()) {
-    uint32_t len, checksum;
-    memcpy(&len, bytes.data() + *consumed, sizeof(len));
-    memcpy(&checksum, bytes.data() + *consumed + sizeof(len),
-           sizeof(checksum));
-    const size_t payload_at = *consumed + kFrameHeaderBytes;
-    if (payload_at + len > bytes.size()) break;  // partial frame: re-fetch
-    if (FrameChecksum(bytes.data() + payload_at, len) != checksum) {
-      return Status::IoError(
-          "shipped WAL frame at slice offset " + std::to_string(*consumed) +
-          " fails its checksum; the synced source prefix is intact, so the "
-          "bytes were damaged in flight — discard and re-fetch");
-    }
-    const std::string payload = bytes.substr(payload_at, len);
-    size_t record_off = 0;
-    ASSIGN_OR_RETURN(WalRecord record, Decode(payload, &record_off));
-    if (record_off != payload.size()) {
-      return Status::IoError("shipped WAL frame at slice offset " +
-                             std::to_string(*consumed) +
-                             " has trailing garbage inside its frame");
-    }
+  auto ship = [&](WalRecord&& record) {
     records->push_back(std::move(record));
-    *consumed = payload_at + len;
+    return Status::OK();
+  };
+  ASSIGN_OR_RETURN(WalkStop stop, WalkFrames(bytes, ship, consumed));
+  if (stop == WalkStop::kBadTail || stop == WalkStop::kBadFrame) {
+    return Status::IoError(
+        "shipped WAL frame at slice offset " + std::to_string(*consumed) +
+        " fails its checksum or does not decode; the synced source prefix "
+        "is intact, so the bytes were damaged in flight — discard and "
+        "re-fetch");
   }
-  return Status::OK();
+  return Status::OK();  // a trailing partial frame waits for the next fetch
 }
 
 int64_t WriteAheadLog::torn_tails_seen() const {
@@ -315,6 +330,46 @@ int64_t WriteAheadLog::corrupt_tails_seen() const {
 int64_t WriteAheadLog::midlog_corruptions_seen() const {
   std::lock_guard<std::mutex> lock(mu_);
   return midlog_corruptions_seen_;
+}
+
+Result<LoggedTxn> LoggedTxn::Begin(TransactionManager* txns,
+                                   WriteAheadLog* wal) {
+  LoggedTxn txn(txns, wal, txns->Begin());
+  WalRecord begin;
+  begin.type = WalRecordType::kBegin;
+  begin.txn_id = txn.id_;
+  Status status = wal->Append(begin);
+  if (!status.ok()) return txn.Abort(std::move(status));
+  return txn;
+}
+
+Status LoggedTxn::Run(TransactionManager* txns, WriteAheadLog* wal,
+                      int64_t commit_time_micros,
+                      const std::function<Status(TxnId)>& write) {
+  ASSIGN_OR_RETURN(LoggedTxn txn, Begin(txns, wal));
+  Status status = write(txn.id());
+  if (!status.ok()) return txn.Abort(std::move(status));
+  return txn.Commit(commit_time_micros);
+}
+
+Status LoggedTxn::Commit(int64_t commit_time_micros) {
+  WalRecord commit;
+  commit.type = WalRecordType::kCommit;
+  commit.txn_id = id_;
+  commit.int_payload = commit_time_micros;
+  Status status = wal_->AppendAndSync(commit);
+  if (!status.ok()) return Abort(std::move(status));
+  return txns_->Commit(id_, commit_time_micros).status();
+}
+
+Status LoggedTxn::Abort(Status cause) {
+  const Status aborted = txns_->Abort(id_);
+  WalRecord abort;
+  abort.type = WalRecordType::kAbort;
+  abort.txn_id = id_;
+  const Status logged = wal_->Append(abort);
+  if (!cause.ok()) return cause;
+  return aborted.ok() ? logged : aborted;
 }
 
 }  // namespace streamrel::storage

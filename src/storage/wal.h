@@ -11,6 +11,7 @@
 #include "common/schema.h"
 #include "common/status.h"
 #include "storage/disk.h"
+#include "storage/transaction.h"
 
 namespace streamrel::storage {
 
@@ -18,8 +19,8 @@ enum class WalRecordType : uint8_t {
   kBegin = 1,
   kCommit = 2,
   kAbort = 3,
-  kInsert = 4,           // (table, row)
-  kDelete = 5,           // (table, row_id)
+  kInsert = 4,           // (table, the rows one write call appended)
+  kDelete = 5,           // (table, the row ids one write call deleted)
   kChannelProgress = 6,  // (channel, window-close watermark micros)
   kCheckpoint = 7,       // opaque operator-state blob (checkpoint recovery)
   kVacuum = 8,           // (table) — replayed as a barrier so post-vacuum
@@ -29,12 +30,18 @@ enum class WalRecordType : uint8_t {
 struct WalRecord {
   WalRecordType type;
   uint64_t txn_id = 0;
-  std::string object_name;  // table or channel name
-  Row row;                  // kInsert
-  int64_t int_payload = 0;  // kDelete row id / kChannelProgress watermark /
-                            // kCommit commit-time / kCheckpoint coverage
+  std::string object_name;        // table or channel name
+  std::vector<Row> rows;          // kInsert
+  std::vector<uint64_t> row_ids;  // kDelete
+  int64_t int_payload = 0;  // kChannelProgress watermark / kCommit
+                            // commit-time / kCheckpoint coverage
   std::string blob;         // kCheckpoint state
 };
+
+/// The most bytes one replication fetch (REPL_FETCH) ships, and the cap on
+/// one WAL frame, so every frame ships in one fetch. Only a frame holding a
+/// single row larger than the cap exceeds it; ReadSynced ships it whole.
+inline constexpr int64_t kWalSliceBytes = 1 << 20;
 
 /// How a simulated crash leaves the end of the durable log.
 enum class CrashMode {
@@ -51,9 +58,8 @@ struct WalReplayStats {
 };
 
 /// Append-only write-ahead log. Records are buffered and charged to the
-/// simulated disk as sequential writes on Sync(); a group-commit interval
-/// is modeled by syncing once per Append when `sync_every_append` is set
-/// (the expensive store-first configuration) or explicitly by the caller.
+/// simulated disk as sequential writes on Sync(), which the caller issues
+/// once per transaction (group commit).
 ///
 /// Crash model: the durable image is the *synced prefix* only. Each record
 /// is framed with its length and a FrameChecksum (common/checksum.h; wire
@@ -69,9 +75,10 @@ struct WalReplayStats {
 /// Thread-safe.
 class WriteAheadLog {
  public:
-  WriteAheadLog(std::shared_ptr<SimulatedDisk> disk,
-                bool sync_every_append = false);
+  explicit WriteAheadLog(std::shared_ptr<SimulatedDisk> disk);
 
+  /// Appends `record` as one frame, or as several (each repeating its header
+  /// with the next run of rows or ids) when one would pass kWalSliceBytes.
   Status Append(const WalRecord& record);
 
   /// Charges any unsynced bytes to the disk model (one positioning cost +
@@ -87,8 +94,15 @@ class WriteAheadLog {
   Status Replay(const std::function<Status(const WalRecord&)>& callback,
                 WalReplayStats* stats = nullptr) const;
 
+  /// Append, then Sync. When the sync fails, the record's still-unsynced
+  /// frames are dropped again, so a later Sync cannot make them durable;
+  /// after an injected crash (FaultInjector::IsInjectedCrash) they stay, for
+  /// SimulateCrash to tear.
+  Status AppendAndSync(const WalRecord& record);
+
   /// Simulates a process/machine crash: the unsynced tail is discarded
-  /// (it never reached the device). kTornTail keeps a prefix of the first
+  /// (it never reached the device), the cut AppendAndSync makes after a
+  /// failed sync. kTornTail keeps a prefix of the first
   /// unsynced frame; kCorruptTail keeps the whole frame with a flipped
   /// payload byte. The next Append overwrites any such damaged tail, as a
   /// recovering system truncates it before writing.
@@ -109,7 +123,9 @@ class WriteAheadLog {
   /// Copies up to `max_bytes` of the synced prefix starting at byte
   /// `from_offset`. The slice is NOT frame-aligned at the end; the
   /// receiver consumes whole checksum-valid frames and re-requests from
-  /// its consumed offset (DecodeShipped reports how far it got).
+  /// its consumed offset (DecodeShipped reports how far it got). A valid
+  /// frame at `from_offset` longer than `max_bytes` ships whole, so such a
+  /// receiver always makes progress.
   std::string ReadSynced(int64_t from_offset, int64_t max_bytes) const;
 
   /// Decodes whole frames from a shipped byte slice. Advances `*consumed`
@@ -142,11 +158,22 @@ class WriteAheadLog {
   int64_t midlog_corruptions_seen() const;
 
  private:
-  static void Encode(const WalRecord& record, std::string* out);
-  static Result<WalRecord> Decode(const std::string& data, size_t* offset);
+  // Where a frame walk stopped: after the last frame, at a partial frame
+  // (a torn tail), at a whole last frame that fails its checksum (a
+  // corrupt tail), or at a damaged frame before the last one or a
+  // checksum-valid frame that does not decode.
+  enum class WalkStop { kEnd, kPartial, kBadTail, kBadFrame };
+  // The one frame walk behind Replay and DecodeShipped: passes the record
+  // of each good frame of `bytes` to `visit`, in order, and stops at the
+  // first bad one. `*end` is the offset past the last frame visited.
+  static Result<WalkStop> WalkFrames(
+      const std::string& bytes,
+      const std::function<Status(WalRecord&&)>& visit, size_t* end);
+  // Cuts the log back to `bytes` (`records` frames), but never into the
+  // synced prefix. Caller holds mu_.
+  void DropUnsyncedLocked(int64_t bytes, int64_t records);
 
   std::shared_ptr<SimulatedDisk> disk_;
-  const bool sync_every_append_;
   mutable std::mutex mu_;
   std::string log_;            // intact frames, in append order
   std::string tail_damage_;    // torn/corrupt bytes a crash left at the end
@@ -156,6 +183,46 @@ class WriteAheadLog {
   mutable int64_t torn_tails_seen_ = 0;
   mutable int64_t corrupt_tails_seen_ = 0;
   mutable int64_t midlog_corruptions_seen_ = 0;
+};
+
+/// The one begin / commit / abort sequence around every logged table write
+/// (a window close, autocommit DML, BEGIN ... COMMIT); the only place that
+/// builds kBegin, kCommit and kAbort records. Any failure between Begin()
+/// and a successful Commit() aborts: in memory, so the transaction's rows
+/// stay invisible and its delete stamps replaceable, and in the log. Its
+/// data frames stay in the log, as its rows stay in the heap, so replay
+/// assigns every later row the RowId it has live. Callers hold the DML lock
+/// (DESIGN.md, "The write path").
+class LoggedTxn {
+ public:
+  /// A handle on transaction `id`, begun by Begin().
+  LoggedTxn(TransactionManager* txns, WriteAheadLog* wal, TxnId id)
+      : txns_(txns), wal_(wal), id_(id) {}
+
+  /// Starts a transaction and logs kBegin; if that fails, aborts it again.
+  static Result<LoggedTxn> Begin(TransactionManager* txns,
+                                 WriteAheadLog* wal);
+
+  /// Runs `write` inside a new transaction and commits it at
+  /// `commit_time_micros`; any failure aborts it and is returned.
+  static Status Run(TransactionManager* txns, WriteAheadLog* wal,
+                    int64_t commit_time_micros,
+                    const std::function<Status(TxnId)>& write);
+
+  TxnId id() const { return id_; }
+
+  /// Logs kCommit and syncs (AppendAndSync), then commits in memory at
+  /// `commit_time_micros` (a window close, or now). A failure aborts.
+  Status Commit(int64_t commit_time_micros);
+
+  /// Aborts in memory and logs kAbort. Returns `cause` when it is an error,
+  /// otherwise how the abort went (ROLLBACK).
+  Status Abort(Status cause);
+
+ private:
+  TransactionManager* txns_;
+  WriteAheadLog* wal_;
+  TxnId id_;
 };
 
 }  // namespace streamrel::storage

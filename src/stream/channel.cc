@@ -4,69 +4,70 @@
 
 namespace streamrel::stream {
 
-Status InsertIntoTable(catalog::TableInfo* table, const Row& row,
-                       storage::TxnId txn, storage::WriteAheadLog* wal) {
+Status InsertRows(catalog::TableInfo* table, std::vector<Row> rows,
+                  storage::TxnId txn, storage::WriteAheadLog* wal) {
+  if (rows.empty()) return Status::OK();
   const Schema& schema = table->schema;
-  if (row.size() != schema.num_columns()) {
-    return Status::InvalidArgument(
-        "row arity " + std::to_string(row.size()) +
-        " does not match table '" + table->name + "' (" +
-        std::to_string(schema.num_columns()) + " columns)");
-  }
-  Row coerced;
-  coerced.reserve(row.size());
-  for (size_t i = 0; i < row.size(); ++i) {
-    DataType target = schema.column(i).type;
-    if (row[i].is_null() || row[i].type() == target) {
-      coerced.push_back(row[i]);
-    } else {
-      ASSIGN_OR_RETURN(Value v, row[i].CastTo(target));
-      coerced.push_back(std::move(v));
+  for (Row& row : rows) {
+    if (row.size() != schema.num_columns()) {
+      return Status::InvalidArgument(
+          "row arity " + std::to_string(row.size()) +
+          " does not match table '" + table->name + "' (" +
+          std::to_string(schema.num_columns()) + " columns)");
+    }
+    for (size_t i = 0; i < row.size(); ++i) {
+      const DataType target = schema.column(i).type;
+      if (!row[i].is_null() && row[i].type() != target) {
+        ASSIGN_OR_RETURN(row[i], row[i].CastTo(target));
+      }
     }
   }
-  ASSIGN_OR_RETURN(storage::RowId row_id, table->heap->Insert(coerced, txn));
+  storage::WalRecord record;
+  record.type = storage::WalRecordType::kInsert;
+  record.txn_id = txn;
+  record.object_name = table->name;
+  record.rows = std::move(rows);
+  if (wal != nullptr) RETURN_IF_ERROR(wal->Append(record));
+  ASSIGN_OR_RETURN(storage::RowId first,
+                   table->heap->Append(record.rows, txn));
   for (const auto& index : table->indexes) {
-    ASSIGN_OR_RETURN(size_t col,
-                     schema.FindColumn(index->column_name()));
-    index->Insert(coerced[col], row_id);
-  }
-  if (wal != nullptr) {
-    storage::WalRecord record;
-    record.type = storage::WalRecordType::kInsert;
-    record.txn_id = txn;
-    record.object_name = table->name;
-    record.row = std::move(coerced);
-    RETURN_IF_ERROR(wal->Append(record));
+    const size_t col = index->column();
+    for (size_t i = 0; i < record.rows.size(); ++i) {
+      index->Insert(record.rows[i][col], first + i);
+    }
   }
   return Status::OK();
 }
 
-Status DeleteFromTable(catalog::TableInfo* table, storage::RowId row_id,
-                       const Row& row, storage::TxnId txn,
-                       const storage::TransactionManager& txns,
-                       storage::WriteAheadLog* wal) {
-  RETURN_IF_ERROR(table->heap->Delete(row_id, txn, txns));
-  for (const auto& index : table->indexes) {
-    ASSIGN_OR_RETURN(size_t col, table->schema.FindColumn(
-                                     index->column_name()));
-    // Physical index entries are removed eagerly; MVCC readers that still
-    // see the old version go through the heap's visibility check anyway
-    // only for rows the index returns, so removal must wait until no
-    // snapshot needs it. We keep the entry and let IndexScan's visibility
-    // check filter it, EXCEPT when the deleting transaction also created
-    // the row (insert+delete in one txn) — then nobody can see it.
-    auto meta = table->heap->GetRowMeta(row_id);
-    if (meta.ok() && meta->xmin == txn) {
-      RETURN_IF_ERROR(index->Remove(row[col], row_id));
-    }
-  }
+Status DeleteRows(catalog::TableInfo* table,
+                  const std::vector<storage::RowId>& row_ids,
+                  storage::TxnId txn, const storage::TransactionManager& txns,
+                  storage::WriteAheadLog* wal) {
+  if (row_ids.empty()) return Status::OK();
+  // The heap first: a delete it refuses must not reach the log, where
+  // replay would refuse it too.
+  RETURN_IF_ERROR(table->heap->Delete(row_ids, txn, txns));
   if (wal != nullptr) {
     storage::WalRecord record;
     record.type = storage::WalRecordType::kDelete;
     record.txn_id = txn;
     record.object_name = table->name;
-    record.int_payload = static_cast<int64_t>(row_id);
+    record.row_ids = row_ids;
     RETURN_IF_ERROR(wal->Append(record));
+  }
+  // A deleted version keeps its index entries, since older snapshots may
+  // still reach it through the index (IndexScan checks visibility in the
+  // heap), EXCEPT when the deleting transaction also created it: then
+  // nobody can see it, and its entries go now.
+  if (table->indexes.empty()) return Status::OK();
+  for (storage::RowId id : row_ids) {
+    ASSIGN_OR_RETURN(storage::HeapTable::RowMeta meta,
+                     table->heap->GetRowMeta(id));
+    if (meta.xmin != txn) continue;
+    ASSIGN_OR_RETURN(Row row, table->heap->GetRow(id));
+    for (const auto& index : table->indexes) {
+      RETURN_IF_ERROR(index->Remove(row[index->column()], id));
+    }
   }
   return Status::OK();
 }
@@ -94,15 +95,20 @@ Result<int64_t> VacuumTable(catalog::TableInfo* table,
                       static_cast<int64_t>(survivors.size());
 
   // Rebuild in place: the heap and the index objects stay, so plans that
-  // hold them (a CQ's IndexLookupJoin keeps its index) stay valid.
+  // hold them (a CQ's IndexLookupJoin keeps its index) stay valid. One
+  // InsertRows call per run of survivors that share an xmin. The re-inserts
+  // are NOT WAL-logged: the kVacuum barrier record replays this whole
+  // compaction deterministically instead.
   RETURN_IF_ERROR(table->heap->Truncate());
   for (const auto& index : table->indexes) index->Clear();
-  for (const Survivor& survivor : survivors) {
-    // Indexes are maintained by InsertIntoTable; re-inserts are NOT
-    // WAL-logged — the kVacuum barrier record replays this whole
-    // compaction deterministically instead.
+  for (size_t run = 0; run < survivors.size();) {
+    const storage::TxnId xmin = survivors[run].xmin;
+    std::vector<Row> rows;
+    for (; run < survivors.size() && survivors[run].xmin == xmin; ++run) {
+      rows.push_back(std::move(survivors[run].row));
+    }
     RETURN_IF_ERROR(
-        InsertIntoTable(table, survivor.row, survivor.xmin, /*wal=*/nullptr));
+        InsertRows(table, std::move(rows), xmin, /*wal=*/nullptr));
   }
 
   if (wal != nullptr) {
@@ -122,70 +128,44 @@ Channel::Channel(catalog::ChannelInfo info, catalog::TableInfo* table,
 
 Status Channel::OnRawRows(int64_t at, const std::vector<Row>& rows) {
   if (at < watermark() || rows.empty()) return Status::OK();
-  // Temporarily lower the recorded watermark so OnBatch accepts `at` even
-  // when it equals the previous group's watermark. If the batch fails, the
-  // prior watermark must come back: leaving it at `at - 1` would let a
-  // redelivered earlier group slip past the dedup check and double-apply.
-  // (Only this stream's ingest lock holder mutates the watermark, so the
-  // interim value is never observed by another writer.)
-  const int64_t prior = watermark();
-  SetWatermark(at - 1);
-  Status status = OnBatch(at, rows);
-  if (!status.ok()) SetWatermark(prior);
-  return status;
+  return Persist(at, rows);
 }
 
 Status Channel::OnBatch(int64_t close, const std::vector<Row>& rows) {
   if (close <= watermark()) return Status::OK();  // already persisted
+  return Persist(close, rows);
+}
+
+Status Channel::Persist(int64_t close, const std::vector<Row>& rows) {
   RETURN_IF_ERROR(FaultInjector::Instance().Hit("channel.sink"));
-
-  storage::TxnId txn = txns_->Begin();
-  storage::WalRecord begin;
-  begin.type = storage::WalRecordType::kBegin;
-  begin.txn_id = txn;
-  RETURN_IF_ERROR(wal_->Append(begin));
-
-  if (info_.mode == sql::ChannelMode::kReplace) {
-    // Delete every currently visible row so the table holds only this
-    // window's results.
-    storage::Snapshot snap = txns_->CurrentSnapshot();
-    std::vector<std::pair<storage::RowId, Row>> victims;
-    RETURN_IF_ERROR(table_->heap->Scan(
-        *txns_, snap, txn,
-        [&](storage::RowId id, const storage::HeapTable::RowMeta&,
-            Row&& row) {
-          victims.emplace_back(id, std::move(row));
-          return true;
-        }));
-    for (const auto& [id, row] : victims) {
-      RETURN_IF_ERROR(DeleteFromTable(table_, id, row, txn, *txns_, wal_));
-    }
-  }
-
-  for (const Row& row : rows) {
-    RETURN_IF_ERROR(InsertIntoTable(table_, row, txn, wal_));
-  }
-
-  storage::WalRecord progress;
-  progress.type = storage::WalRecordType::kChannelProgress;
-  progress.txn_id = txn;
-  progress.object_name = info_.name;
-  progress.int_payload = close;
-  RETURN_IF_ERROR(wal_->Append(progress));
-
-  storage::WalRecord commit;
-  commit.type = storage::WalRecordType::kCommit;
-  commit.txn_id = txn;
-  commit.int_payload = close;  // commit time = window close
-  RETURN_IF_ERROR(wal_->Append(commit));
-  // The batch is committed only once its commit record is durable; a
-  // failed sync leaves the transaction uncommitted and the watermark
-  // unchanged, so the group is redelivered rather than half-applied.
-  RETURN_IF_ERROR(wal_->Sync());
-
-  // Window consistency: the batch becomes visible exactly at the window
-  // boundary it belongs to.
-  RETURN_IF_ERROR(txns_->Commit(txn, close).status());
+  // The batch is committed only once its commit record is durable, and it
+  // becomes visible exactly at the window boundary it belongs to (window
+  // consistency). A failure aborts it and leaves the watermark unchanged,
+  // so the group is redelivered rather than half-applied.
+  RETURN_IF_ERROR(storage::LoggedTxn::Run(
+      txns_, wal_, /*commit_time_micros=*/close,
+      [&](storage::TxnId txn) -> Status {
+        if (info_.mode == sql::ChannelMode::kReplace) {
+          // Delete every currently visible row so the table holds only
+          // this window's results.
+          std::vector<storage::RowId> victims;
+          RETURN_IF_ERROR(table_->heap->Scan(
+              *txns_, txns_->CurrentSnapshot(), txn,
+              [&](storage::RowId id, const storage::HeapTable::RowMeta&,
+                  Row&&) {
+                victims.push_back(id);
+                return true;
+              }));
+          RETURN_IF_ERROR(DeleteRows(table_, victims, txn, *txns_, wal_));
+        }
+        RETURN_IF_ERROR(InsertRows(table_, rows, txn, wal_));
+        storage::WalRecord progress;
+        progress.type = storage::WalRecordType::kChannelProgress;
+        progress.txn_id = txn;
+        progress.object_name = info_.name;
+        progress.int_payload = close;
+        return wal_->Append(progress);
+      }));
 
   SetWatermark(close);
   batches_persisted_.fetch_add(1, std::memory_order_relaxed);

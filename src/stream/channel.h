@@ -16,13 +16,16 @@
 namespace streamrel::stream {
 
 /// Persists a stream into an *Active Table* (Example 4 in the paper):
-/// each window's results are stored transactionally, committing with
-/// commit_time = window close, so the table participates in
-/// window-consistent MVCC snapshots (a CQ joining the table as of its own
-/// window close sees exactly the fully-persisted earlier windows).
+/// each window's results are stored in one logged transaction
+/// (storage::LoggedTxn) that commits with commit_time = window close, so
+/// the table participates in window-consistent MVCC snapshots (a CQ
+/// joining the table as of its own window close sees exactly the
+/// fully-persisted earlier windows).
 ///
 /// APPEND adds the batch's rows; REPLACE deletes the previously visible
-/// rows first, so the table always holds the latest window's results.
+/// rows first, so the table always holds the latest window's results. A
+/// close writes four WAL records (begin, rows, progress, commit), and a
+/// REPLACE close that deletes rows a fifth.
 ///
 /// The channel's progress watermark (the last persisted window close) is
 /// WAL-logged with each batch; recovery reads it back so a restarted
@@ -67,9 +70,9 @@ class Channel {
   }
 
  private:
-  /// Inserts `row` (cast to the table's column types) and maintains
-  /// indexes; WAL-logs the insert.
-  Status InsertRow(const Row& row, storage::TxnId txn);
+  /// Writes one batch in one logged transaction that commits at `close`,
+  /// then advances the watermark to it.
+  Status Persist(int64_t close, const std::vector<Row>& rows);
 
   catalog::ChannelInfo info_;
   catalog::TableInfo* table_;
@@ -86,16 +89,23 @@ class Channel {
   Gauge* watermark_metric_ = nullptr;
 };
 
-/// Shared helper: inserts a row into a table with type coercion, index
-/// maintenance, and WAL logging. Used by channels and by SQL INSERT.
-Status InsertIntoTable(catalog::TableInfo* table, const Row& row,
-                       storage::TxnId txn, storage::WriteAheadLog* wal);
+/// The one table write path (DESIGN.md, "The write path"): every writer
+/// makes one call per table per statement or window close, which logs one
+/// kInsert or kDelete record when given a WAL. No rows, no write.
 
-/// Shared helper: MVCC-deletes a row and removes its index entries.
-Status DeleteFromTable(catalog::TableInfo* table, storage::RowId row_id,
-                       const Row& row, storage::TxnId txn,
-                       const storage::TransactionManager& txns,
-                       storage::WriteAheadLog* wal);
+/// Appends `rows` to `table` under `txn`, after checking each row's arity
+/// and casting its values to the column types, and indexes them. The
+/// record is logged first, so a failed append leaves the heap untouched.
+Status InsertRows(catalog::TableInfo* table, std::vector<Row> rows,
+                  storage::TxnId txn, storage::WriteAheadLog* wal);
+
+/// MVCC-deletes `row_ids` from `table` under `txn`. Index entries stay
+/// (the heap's visibility check filters deleted versions, and VACUUM drops
+/// them), except those of versions `txn` itself created, which are removed.
+Status DeleteRows(catalog::TableInfo* table,
+                  const std::vector<storage::RowId>& row_ids,
+                  storage::TxnId txn, const storage::TransactionManager& txns,
+                  storage::WriteAheadLog* wal);
 
 /// Compacts `table`: row versions invisible to the current snapshot are
 /// dropped, and survivors are re-written densely in ascending old-RowId

@@ -20,36 +20,30 @@ storage::TxnId WalApplier::MappedTxn(uint64_t old_id) {
 }
 
 Status WalApplier::Apply(const storage::WalRecord& record) {
+  catalog::TableInfo* table = nullptr;
+  if (record.type == storage::WalRecordType::kInsert ||
+      record.type == storage::WalRecordType::kDelete ||
+      record.type == storage::WalRecordType::kVacuum) {
+    table = catalog_->GetTable(record.object_name);
+    if (table == nullptr) {
+      return Status::NotFound("WAL record for unknown table '" +
+                              record.object_name + "'");
+    }
+  }
   switch (record.type) {
     case storage::WalRecordType::kBegin: {
       MappedTxn(record.txn_id);
       return Status::OK();
     }
     case storage::WalRecordType::kInsert: {
-      catalog::TableInfo* table = catalog_->GetTable(record.object_name);
-      if (table == nullptr) {
-        return Status::NotFound("WAL insert into unknown table '" +
-                                record.object_name + "'");
-      }
-      RETURN_IF_ERROR(InsertIntoTable(table, record.row,
-                                      MappedTxn(record.txn_id),
-                                      /*wal=*/nullptr));
-      ++result_.rows_inserted;
-      return Status::OK();
+      result_.rows_inserted += static_cast<int64_t>(record.rows.size());
+      return InsertRows(table, record.rows, MappedTxn(record.txn_id),
+                        /*wal=*/nullptr);
     }
     case storage::WalRecordType::kDelete: {
-      catalog::TableInfo* table = catalog_->GetTable(record.object_name);
-      if (table == nullptr) {
-        return Status::NotFound("WAL delete in unknown table '" +
-                                record.object_name + "'");
-      }
-      auto row_id = static_cast<storage::RowId>(record.int_payload);
-      ASSIGN_OR_RETURN(Row row, table->heap->GetRow(row_id));
-      RETURN_IF_ERROR(DeleteFromTable(table, row_id, row,
-                                      MappedTxn(record.txn_id), *txns_,
-                                      /*wal=*/nullptr));
-      ++result_.rows_deleted;
-      return Status::OK();
+      result_.rows_deleted += static_cast<int64_t>(record.row_ids.size());
+      return DeleteRows(table, record.row_ids, MappedTxn(record.txn_id),
+                        *txns_, /*wal=*/nullptr);
     }
     case storage::WalRecordType::kCommit: {
       RETURN_IF_ERROR(
@@ -84,11 +78,6 @@ Status WalApplier::Apply(const storage::WalRecord& record) {
       return Status::OK();
     }
     case storage::WalRecordType::kVacuum: {
-      catalog::TableInfo* table = catalog_->GetTable(record.object_name);
-      if (table == nullptr) {
-        return Status::NotFound("WAL vacuum of unknown table '" +
-                                record.object_name + "'");
-      }
       // Replaying the compaction reproduces the post-vacuum RowIds,
       // so later logged deletes keep targeting the right rows.
       return VacuumTable(table, *txns_, /*wal=*/nullptr).status();

@@ -89,8 +89,8 @@ class WalApplier {
 /// recovery. Transactions without a commit record are implicitly aborted
 /// (their rows stay invisible) — the standard durability guarantee.
 ///
-/// RowIds are stable across replay (tables start empty and inserts re-run
-/// in order), so logged deletes target the right rows.
+/// RowIds are stable across replay (tables start empty and every insert,
+/// an aborted one's too, re-runs in order): logged deletes hit their rows.
 Result<WalReplayResult> ReplayWal(catalog::Catalog* catalog,
                                   storage::TransactionManager* txns,
                                   const storage::WriteAheadLog& wal);

@@ -1,6 +1,6 @@
 #include "stream/window_operator.h"
 
-#include <cstring>
+#include "common/bytes.h"
 
 namespace streamrel::stream {
 
@@ -152,40 +152,29 @@ void WindowOperator::EvictBefore(int64_t ts) {
 }
 
 void WindowOperator::Serialize(std::string* out) const {
-  auto put_i64 = [out](int64_t v) {
-    out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-  };
-  put_i64(next_close_);
-  put_i64(rows_since_advance_);
-  put_i64(batches_since_emit_);
-  put_i64(last_ts_);
-  put_i64(static_cast<int64_t>(buffer_.size()));
+  PutI64(next_close_, out);
+  PutI64(rows_since_advance_, out);
+  PutI64(batches_since_emit_, out);
+  PutI64(last_ts_, out);
+  PutI64(static_cast<int64_t>(buffer_.size()), out);
   for (const Element& e : buffer_) {
-    put_i64(e.ts);
+    PutI64(e.ts, out);
     SerializeRow(e.row, out);
   }
 }
 
 Status WindowOperator::Restore(const std::string& data) {
   size_t offset = 0;
-  auto get_i64 = [&](int64_t* v) -> Status {
-    if (offset + sizeof(*v) > data.size()) {
-      return Status::IoError("truncated window checkpoint");
-    }
-    memcpy(v, data.data() + offset, sizeof(*v));
-    offset += sizeof(*v);
-    return Status::OK();
-  };
   ClearBuffer();
-  RETURN_IF_ERROR(get_i64(&next_close_));
-  RETURN_IF_ERROR(get_i64(&rows_since_advance_));
-  RETURN_IF_ERROR(get_i64(&batches_since_emit_));
-  RETURN_IF_ERROR(get_i64(&last_ts_));
+  RETURN_IF_ERROR(GetFixed(data, &offset, &next_close_));
+  RETURN_IF_ERROR(GetFixed(data, &offset, &rows_since_advance_));
+  RETURN_IF_ERROR(GetFixed(data, &offset, &batches_since_emit_));
+  RETURN_IF_ERROR(GetFixed(data, &offset, &last_ts_));
   int64_t count = 0;
-  RETURN_IF_ERROR(get_i64(&count));
+  RETURN_IF_ERROR(GetFixed(data, &offset, &count));
   for (int64_t i = 0; i < count; ++i) {
     Element e;
-    RETURN_IF_ERROR(get_i64(&e.ts));
+    RETURN_IF_ERROR(GetFixed(data, &offset, &e.ts));
     ASSIGN_OR_RETURN(e.row, DeserializeRow(data, &offset));
     PushElement(std::move(e));
   }

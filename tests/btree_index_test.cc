@@ -19,7 +19,7 @@ std::vector<RowId> Lookup(const BTreeIndex& index, const Value& key) {
 }
 
 TEST(BTreeIndexTest, InsertAndPointLookup) {
-  BTreeIndex index("c");
+  BTreeIndex index("c", 0);
   index.Insert(Value::Int64(10), 1);
   index.Insert(Value::Int64(20), 2);
   EXPECT_EQ(Lookup(index, Value::Int64(10)), std::vector<RowId>{1});
@@ -28,7 +28,7 @@ TEST(BTreeIndexTest, InsertAndPointLookup) {
 }
 
 TEST(BTreeIndexTest, DuplicateKeys) {
-  BTreeIndex index("c");
+  BTreeIndex index("c", 0);
   index.Insert(Value::String("k"), 5);
   index.Insert(Value::String("k"), 3);
   index.Insert(Value::String("k"), 9);
@@ -37,7 +37,7 @@ TEST(BTreeIndexTest, DuplicateKeys) {
 }
 
 TEST(BTreeIndexTest, SplitsAtScale) {
-  BTreeIndex index("c", /*fanout=*/8);
+  BTreeIndex index("c", 0, /*fanout=*/8);
   for (int i = 0; i < 1000; ++i) {
     index.Insert(Value::Int64(i), static_cast<RowId>(i));
   }
@@ -50,7 +50,7 @@ TEST(BTreeIndexTest, SplitsAtScale) {
 }
 
 TEST(BTreeIndexTest, ReverseInsertionOrder) {
-  BTreeIndex index("c", 8);
+  BTreeIndex index("c", 0, 8);
   for (int i = 999; i >= 0; --i) {
     index.Insert(Value::Int64(i), static_cast<RowId>(i));
   }
@@ -65,7 +65,7 @@ TEST(BTreeIndexTest, ReverseInsertionOrder) {
 }
 
 TEST(BTreeIndexTest, RandomInsertionSortedScan) {
-  BTreeIndex index("c", 16);
+  BTreeIndex index("c", 0, 16);
   std::mt19937 rng(42);
   std::vector<int64_t> inserted;
   for (int i = 0; i < 2000; ++i) {
@@ -84,7 +84,7 @@ TEST(BTreeIndexTest, RandomInsertionSortedScan) {
 }
 
 TEST(BTreeIndexTest, RangeScanBounds) {
-  BTreeIndex index("c", 8);
+  BTreeIndex index("c", 0, 8);
   for (int i = 0; i < 100; ++i) {
     index.Insert(Value::Int64(i), static_cast<RowId>(i));
   }
@@ -110,7 +110,7 @@ TEST(BTreeIndexTest, RangeScanBounds) {
 }
 
 TEST(BTreeIndexTest, RangeScanEarlyStop) {
-  BTreeIndex index("c", 8);
+  BTreeIndex index("c", 0, 8);
   for (int i = 0; i < 100; ++i) {
     index.Insert(Value::Int64(i), static_cast<RowId>(i));
   }
@@ -121,7 +121,7 @@ TEST(BTreeIndexTest, RangeScanEarlyStop) {
 }
 
 TEST(BTreeIndexTest, RemoveSpecificEntry) {
-  BTreeIndex index("c");
+  BTreeIndex index("c", 0);
   index.Insert(Value::Int64(1), 10);
   index.Insert(Value::Int64(1), 11);
   ASSERT_TRUE(index.Remove(Value::Int64(1), 10).ok());
@@ -130,14 +130,14 @@ TEST(BTreeIndexTest, RemoveSpecificEntry) {
 }
 
 TEST(BTreeIndexTest, RemoveMissingErrors) {
-  BTreeIndex index("c");
+  BTreeIndex index("c", 0);
   index.Insert(Value::Int64(1), 10);
   EXPECT_FALSE(index.Remove(Value::Int64(1), 99).ok());
   EXPECT_FALSE(index.Remove(Value::Int64(2), 10).ok());
 }
 
 TEST(BTreeIndexTest, InsertRemoveChurn) {
-  BTreeIndex index("c", 8);
+  BTreeIndex index("c", 0, 8);
   for (int i = 0; i < 500; ++i) {
     index.Insert(Value::Int64(i % 50), static_cast<RowId>(i));
   }
@@ -154,7 +154,7 @@ TEST(BTreeIndexTest, InsertRemoveChurn) {
 }
 
 TEST(BTreeIndexTest, StringKeys) {
-  BTreeIndex index("c", 8);
+  BTreeIndex index("c", 0, 8);
   const char* words[] = {"pear", "apple", "fig", "banana", "cherry"};
   for (RowId i = 0; i < 5; ++i) {
     index.Insert(Value::String(words[i]), i);
@@ -170,7 +170,7 @@ TEST(BTreeIndexTest, StringKeys) {
 }
 
 TEST(BTreeIndexTest, TimestampRange) {
-  BTreeIndex index("ts", 8);
+  BTreeIndex index("ts", 0, 8);
   for (int i = 0; i < 60; ++i) {
     index.Insert(Value::Timestamp(i * 1000000), static_cast<RowId>(i));
   }

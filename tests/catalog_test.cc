@@ -73,7 +73,7 @@ TEST_F(CatalogTest, ChannelsHaveOwnNamespace) {
 
 TEST_F(CatalogTest, IndexAttachAndFind) {
   ASSERT_TRUE(catalog_.CreateTable(MakeTable("t")).ok());
-  auto index = std::make_shared<storage::BTreeIndex>("a");
+  auto index = std::make_shared<storage::BTreeIndex>("a", 0);
   ASSERT_TRUE(catalog_.CreateIndex("idx_a", "t", index).ok());
   TableInfo* t = catalog_.GetTable("t");
   EXPECT_EQ(t->FindIndexOn("a"), index.get());
@@ -82,7 +82,7 @@ TEST_F(CatalogTest, IndexAttachAndFind) {
 }
 
 TEST_F(CatalogTest, IndexOnMissingTableFails) {
-  auto index = std::make_shared<storage::BTreeIndex>("a");
+  auto index = std::make_shared<storage::BTreeIndex>("a", 0);
   EXPECT_EQ(catalog_.CreateIndex("idx", "none", index).code(),
             StatusCode::kNotFound);
 }
@@ -91,11 +91,11 @@ TEST_F(CatalogTest, DuplicateIndexNameFails) {
   ASSERT_TRUE(catalog_.CreateTable(MakeTable("t")).ok());
   ASSERT_TRUE(catalog_
                   .CreateIndex("idx", "t",
-                               std::make_shared<storage::BTreeIndex>("a"))
+                               std::make_shared<storage::BTreeIndex>("a", 0))
                   .ok());
   EXPECT_EQ(catalog_
                 .CreateIndex("idx", "t",
-                             std::make_shared<storage::BTreeIndex>("a"))
+                             std::make_shared<storage::BTreeIndex>("a", 0))
                 .code(),
             StatusCode::kAlreadyExists);
 }
@@ -104,7 +104,7 @@ TEST_F(CatalogTest, DropIndexDetaches) {
   ASSERT_TRUE(catalog_.CreateTable(MakeTable("t")).ok());
   ASSERT_TRUE(catalog_
                   .CreateIndex("idx", "t",
-                               std::make_shared<storage::BTreeIndex>("a"))
+                               std::make_shared<storage::BTreeIndex>("a", 0))
                   .ok());
   ASSERT_TRUE(catalog_.DropIndex("idx").ok());
   EXPECT_EQ(catalog_.GetTable("t")->FindIndexOn("a"), nullptr);
@@ -114,14 +114,14 @@ TEST_F(CatalogTest, DropTableDropsItsIndexRegistrations) {
   ASSERT_TRUE(catalog_.CreateTable(MakeTable("t")).ok());
   ASSERT_TRUE(catalog_
                   .CreateIndex("idx", "t",
-                               std::make_shared<storage::BTreeIndex>("a"))
+                               std::make_shared<storage::BTreeIndex>("a", 0))
                   .ok());
   ASSERT_TRUE(catalog_.DropTable("t").ok());
   // The index name is free again.
   ASSERT_TRUE(catalog_.CreateTable(MakeTable("t")).ok());
   EXPECT_TRUE(catalog_
                   .CreateIndex("idx", "t",
-                               std::make_shared<storage::BTreeIndex>("a"))
+                               std::make_shared<storage::BTreeIndex>("a", 0))
                   .ok());
 }
 

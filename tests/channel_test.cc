@@ -94,11 +94,36 @@ TEST_F(ChannelTest, TypeCoercionIntoTableTypes) {
 
 TEST_F(ChannelTest, ChannelWritesGoThroughWal) {
   MustExecute(&db_, "CREATE CHANNEL ch FROM counts INTO archive APPEND");
-  int64_t records_before = db_.wal()->record_count();
+  MustExecute(&db_, "CREATE TABLE cur (url varchar, c bigint, w timestamp)");
+  MustExecute(&db_, "CREATE CHANNEL cur_ch FROM counts INTO cur REPLACE");
   Send("/a", 10 * kSec);
+  Send("/b", 20 * kSec);
   ASSERT_TRUE(db_.AdvanceTime("s", kMin).ok());
-  // Begin + insert + progress + commit at least.
-  EXPECT_GE(db_.wal()->record_count(), records_before + 4);
+  Send("/a", 70 * kSec);
+  Send("/c", 80 * kSec);
+  Send("/d", 90 * kSec);
+  // Each close of the second window writes one transaction per channel.
+  // APPEND: begin, the window's rows, progress, commit. REPLACE adds one
+  // record that deletes the previous window's rows.
+  const int64_t records_before = db_.wal()->record_count();
+  Channel* append = db_.runtime()->GetChannel("ch");
+  Channel* replace = db_.runtime()->GetChannel("cur_ch");
+  ASSERT_TRUE(append->OnBatch(2 * kMin, {Row{Value::String("/a"),
+                                             Value::Int64(1),
+                                             Value::Timestamp(2 * kMin)},
+                                         Row{Value::String("/c"),
+                                             Value::Int64(1),
+                                             Value::Timestamp(2 * kMin)}})
+                  .ok());
+  EXPECT_EQ(db_.wal()->record_count(), records_before + 4);
+  ASSERT_TRUE(replace->OnBatch(2 * kMin, {Row{Value::String("/a"),
+                                              Value::Int64(1),
+                                              Value::Timestamp(2 * kMin)}})
+                  .ok());
+  EXPECT_EQ(db_.wal()->record_count(), records_before + 4 + 5);
+  EXPECT_EQ(db_.wal()->synced_records(), db_.wal()->record_count());
+  EXPECT_EQ(MustExecute(&db_, "SELECT url FROM cur").rows.size(), 1u);
+  EXPECT_EQ(MustExecute(&db_, "SELECT url FROM archive").rows.size(), 4u);
 }
 
 TEST_F(ChannelTest, RawStreamChannelArchivesRows) {
@@ -163,16 +188,52 @@ TEST_F(ChannelTest, MissingSourceOrTargetRejected) {
 
 TEST_F(ChannelTest, InsertHelperCoercesAndIndexes) {
   MustExecute(&db_, "CREATE TABLE t (a bigint, b varchar)");
+  MustExecute(&db_, "CREATE INDEX t_b ON t (b)");
   MustExecute(&db_, "CREATE INDEX t_a ON t (a)");
   auto* table = db_.catalog()->GetTable("t");
   storage::TxnId txn = db_.txns()->Begin();
-  ASSERT_TRUE(InsertIntoTable(table,
-                              {Value::String("42"), Value::String("x")},
-                              txn, nullptr)
+  ASSERT_TRUE(InsertRows(table,
+                         {{Value::String("42"), Value::String("x")},
+                          {Value::Int64(7), Value::Null()},
+                          {Value::Double(42.0), Value::String("y")}},
+                         txn, nullptr)
                   .ok());
+  // A wrong arity anywhere in the call fails it before any write.
+  EXPECT_FALSE(InsertRows(table, {{Value::Int64(1), Value::String("z")},
+                                  {Value::Int64(2)}},
+                          txn, nullptr)
+                   .ok());
   ASSERT_TRUE(db_.txns()->Commit(txn, 0).ok());
-  auto result = MustExecute(&db_, "SELECT b FROM t WHERE a = 42");
-  EXPECT_EQ(result.rows.size(), 1u);
+  EXPECT_EQ(table->heap->row_count(), 3u);
+  auto result = MustExecute(&db_, "SELECT b FROM t WHERE a = 42 ORDER BY b");
+  ASSERT_EQ(result.rows.size(), 2u);
+  EXPECT_EQ(result.rows[1][0].AsString(), "y");
+  EXPECT_EQ(MustExecute(&db_, "SELECT a FROM t WHERE b = 'x'").rows.size(),
+            1u);
+}
+
+// A version its own transaction deletes loses its index entries at once;
+// another transaction's deleted version keeps them until VACUUM.
+TEST_F(ChannelTest, DeleteRowsDropsIndexEntriesOfItsOwnVersions) {
+  MustExecute(&db_, "CREATE TABLE t (a bigint, b varchar)");
+  MustExecute(&db_, "CREATE INDEX t_a ON t (a)");
+  MustExecute(&db_, "CREATE INDEX t_b ON t (b)");
+  auto* table = db_.catalog()->GetTable("t");
+  storage::TxnId txn = db_.txns()->Begin();
+  ASSERT_TRUE(InsertRows(table,
+                         {{Value::Int64(1), Value::String("x")},
+                          {Value::Int64(2), Value::String("y")}},
+                         txn, nullptr)
+                  .ok());
+  ASSERT_TRUE(DeleteRows(table, {0}, txn, *db_.txns(), nullptr).ok());
+  ASSERT_TRUE(db_.txns()->Commit(txn, 0).ok());
+  for (const auto& index : table->indexes) EXPECT_EQ(index->size(), 1u);
+
+  storage::TxnId other = db_.txns()->Begin();
+  ASSERT_TRUE(DeleteRows(table, {1}, other, *db_.txns(), nullptr).ok());
+  ASSERT_TRUE(db_.txns()->Commit(other, 0).ok());
+  for (const auto& index : table->indexes) EXPECT_EQ(index->size(), 1u);
+  EXPECT_TRUE(MustExecute(&db_, "SELECT b FROM t WHERE a = 2").rows.empty());
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <random>
 #include <set>
@@ -23,6 +24,7 @@
 
 #include "common/fault_injector.h"
 #include "common/time.h"
+#include "storage/wal.h"
 #include "test_util.h"
 
 namespace streamrel::stream {
@@ -382,6 +384,9 @@ void TortureOne(int seed, Strategy strategy) {
     ks.erase(std::unique(ks.begin(), ks.end()), ks.end());
   }
 
+  // An injected crash drops none of the unsynced frames it interrupts, so a
+  // crash that leaves any behind damages the tail for recovery to stop at.
+  int64_t damaged_tails = 0;
   for (int64_t k : ks) {
     const auto mode = static_cast<storage::CrashMode>(k % 3);
     SCOPED_TRACE("failing seed=" + std::to_string(seed) + " strategy=" +
@@ -409,13 +414,18 @@ void TortureOne(int seed, Strategy strategy) {
     // The process is dead: whatever never reached a synced WAL frame is
     // gone, and the tail may be torn or corrupted by the power cut.
     injector.Reset();
+    const bool unsynced = wal->byte_size() > wal->synced_bytes();
     wal->SimulateCrash(mode);
 
     std::vector<std::string> actual =
         RecoverAndRefeed(disk, wal, ops, crash_op, strategy);
+    const int64_t tails = wal->torn_tails_seen() + wal->corrupt_tails_seen();
+    EXPECT_EQ(tails, unsynced && mode != storage::CrashMode::kClean ? 1 : 0);
+    damaged_tails += tails;
     EXPECT_EQ(actual, expected);
     if (actual != expected) return;  // one detailed failure is enough
   }
+  EXPECT_GT(damaged_tails, 0);
 }
 
 class CrashRecoveryTortureTest : public ::testing::TestWithParam<int> {
@@ -497,6 +507,349 @@ TEST_P(ExactlyOnceProperty, NoDuplicateWindowsAcrossCrash) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ExactlyOnceProperty,
                          ::testing::Range(100, 200));
 
+// --- failed writes abort ---------------------------------------------------
+//
+// A write that fails between its transaction's begin and commit aborts it:
+// later writes of the same rows succeed, and the log replays to exactly the
+// live tables, both in a recovery over the same WAL and on a standby fed
+// the log's synced prefix.
+
+std::vector<std::string> QueryAll(engine::Database* db,
+                                  const std::vector<std::string>& queries) {
+  std::vector<std::string> out;
+  for (const std::string& q : queries) {
+    out.push_back("-- " + q);
+    for (auto& row : RowStrings(MustExecute(db, q))) out.push_back(row);
+  }
+  return out;
+}
+
+/// Live tables == RecoverFromWal over the same WAL == a standby fed the
+/// synced prefix, for every query in `queries`.
+void ExpectLogReproducesLive(engine::Database* live, const std::string& ddl,
+                             const std::vector<std::string>& queries) {
+  const std::vector<std::string> expected = QueryAll(live, queries);
+
+  engine::Database recovered(live->disk(), live->wal());
+  MustExecute(&recovered, ddl);
+  auto replay = recovered.RecoverFromWal();
+  ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+  EXPECT_EQ(QueryAll(&recovered, queries), expected) << "recovery";
+
+  engine::Database standby;
+  MustExecute(&standby, ddl);
+  ASSERT_TRUE(standby.BeginStandby().ok());
+  const storage::WriteAheadLog& wal = *live->wal();
+  while (standby.repl_applied_bytes() < wal.synced_bytes()) {
+    const std::string slice =
+        wal.ReadSynced(standby.repl_applied_bytes(), storage::kWalSliceBytes);
+    size_t consumed = 0;
+    Status st = standby.ApplyReplicationFrames(slice, &consumed);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    ASSERT_GT(consumed, 0u);
+  }
+  EXPECT_EQ(QueryAll(&standby, queries), expected) << "standby";
+}
+
+Status IngestValue(engine::Database* db, int64_t v, int64_t ts) {
+  return db->Ingest("s", {Row{Value::Int64(v), Value::Timestamp(ts)}});
+}
+
+// A REPLACE close whose commit sync fails is retried: the retry must
+// replace the previous window instead of failing on the failed attempt's
+// delete stamps, and every later close must land too.
+TEST(FailedWriteTest, FailedReplaceCloseAbortsAndItsRetryLands) {
+  FaultInjector::Instance().Reset();
+  const std::string ddl =
+      "CREATE STREAM s (v bigint, ts timestamp CQTIME USER);"
+      "CREATE STREAM latest AS SELECT count(*) AS n FROM s "
+      "<VISIBLE '1 minute'>;"
+      "CREATE TABLE cur (n bigint);"
+      "CREATE CHANNEL ch FROM latest INTO cur REPLACE";
+  engine::Database db;
+  MustExecute(&db, ddl);
+  MustExecute(&db, "SET RETRY LIMIT 3; SET RETRY BACKOFF 0");
+  ASSERT_TRUE(IngestValue(&db, 1, 10 * kSec).ok());
+  ASSERT_TRUE(IngestValue(&db, 2, 70 * kSec).ok());  // closes minute 0
+  ASSERT_TRUE(IngestValue(&db, 3, 80 * kSec).ok());
+  EXPECT_EQ(RowStrings(MustExecute(&db, "SELECT n FROM cur")),
+            std::vector<std::string>{"(1)"});
+  FaultInjector::Instance().Arm("wal.sync", FaultPolicy::FailOnce());
+  Status st = IngestValue(&db, 4, 130 * kSec);  // closes minute 1
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(RowStrings(MustExecute(&db, "SELECT n FROM cur")),
+            std::vector<std::string>{"(2)"});
+  ASSERT_TRUE(IngestValue(&db, 5, 140 * kSec).ok());
+  ASSERT_TRUE(IngestValue(&db, 6, 190 * kSec).ok());  // closes minute 2
+  EXPECT_EQ(RowStrings(MustExecute(&db, "SELECT n FROM cur")),
+            std::vector<std::string>{"(2)"});
+  EXPECT_EQ(db.runtime()->GetChannel("ch")->watermark(), 3 * kMin);
+  FaultInjector::Instance().Reset();
+  ExpectLogReproducesLive(&db, ddl, {"SELECT n FROM cur"});
+}
+
+// A DELETE whose commit sync fails, and an UPDATE whose third WAL append
+// (its inserted rows) fails, leave the rows live and writable.
+TEST(FailedWriteTest, FailedDeleteAndUpdateAbort) {
+  FaultInjector::Instance().Reset();
+  const std::string ddl =
+      "CREATE TABLE t (a bigint, b varchar); CREATE INDEX t_a ON t (a)";
+  engine::Database db;
+  MustExecute(&db, ddl);
+  MustExecute(&db, "INSERT INTO t VALUES (1, 'x'), (2, 'y'), (3, 'z')");
+  FaultInjector::Instance().Arm("wal.sync", FaultPolicy::FailOnce());
+  EXPECT_FALSE(db.Execute("DELETE FROM t WHERE a = 1").ok());
+  EXPECT_EQ(MustExecute(&db, "SELECT count(*) FROM t").rows[0][0].AsInt64(),
+            3);
+  MustExecute(&db, "DELETE FROM t WHERE a = 1");
+
+  FaultInjector::Instance().Arm("wal.append", FaultPolicy::FailNth(3));
+  EXPECT_FALSE(db.Execute("UPDATE t SET a = a + 10").ok());
+  EXPECT_EQ(RowStrings(MustExecute(&db, "SELECT a, b FROM t ORDER BY a")),
+            (std::vector<std::string>{"(2, y)", "(3, z)"}));
+  MustExecute(&db, "UPDATE t SET a = a + 10");
+  const std::vector<std::string> queries = {
+      "SELECT a, b FROM t ORDER BY a", "SELECT b FROM t WHERE a = 12",
+      "SELECT b FROM t WHERE a = 2"};
+  EXPECT_EQ(QueryAll(&db, queries),
+            (std::vector<std::string>{"-- " + queries[0], "(12, y)",
+                                      "(13, z)", "-- " + queries[1], "(y)",
+                                      "-- " + queries[2]}));
+  FaultInjector::Instance().Reset();
+  ExpectLogReproducesLive(&db, ddl, queries);
+}
+
+// A window close whose commit sync fails must not commit on replay: with
+// no retry the live table never gets the window, and with retries it gets
+// it once. A recovery and a standby must agree.
+TEST(FailedWriteTest, FailedSyncDoesNotCommitOnReplay) {
+  const std::string ddl =
+      "CREATE STREAM s (v bigint, ts timestamp CQTIME USER);"
+      "CREATE STREAM per_min AS SELECT count(*) AS n, cq_close(*) AS w "
+      "FROM s <VISIBLE '1 minute'>;"
+      "CREATE TABLE hist (n bigint, w timestamp);"
+      "CREATE CHANNEL ch FROM per_min INTO hist APPEND";
+  for (int limit : {1, 3}) {
+    SCOPED_TRACE("retry limit " + std::to_string(limit));
+    FaultInjector::Instance().Reset();
+    engine::Database db;
+    MustExecute(&db, ddl);
+    MustExecute(&db, "SET RETRY LIMIT " + std::to_string(limit) +
+                         "; SET RETRY BACKOFF 0");
+    ASSERT_TRUE(IngestValue(&db, 1, 10 * kSec).ok());
+    FaultInjector::Instance().Arm("wal.sync", FaultPolicy::FailOnce());
+    EXPECT_EQ(IngestValue(&db, 2, 70 * kSec).ok(), limit > 1);  // minute 0
+    ASSERT_TRUE(IngestValue(&db, 3, 80 * kSec).ok());
+    ASSERT_TRUE(IngestValue(&db, 4, 130 * kSec).ok());  // closes minute 1
+    const std::vector<std::string> expected =
+        limit > 1 ? std::vector<std::string>{"(1, 1970-01-01 00:01:00)",
+                                             "(2, 1970-01-01 00:02:00)"}
+                  : std::vector<std::string>{"(2, 1970-01-01 00:02:00)"};
+    EXPECT_EQ(RowStrings(MustExecute(&db, "SELECT n, w FROM hist ORDER BY w")),
+              expected);
+    FaultInjector::Instance().Reset();
+    ExpectLogReproducesLive(&db, ddl, {"SELECT n, w FROM hist ORDER BY w"});
+  }
+}
+
+// A page write that fails inside a multi-row INSERT aborts it, but the
+// heap keeps every row the INSERT's record logs, so the RowIds of later
+// rows, and the logged delete of one of them, agree with a replay.
+TEST(FailedWriteTest, FailedPageWriteKeepsTheHeapInStepWithTheLog) {
+  FaultInjector::Instance().Reset();
+  const std::string ddl = "CREATE TABLE t (a bigint, b varchar)";
+  engine::DatabaseOptions options;
+  options.heap_page_size = 256;
+  engine::Database db(options);
+  MustExecute(&db, ddl);
+  // About 50 bytes a row, so the INSERT flushes a page after 5 rows.
+  const std::string pad(40, 'p');
+  std::string insert = "INSERT INTO t VALUES (0, '" + pad + "')";
+  for (int i = 1; i < 10; ++i) {
+    insert += ", (" + std::to_string(i) + ", '" + pad + "')";
+  }
+  FaultInjector::Instance().Arm("disk.write", FaultPolicy::FailOnce());
+  EXPECT_FALSE(db.Execute(insert).ok());
+  EXPECT_EQ(FaultInjector::Instance().totals().fires, 1);
+  FaultInjector::Instance().Reset();
+  MustExecute(&db, "INSERT INTO t VALUES (100, 'y'), (101, 'z')");
+  MustExecute(&db, "DELETE FROM t WHERE a = 100");
+  const std::vector<std::string> queries = {"SELECT a, b FROM t ORDER BY a"};
+  EXPECT_EQ(QueryAll(&db, queries),
+            (std::vector<std::string>{"-- " + queries[0], "(101, z)"}));
+  ExpectLogReproducesLive(&db, ddl, queries);
+}
+
+// --- seeded failed-write sweep ---------------------------------------------
+//
+// One seeded workload of APPEND and REPLACE channel closes, autocommit
+// INSERT/UPDATE/DELETE and one BEGIN ... COMMIT, run once for every k-th
+// hit of wal.append, of wal.sync and of disk.write (the live heap's pages
+// are small, so its appends flush pages), under RETRY LIMIT 1 and 3. That
+// hit FAILs once (the engine stays up). Only the operation it hit may
+// fail; every later write must succeed, and the log must reproduce the
+// live tables in a recovery and on a standby.
+
+const char* kSweepDdl =
+    "CREATE STREAM clicks (url varchar, ts timestamp CQTIME USER);"
+    "CREATE STREAM url_counts AS SELECT url, count(*) AS c, cq_close(*) AS w "
+    "FROM clicks <VISIBLE '1 minute'> GROUP BY url;"
+    "CREATE TABLE archive (url varchar, c bigint, w timestamp);"
+    "CREATE INDEX archive_url ON archive (url);"
+    "CREATE CHANNEL arch_ch FROM url_counts INTO archive APPEND;"
+    "CREATE STREAM totals AS SELECT count(*) AS n, cq_close(*) AS w "
+    "FROM clicks <VISIBLE '1 minute'>;"
+    "CREATE TABLE cur (n bigint, w timestamp);"
+    "CREATE CHANNEL cur_ch FROM totals INTO cur REPLACE;"
+    "CREATE TABLE audit (id bigint, note varchar);"
+    "CREATE INDEX audit_id ON audit (id)";
+
+const std::vector<std::string> kSweepQueries = {
+    "SELECT url, c, w FROM archive ORDER BY w, url, c",
+    "SELECT c, w FROM archive WHERE url = '/b' ORDER BY w",
+    "SELECT n, w FROM cur ORDER BY w, n",
+    "SELECT id, note FROM audit ORDER BY id, note",
+    "SELECT note FROM audit WHERE id = 2 ORDER BY note"};
+
+/// One operation: a batch of clicks, or SQL statements run in order until
+/// one fails (a single DML statement, or a BEGIN ... COMMIT block).
+struct SweepOp {
+  std::vector<Row> clicks;
+  std::vector<std::string> sql;
+};
+
+std::vector<SweepOp> MakeSweepWorkload(int seed) {
+  std::mt19937 rng(static_cast<uint32_t>(seed) * 2654435761u + 5);
+  const char* urls[] = {"/a", "/b", "/c"};
+  std::vector<SweepOp> ops;
+  int64_t next_id = 1;
+  auto some_id = [&] {
+    return std::to_string(1 + rng() % static_cast<uint32_t>(next_id));
+  };
+  for (int minute = 0; minute < 6; ++minute) {
+    SweepOp ingest;
+    const int n = 1 + static_cast<int>(rng() % 3);
+    for (int i = 0; i < n; ++i) {
+      ingest.clicks.push_back(
+          Row{Value::String(urls[rng() % 3]),
+              Value::Timestamp(minute * kMin + (1 + i * 10) * kSec)});
+    }
+    ops.push_back(std::move(ingest));
+    const int dml = 1 + static_cast<int>(rng() % 2);
+    for (int d = 0; d < dml; ++d) {
+      switch (rng() % 4) {
+        case 0:
+          ops.push_back({{},
+                         {"INSERT INTO audit VALUES (" +
+                          std::to_string(next_id) + ", 'n" +
+                          std::to_string(minute) + "'), (" +
+                          std::to_string(next_id + 1) + ", 'm')"}});
+          next_id += 2;
+          break;
+        case 1:
+          ops.push_back({{},
+                         {"UPDATE audit SET note = 'u" +
+                          std::to_string(minute) + "' WHERE id <= " +
+                          some_id()}});
+          break;
+        case 2:
+          ops.push_back({{}, {"DELETE FROM audit WHERE id = " + some_id()}});
+          break;
+        default:
+          ops.push_back({{},
+                         {"UPDATE audit SET id = id + 1 WHERE id = " +
+                          some_id()}});
+          break;
+      }
+    }
+    if (minute == 2) {
+      ops.push_back({{},
+                     {"BEGIN",
+                      "INSERT INTO audit VALUES (" +
+                          std::to_string(next_id++) + ", 't')",
+                      "UPDATE audit SET note = 'in-txn' WHERE id = " +
+                          some_id(),
+                      "DELETE FROM audit WHERE id = " + some_id(),
+                      "COMMIT"}});
+    }
+  }
+  // Close the last minute.
+  ops.push_back({{Row{Value::String("/a"), Value::Timestamp(7 * kMin)}}, {}});
+  return ops;
+}
+
+Status ApplySweepOp(engine::Database* db, const SweepOp& op) {
+  if (!op.clicks.empty()) return db->Ingest("clicks", op.clicks);
+  for (const std::string& sql : op.sql) {
+    RETURN_IF_ERROR(db->Execute(sql).status());
+  }
+  return Status::OK();
+}
+
+class FailedWriteSweep : public ::testing::TestWithParam<int> {
+ protected:
+  ~FailedWriteSweep() override { FaultInjector::Instance().Reset(); }
+
+  static engine::DatabaseOptions LiveOptions() {
+    engine::DatabaseOptions options;
+    options.heap_page_size = 128;
+    return options;
+  }
+};
+
+TEST_P(FailedWriteSweep, LaterWritesLandAndTheLogReproducesLive) {
+  FaultInjector& injector = FaultInjector::Instance();
+  injector.Reset();
+  const std::vector<SweepOp> ops = MakeSweepWorkload(GetParam());
+
+  // Counting run: how often the workload hits each point.
+  std::map<std::string, int64_t> hits;
+  {
+    engine::Database db(LiveOptions());
+    MustExecute(&db, kSweepDdl);
+    injector.EnableCounting(true);
+    for (const SweepOp& op : ops) {
+      Status st = ApplySweepOp(&db, op);
+      ASSERT_TRUE(st.ok()) << st.ToString();
+    }
+    for (const auto& info : injector.Snapshot()) hits[info.point] = info.hits;
+    injector.Reset();
+  }
+  ASSERT_GT(hits["wal.append"], 0);
+  ASSERT_GT(hits["wal.sync"], 0);
+  ASSERT_GT(hits["disk.write"], 0);
+
+  for (const char* point : {"wal.append", "wal.sync", "disk.write"}) {
+    for (int64_t k = 1; k <= hits[point]; ++k) {
+      for (int limit : {1, 3}) {
+        SCOPED_TRACE("seed=" + std::to_string(GetParam()) + " point=" +
+                     point + " k=" + std::to_string(k) +
+                     " retry_limit=" + std::to_string(limit));
+        engine::Database db(LiveOptions());
+        MustExecute(&db, kSweepDdl);
+        MustExecute(&db, "SET RETRY LIMIT " + std::to_string(limit) +
+                             "; SET RETRY BACKOFF 0");
+        injector.Reset();
+        injector.Arm(point, FaultPolicy::FailNth(k));
+        int fired_at = -1;
+        for (int i = 0; i < static_cast<int>(ops.size()); ++i) {
+          const Status st = ApplySweepOp(&db, ops[i]);
+          if (fired_at < 0 && injector.totals().fires > 0) fired_at = i;
+          EXPECT_TRUE(st.ok() || i == fired_at)
+              << "op " << i << " failed after the fault fired at op "
+              << fired_at << ": " << st.ToString();
+        }
+        EXPECT_GE(fired_at, 0) << "the fault never fired";
+        injector.Reset();
+        ExpectLogReproducesLive(&db, kSweepDdl, kSweepQueries);
+        if (HasFailure()) return;  // one detailed failure is enough
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FailedWriteSweep, ::testing::Range(0, 4));
+
 // --- SQL surface ---------------------------------------------------------
 
 TEST(FaultSqlTest, SetFaultAndShowFaults) {
@@ -529,6 +882,8 @@ TEST(FaultSqlTest, SetFaultAndShowFaults) {
   MustExecute(&db, "SET FAULT RESET");
   EXPECT_EQ(MustExecute(&db, "SHOW FAULTS").rows.size(), 0u);
   MustExecute(&db, "INSERT INTO t VALUES (3)");
+  ExpectLogReproducesLive(&db, "CREATE TABLE t (a bigint)",
+                          {"SELECT a FROM t ORDER BY a"});
 }
 
 TEST(FaultSqlTest, SetFaultCrashLatches) {

@@ -421,6 +421,54 @@ TEST_F(ReplServerTest, FetchShipsSyncedPrefixAndAcksDriveLagGauges) {
   EXPECT_TRUE(saw_fetches);
 }
 
+// A record longer than one REPL_FETCH slice must still reach the standby:
+// a single row larger than the slice ships as one whole frame, and a call
+// whose rows outgrow the slice is split into records that each fit. Before
+// either, a fetch that held no whole frame was re-requested forever and
+// stalled the standby, later records included.
+TEST_F(ReplServerTest, RecordsLongerThanASliceReachTheStandby) {
+  MustExecute(&db_, kTableDdl);
+  engine::Database standby;
+  MustExecute(&standby, kTableDdl);
+  StandbyOptions ropts;
+  ropts.poll_interval_micros = 500;
+  StandbyReplica replica(&standby, "127.0.0.1", server_->port(), ropts);
+  ASSERT_TRUE(replica.Start().ok());
+
+  MustExecute(&db_, "INSERT INTO t VALUES (1, 'small')");
+  MustExecute(&db_, "INSERT INTO t VALUES (2, '" +
+                        std::string(1'500'000, 'x') + "')");
+  std::string many = "INSERT INTO t VALUES ";
+  for (int i = 0; i < 300; ++i) {
+    if (i > 0) many += ", ";
+    many += "(" + std::to_string(100 + i) + ", '" +
+            std::string(5'000, static_cast<char>('a' + i % 26)) + "')";
+  }
+  MustExecute(&db_, many);  // ~1.5 MB of rows in one INSERT
+  MustExecute(&db_, "INSERT INTO t VALUES (3, 'after')");
+
+  const int64_t synced = db_.wal()->synced_bytes();
+  ASSERT_GT(synced, 2 << 20);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (standby.repl_applied_bytes() < synced &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_EQ(standby.repl_applied_bytes(), synced);
+  ASSERT_TRUE(replica.Stop().ok());
+  // Ids and lengths give a readable failure; the notes must match too.
+  const char* kDigest = "SELECT id, length(note) FROM t ORDER BY id";
+  EXPECT_EQ(RowStrings(MustExecute(&standby, kDigest)),
+            RowStrings(MustExecute(&db_, kDigest)));
+  const char* kRows = "SELECT id, note FROM t ORDER BY id";
+  EXPECT_TRUE(RowStrings(MustExecute(&standby, kRows)) ==
+              RowStrings(MustExecute(&db_, kRows)));
+  EXPECT_EQ(MustExecute(&standby, "SELECT count(*) FROM t").rows[0][0]
+                .AsInt64(),
+            303);
+}
+
 TEST_F(ReplServerTest, ShipFaultFailsFetchAckFaultOnlyInflatesLag) {
   MustExecute(&db_, kTableDdl);
   MustExecute(&db_, "INSERT INTO t VALUES (1, 'a')");

@@ -4,6 +4,8 @@
 
 #include <memory>
 
+#include "common/fault_injector.h"
+
 namespace streamrel::storage {
 namespace {
 
@@ -20,7 +22,7 @@ class HeapTableTest : public ::testing::Test {
 
   TxnId CommittedInsert(int64_t id, const std::string& name) {
     TxnId txn = txns_.Begin();
-    auto r = table_.Insert({Value::Int64(id), Value::String(name)}, txn);
+    auto r = table_.Append({{Value::Int64(id), Value::String(name)}}, txn);
     EXPECT_TRUE(r.ok());
     EXPECT_TRUE(txns_.Commit(txn, id).ok());
     return txn;
@@ -54,12 +56,13 @@ TEST_F(HeapTableTest, InsertAndScan) {
 
 TEST_F(HeapTableTest, ArityMismatchRejected) {
   TxnId txn = txns_.Begin();
-  EXPECT_FALSE(table_.Insert({Value::Int64(1)}, txn).ok());
+  EXPECT_FALSE(table_.Append({{Value::Int64(1)}}, txn).ok());
 }
 
 TEST_F(HeapTableTest, UncommittedInvisible) {
   TxnId txn = txns_.Begin();
-  ASSERT_TRUE(table_.Insert({Value::Int64(1), Value::String("x")}, txn).ok());
+  ASSERT_TRUE(
+      table_.Append({{Value::Int64(1), Value::String("x")}}, txn).ok());
   EXPECT_TRUE(ScanAll(txns_.CurrentSnapshot()).empty());
   // ... but visible to itself.
   EXPECT_EQ(ScanAll(txns_.CurrentSnapshot(), txn).size(), 1u);
@@ -67,7 +70,8 @@ TEST_F(HeapTableTest, UncommittedInvisible) {
 
 TEST_F(HeapTableTest, AbortedStaysInvisible) {
   TxnId txn = txns_.Begin();
-  ASSERT_TRUE(table_.Insert({Value::Int64(1), Value::String("x")}, txn).ok());
+  ASSERT_TRUE(
+      table_.Append({{Value::Int64(1), Value::String("x")}}, txn).ok());
   ASSERT_TRUE(txns_.Abort(txn).ok());
   EXPECT_TRUE(ScanAll(txns_.CurrentSnapshot()).empty());
 }
@@ -84,7 +88,7 @@ TEST_F(HeapTableTest, DeleteHidesRow) {
   CommittedInsert(1, "victim");
   Snapshot before_delete = txns_.CurrentSnapshot();
   TxnId deleter = txns_.Begin();
-  ASSERT_TRUE(table_.Delete(0, deleter, txns_).ok());
+  ASSERT_TRUE(table_.Delete({0}, deleter, txns_).ok());
   ASSERT_TRUE(txns_.Commit(deleter, 100).ok());
   EXPECT_TRUE(ScanAll(txns_.CurrentSnapshot()).empty());
   // Old snapshot still sees it (MVCC).
@@ -94,19 +98,19 @@ TEST_F(HeapTableTest, DeleteHidesRow) {
 TEST_F(HeapTableTest, DoubleDeleteRejected) {
   CommittedInsert(1, "x");
   TxnId d1 = txns_.Begin();
-  ASSERT_TRUE(table_.Delete(0, d1, txns_).ok());
+  ASSERT_TRUE(table_.Delete({0}, d1, txns_).ok());
   TxnId d2 = txns_.Begin();
-  EXPECT_FALSE(table_.Delete(0, d2, txns_).ok());
+  EXPECT_FALSE(table_.Delete({0}, d2, txns_).ok());
 }
 
 TEST_F(HeapTableTest, DeleteReplacesAnAbortedDeleter) {
   CommittedInsert(1, "x");
   TxnId d1 = txns_.Begin();
-  ASSERT_TRUE(table_.Delete(0, d1, txns_).ok());
+  ASSERT_TRUE(table_.Delete({0}, d1, txns_).ok());
   ASSERT_TRUE(txns_.Abort(d1).ok());
   EXPECT_EQ(ScanAll(txns_.CurrentSnapshot()).size(), 1u);
   TxnId d2 = txns_.Begin();
-  ASSERT_TRUE(table_.Delete(0, d2, txns_).ok());
+  ASSERT_TRUE(table_.Delete({0}, d2, txns_).ok());
   ASSERT_TRUE(txns_.Commit(d2, 100).ok());
   EXPECT_TRUE(ScanAll(txns_.CurrentSnapshot()).empty());
 }
@@ -130,6 +134,33 @@ TEST_F(HeapTableTest, SpillsAcrossPages) {
   ASSERT_EQ(rows.size(), 100u);
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(rows[i][0].AsInt64(), i);
+  }
+}
+
+// A page write that fails keeps every row of the call: the rows stay in
+// the tail, the call reports the failure, and the next flush writes them.
+TEST_F(HeapTableTest, FailedPageWriteKeepsEveryRowOfTheCall) {
+  std::vector<Row> rows;
+  for (int i = 0; i < 10; ++i) {
+    rows.push_back({Value::Int64(i), Value::String(std::string(40, 'f'))});
+  }
+  const TxnId failed = txns_.Begin();
+  FaultInjector::Instance().Arm("disk.write", FaultPolicy::FailOnce());
+  EXPECT_FALSE(table_.Append(rows, failed).ok());
+  FaultInjector::Instance().Reset();
+  EXPECT_EQ(table_.row_count(), 10u);
+  EXPECT_EQ(disk_->stats().page_writes, 0);
+  ASSERT_TRUE(txns_.Abort(failed).ok());
+
+  CommittedInsert(10, "after");
+  EXPECT_EQ(disk_->stats().page_writes, 1);
+  auto rows_now = ScanAll(txns_.CurrentSnapshot());
+  ASSERT_EQ(rows_now.size(), 1u);
+  EXPECT_EQ(rows_now[0][0].AsInt64(), 10);
+  for (RowId id = 0; id < 10; ++id) {
+    auto row = table_.GetRow(id);
+    ASSERT_TRUE(row.ok());
+    EXPECT_EQ((*row)[0].AsInt64(), static_cast<int64_t>(id));
   }
 }
 
@@ -157,9 +188,10 @@ TEST_F(HeapTableTest, EarlyTerminationStopsScan) {
 TEST_F(HeapTableTest, FetchKeepsTheGivenOrderAndSkipsInvisible) {
   for (int i = 0; i < 6; ++i) CommittedInsert(i, "r" + std::to_string(i));
   TxnId open = txns_.Begin();  // uncommitted insert: row 6
-  ASSERT_TRUE(table_.Insert({Value::Int64(6), Value::String("r6")}, open).ok());
+  ASSERT_TRUE(
+      table_.Append({{Value::Int64(6), Value::String("r6")}}, open).ok());
   TxnId deleter = txns_.Begin();
-  ASSERT_TRUE(table_.Delete(2, deleter, txns_).ok());
+  ASSERT_TRUE(table_.Delete({2}, deleter, txns_).ok());
   ASSERT_TRUE(txns_.Commit(deleter, 100).ok());
 
   std::vector<int64_t> seen;
@@ -225,7 +257,7 @@ TEST_F(HeapTableTest, FilteredScanJudgesStampsBeforeDecoding) {
 TEST_F(HeapTableTest, RowCountCountsAllVersions) {
   CommittedInsert(1, "a");
   TxnId d = txns_.Begin();
-  ASSERT_TRUE(table_.Delete(0, d, txns_).ok());
+  ASSERT_TRUE(table_.Delete({0}, d, txns_).ok());
   ASSERT_TRUE(txns_.Commit(d, 10).ok());
   EXPECT_EQ(table_.row_count(), 1u);  // version still exists
 }

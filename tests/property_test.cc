@@ -216,7 +216,7 @@ class BTreeOracleProperty : public ::testing::TestWithParam<int> {};
 TEST_P(BTreeOracleProperty, MatchesMultimap) {
   const int seed = GetParam();
   std::mt19937 rng(seed);
-  storage::BTreeIndex index("k", /*fanout=*/8);
+  storage::BTreeIndex index("k", 0, /*fanout=*/8);
   std::multimap<int64_t, storage::RowId> oracle;
 
   for (int step = 0; step < 2000; ++step) {

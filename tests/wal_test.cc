@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "common/checksum.h"
+#include "common/fault_injector.h"
 
 namespace streamrel::storage {
 namespace {
@@ -29,7 +30,7 @@ TEST_F(WalTest, AppendAndReplay) {
   insert.type = WalRecordType::kInsert;
   insert.txn_id = 7;
   insert.object_name = "t";
-  insert.row = {Value::Int64(1), Value::String("abc")};
+  insert.rows = {{Value::Int64(1), Value::String("abc")}};
   ASSERT_TRUE(wal_->Append(insert).ok());
 
   WalRecord commit;
@@ -47,8 +48,9 @@ TEST_F(WalTest, AppendAndReplay) {
   ASSERT_EQ(replayed.size(), 3u);
   EXPECT_EQ(replayed[0].type, WalRecordType::kBegin);
   EXPECT_EQ(replayed[1].object_name, "t");
-  ASSERT_EQ(replayed[1].row.size(), 2u);
-  EXPECT_EQ(replayed[1].row[1].AsString(), "abc");
+  ASSERT_EQ(replayed[1].rows.size(), 1u);
+  ASSERT_EQ(replayed[1].rows[0].size(), 2u);
+  EXPECT_EQ(replayed[1].rows[0][1].AsString(), "abc");
   EXPECT_EQ(replayed[2].int_payload, 12345);
 }
 
@@ -88,14 +90,6 @@ TEST_F(WalTest, SyncChargesOnlyPendingBytes) {
   ASSERT_TRUE(wal_->Append(r).ok());
   wal_->Sync();
   EXPECT_GT(disk_->stats().bytes_written, bytes_after_first);
-}
-
-TEST_F(WalTest, SyncEveryAppendMode) {
-  WriteAheadLog eager(disk_, /*sync_every_append=*/true);
-  WalRecord r;
-  r.type = WalRecordType::kBegin;
-  ASSERT_TRUE(eager.Append(r).ok());
-  EXPECT_GT(disk_->stats().bytes_written, 0);
 }
 
 TEST_F(WalTest, RecordCountAndSize) {
@@ -173,7 +167,7 @@ TEST_F(WalTest, TornTailEndsReplayCleanly) {
   insert.type = WalRecordType::kInsert;
   insert.txn_id = 2;
   insert.object_name = "t";
-  insert.row = {Value::String("unsynced")};
+  insert.rows = {{Value::String("unsynced")}};
   ASSERT_TRUE(wal_->Append(insert).ok());
 
   wal_->SimulateCrash(CrashMode::kTornTail);
@@ -203,7 +197,7 @@ TEST_F(WalTest, CorruptTailEndsReplayCleanly) {
   insert.type = WalRecordType::kInsert;
   insert.txn_id = 2;
   insert.object_name = "t";
-  insert.row = {Value::String("unsynced")};
+  insert.rows = {{Value::String("unsynced")}};
   ASSERT_TRUE(wal_->Append(insert).ok());
 
   wal_->SimulateCrash(CrashMode::kCorruptTail);
@@ -265,17 +259,199 @@ TEST_F(WalTest, RowWithAllValueTypesRoundTrips) {
   WalRecord r;
   r.type = WalRecordType::kInsert;
   r.object_name = "t";
-  r.row = {Value::Null(),         Value::Bool(false), Value::Int64(-1),
-           Value::Double(2.5),    Value::String(""),  Value::Timestamp(99),
-           Value::Interval(-100)};
+  r.rows = {{Value::Null(),      Value::Bool(false), Value::Int64(-1),
+             Value::Double(2.5), Value::String(""),  Value::Timestamp(99),
+             Value::Interval(-100)}};
   ASSERT_TRUE(wal_->Append(r).ok());
   ASSERT_TRUE(wal_->Replay([&](const WalRecord& got) {
-                    EXPECT_EQ(got.row.size(), 7u);
-                    EXPECT_TRUE(got.row[0].is_null());
-                    EXPECT_EQ(got.row[6].AsIntervalMicros(), -100);
+                    EXPECT_EQ(got.rows.size(), 1u);
+                    EXPECT_EQ(got.rows[0].size(), 7u);
+                    EXPECT_TRUE(got.rows[0][0].is_null());
+                    EXPECT_EQ(got.rows[0][6].AsIntervalMicros(), -100);
                     return Status::OK();
                   })
                   .ok());
+}
+
+// Rows with a value of every DataType, NULLs in every column, and an empty
+// string.
+std::vector<Row> EveryTypeRows() {
+  return {
+      {Value::Null(), Value::Bool(false), Value::Int64(-1), Value::Double(2.5),
+       Value::String(""), Value::Timestamp(99), Value::Interval(-100)},
+      {Value::Null(), Value::Null(), Value::Null(), Value::Null(),
+       Value::Null(), Value::Null(), Value::Null()},
+      {Value::Null(), Value::Bool(true), Value::Int64(INT64_MIN),
+       Value::Double(-0.0), Value::String("/a/b/c"), Value::Timestamp(-1),
+       Value::Interval(INT64_MAX)},
+  };
+}
+
+std::vector<std::string> RowStrings(const std::vector<Row>& rows) {
+  std::vector<std::string> out;
+  for (const Row& row : rows) out.push_back(RowToString(row));
+  return out;
+}
+
+std::vector<WalRecord> ReplayAll(const WriteAheadLog& wal) {
+  std::vector<WalRecord> replayed;
+  EXPECT_TRUE(wal.Replay([&](const WalRecord& r) {
+                   replayed.push_back(r);
+                   return Status::OK();
+                 })
+                  .ok());
+  return replayed;
+}
+
+TEST_F(WalTest, MultiRowInsertAndDeleteRoundTrip) {
+  WalRecord insert;
+  insert.type = WalRecordType::kInsert;
+  insert.txn_id = 3;
+  insert.object_name = "Hist";
+  insert.rows = EveryTypeRows();
+  ASSERT_TRUE(wal_->Append(insert).ok());
+  WalRecord del;
+  del.type = WalRecordType::kDelete;
+  del.txn_id = 3;
+  del.object_name = "hist";
+  del.row_ids = {0, 2, 1, UINT64_MAX};
+  ASSERT_TRUE(wal_->Append(del).ok());
+  EXPECT_EQ(wal_->record_count(), 2);
+
+  const std::vector<WalRecord> replayed = ReplayAll(*wal_);
+  ASSERT_EQ(replayed.size(), 2u);
+  EXPECT_EQ(replayed[0].type, WalRecordType::kInsert);
+  EXPECT_EQ(replayed[0].txn_id, 3u);
+  EXPECT_EQ(replayed[0].object_name, "Hist");
+  EXPECT_EQ(RowStrings(replayed[0].rows), RowStrings(insert.rows));
+  EXPECT_TRUE(replayed[0].rows[1][3].is_null());
+  EXPECT_TRUE(replayed[0].row_ids.empty());
+  EXPECT_EQ(replayed[1].type, WalRecordType::kDelete);
+  EXPECT_EQ(replayed[1].object_name, "hist");
+  EXPECT_EQ(replayed[1].row_ids, del.row_ids);
+  EXPECT_TRUE(replayed[1].rows.empty());
+}
+
+// A call whose rows (or row ids) outgrow one replication slice becomes
+// several records, each under the cap, that replay the same items in
+// order; shipping decodes the same records.
+TEST_F(WalTest, CallLargerThanTheCapBecomesSeveralRecords) {
+  WalRecord insert;
+  insert.type = WalRecordType::kInsert;
+  insert.txn_id = 5;
+  insert.object_name = "t";
+  for (int i = 0; i < 3000; ++i) {
+    insert.rows.push_back({Value::Int64(i), Value::String(std::string(
+                                                1000, 'a' + i % 26))});
+  }
+  WalRecord del;
+  del.type = WalRecordType::kDelete;
+  del.txn_id = 5;
+  del.object_name = "t";
+  for (uint64_t i = 0; i < 300000; ++i) del.row_ids.push_back(i * 7);
+  ASSERT_TRUE(wal_->Append(insert).ok());
+  const int64_t insert_records = wal_->record_count();
+  ASSERT_TRUE(wal_->Append(del).ok());
+  const int64_t delete_records = wal_->record_count() - insert_records;
+  EXPECT_EQ(insert_records, 3);  // ~3 MB of rows
+  EXPECT_EQ(delete_records, 3);  // 2.4 MB of ids
+  ASSERT_TRUE(wal_->Sync().ok());
+
+  std::vector<Row> rows;
+  std::vector<uint64_t> ids;
+  for (const WalRecord& r : ReplayAll(*wal_)) {
+    EXPECT_EQ(r.txn_id, 5u);
+    EXPECT_EQ(r.object_name, "t");
+    rows.insert(rows.end(), r.rows.begin(), r.rows.end());
+    ids.insert(ids.end(), r.row_ids.begin(), r.row_ids.end());
+  }
+  EXPECT_EQ(RowStrings(rows), RowStrings(insert.rows));
+  EXPECT_EQ(ids, del.row_ids);
+
+  // Every frame fits one slice: fetching from each consumed offset ships
+  // at least one whole frame.
+  int64_t offset = 0;
+  int64_t shipped = 0;
+  while (offset < wal_->synced_bytes()) {
+    const std::string slice = wal_->ReadSynced(offset, kWalSliceBytes);
+    ASSERT_LE(static_cast<int64_t>(slice.size()), kWalSliceBytes);
+    size_t consumed = 0;
+    std::vector<WalRecord> records;
+    ASSERT_TRUE(WriteAheadLog::DecodeShipped(slice, &consumed, &records).ok());
+    ASSERT_GT(consumed, 0u);
+    offset += static_cast<int64_t>(consumed);
+    shipped += static_cast<int64_t>(records.size());
+  }
+  EXPECT_EQ(shipped, wal_->record_count());
+}
+
+// One row larger than the cap gets a frame of its own, and ReadSynced
+// returns that frame whole however small the requested slice.
+TEST_F(WalTest, RowLargerThanTheCapShipsWhole) {
+  WalRecord begin;
+  begin.type = WalRecordType::kBegin;
+  ASSERT_TRUE(wal_->Append(begin).ok());
+  WalRecord insert;
+  insert.type = WalRecordType::kInsert;
+  insert.object_name = "t";
+  insert.rows = {{Value::String(std::string(1'500'000, 'x'))},
+                 {Value::String("small")}};
+  ASSERT_TRUE(wal_->Append(insert).ok());
+  EXPECT_EQ(wal_->record_count(), 3);  // the big row, then the small one
+  ASSERT_TRUE(wal_->Sync().ok());
+
+  std::string all;
+  int64_t offset = 0;
+  std::vector<WalRecord> records;
+  while (offset < wal_->synced_bytes()) {
+    const std::string slice = wal_->ReadSynced(offset, 4096);
+    size_t consumed = 0;
+    ASSERT_TRUE(WriteAheadLog::DecodeShipped(slice, &consumed, &records).ok());
+    ASSERT_GT(consumed, 0u) << "no progress at offset " << offset;
+    all += slice.substr(0, consumed);
+    offset += static_cast<int64_t>(consumed);
+  }
+  ASSERT_EQ(records.size(), 3u);
+  EXPECT_EQ(records[1].rows[0][0].AsString().size(), 1'500'000u);
+  EXPECT_EQ(records[2].rows[0][0].AsString(), "small");
+  EXPECT_EQ(all, wal_->ReadSynced(0, wal_->synced_bytes()));
+  // An offset inside a frame is not a frame start: the slice keeps its
+  // bound.
+  EXPECT_EQ(wal_->ReadSynced(offset - 100, 10).size(), 10u);
+}
+
+// A record whose sync fails is dropped again, so a later sync cannot make
+// it durable; the frames an earlier sync made durable stay. After an
+// injected crash it stays, for SimulateCrash to tear.
+TEST_F(WalTest, AppendAndSyncDropsARecordItsFailedSyncLeft) {
+  FaultInjector::Instance().Reset();
+  WalRecord r;
+  r.type = WalRecordType::kBegin;
+  r.txn_id = 1;
+  ASSERT_TRUE(wal_->AppendAndSync(r).ok());
+  r.txn_id = 2;
+  ASSERT_TRUE(wal_->Append(r).ok());  // unsynced, before the failed one
+  FaultInjector::Instance().Arm("wal.sync", FaultPolicy::FailOnce());
+  r.txn_id = 3;
+  EXPECT_FALSE(wal_->AppendAndSync(r).ok());
+  EXPECT_EQ(wal_->record_count(), 2);
+  r.txn_id = 4;
+  ASSERT_TRUE(wal_->AppendAndSync(r).ok());
+  std::vector<uint64_t> txns;
+  for (const WalRecord& got : ReplayAll(*wal_)) txns.push_back(got.txn_id);
+  EXPECT_EQ(txns, (std::vector<uint64_t>{1, 2, 4}));
+
+  FaultInjector::Instance().Arm("wal.sync", FaultPolicy::CrashAtHit(1));
+  r.txn_id = 5;
+  EXPECT_FALSE(wal_->AppendAndSync(r).ok());
+  EXPECT_EQ(wal_->record_count(), 4);
+  FaultInjector::Instance().Reset();
+  wal_->SimulateCrash(CrashMode::kTornTail);
+  WalReplayStats stats;
+  ASSERT_TRUE(wal_->Replay([](const WalRecord&) { return Status::OK(); },
+                           &stats)
+                  .ok());
+  EXPECT_TRUE(stats.stopped_at_torn_tail);
 }
 
 // Every single-bit flip of a WAL record's frame must be rejected, both
@@ -283,24 +459,19 @@ TEST_F(WalTest, RowWithAllValueTypesRoundTrips) {
 // shipped to a standby (DecodeShipped). A flip in the payload or the
 // checksum is a corrupt tail; a flip in the length either tears the tail
 // (the frame now runs past the end) or fails the checksum before the end.
-TEST_F(WalTest, EveryBitFlipOfARecordIsRejected) {
+void ExpectEveryBitFlipRejected(const WalRecord& tail) {
+  WriteAheadLog wal(std::make_shared<SimulatedDisk>());
   WalRecord first;
   first.type = WalRecordType::kBegin;
   first.txn_id = 1;
-  WalRecord insert;
-  insert.type = WalRecordType::kInsert;
-  insert.txn_id = 1;
-  insert.object_name = "Hist";
-  insert.row = {Value::Null(),        Value::Bool(true), Value::Int64(-7),
-                Value::Double(0.1),   Value::String("/a/b/c"),
-                Value::Timestamp(60), Value::Interval(5)};
-  ASSERT_TRUE(wal_->Append(first).ok());
-  ASSERT_TRUE(wal_->Sync().ok());
-  const std::string head = wal_->ReadSynced(0, wal_->synced_bytes());
-  ASSERT_TRUE(wal_->Append(insert).ok());
-  ASSERT_TRUE(wal_->Sync().ok());
-  std::string record = wal_->ReadSynced(
-      static_cast<int64_t>(head.size()), wal_->synced_bytes());
+  ASSERT_TRUE(wal.Append(first).ok());
+  ASSERT_TRUE(wal.Sync().ok());
+  const std::string head = wal.ReadSynced(0, wal.synced_bytes());
+  ASSERT_TRUE(wal.Append(tail).ok());
+  ASSERT_TRUE(wal.Sync().ok());
+  ASSERT_EQ(wal.record_count(), 2);
+  std::string record = wal.ReadSynced(static_cast<int64_t>(head.size()),
+                                      wal.synced_bytes());
   ASSERT_GT(record.size(), kFrameHeaderBytes);
 
   for (size_t bit = 0; bit < 8 * record.size(); ++bit) {
@@ -345,6 +516,35 @@ TEST_F(WalTest, EveryBitFlipOfARecordIsRejected) {
       WriteAheadLog::DecodeShipped(head + record, &consumed, &shipped).ok());
   EXPECT_EQ(shipped.size(), 2u);
   EXPECT_EQ(consumed, head.size() + record.size());
+}
+
+TEST_F(WalTest, EveryBitFlipOfARecordIsRejected) {
+  WalRecord insert;
+  insert.type = WalRecordType::kInsert;
+  insert.txn_id = 1;
+  insert.object_name = "Hist";
+  insert.rows = {{Value::Null(), Value::Bool(true), Value::Int64(-7),
+                  Value::Double(0.1), Value::String("/a/b/c"),
+                  Value::Timestamp(60), Value::Interval(5)}};
+  ExpectEveryBitFlipRejected(insert);
+}
+
+TEST_F(WalTest, EveryBitFlipOfAMultiRowInsertIsRejected) {
+  WalRecord insert;
+  insert.type = WalRecordType::kInsert;
+  insert.txn_id = 1;
+  insert.object_name = "Hist";
+  insert.rows = EveryTypeRows();
+  ExpectEveryBitFlipRejected(insert);
+}
+
+TEST_F(WalTest, EveryBitFlipOfADeleteIsRejected) {
+  WalRecord del;
+  del.type = WalRecordType::kDelete;
+  del.txn_id = 1;
+  del.object_name = "Hist";
+  del.row_ids = {0, 1, 7, 1u << 20, UINT64_MAX};
+  ExpectEveryBitFlipRejected(del);
 }
 
 }  // namespace
