@@ -1,10 +1,11 @@
 // Microbenchmarks for the engine's building blocks: SQL parsing,
-// expression evaluation, aggregation states, B+Tree operations, heap scan,
+// expression evaluation, the aggregate kernels, B+Tree operations, heap scan,
 // and WAL append. These bound what the macro experiments can achieve and
 // catch regressions in the hot paths.
 
 #include <benchmark/benchmark.h>
 
+#include "exec/aggregates.h"
 #include "exec/binder.h"
 #include "sql/parser.h"
 #include "storage/btree_index.h"
@@ -43,12 +44,32 @@ void BM_ExprEval(benchmark::State& state) {
 BENCHMARK(BM_ExprEval);
 
 void BM_AggregateUpdate(benchmark::State& state) {
-  auto sum = exec::MakeAggState("sum", false, false).TakeValue();
-  Value v = Value::Int64(17);
-  for (auto _ : state) {
-    sum->Update(v);
+  // sum(bigint) over a 1,024-row batch into one group: the engine's typed
+  // sum kernel, per row.
+  constexpr size_t kRows = 1024;
+  exec::ColumnBatch batch(1);
+  std::vector<exec::RowIndex> rows(kRows);
+  for (size_t i = 0; i < kRows; ++i) {
+    batch.AppendRow(Row{Value::Int64(17)});
+    rows[i] = static_cast<exec::RowIndex>(i);
   }
-  benchmark::DoNotOptimize(sum->Final());
+  const std::vector<exec::CellSource> keys;
+  const std::vector<exec::CellSource> args{
+      exec::CellSource{&batch, 0, rows.data()}};
+  std::vector<size_t> hashes(kRows);
+  exec::AggregateTable::HashKeys(keys, 0, kRows, hashes.data());
+  exec::AggregateTable sum(0, {exec::AggKind::kSum});
+  int64_t new_bytes = 0;
+  int64_t absorbed = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        sum.Add(keys, args, hashes.data(), 0, kRows, &new_bytes).ok());
+    absorbed += kRows;
+  }
+  std::vector<Row> out;
+  sum.Finalize(nullptr, &out);
+  benchmark::DoNotOptimize(out);
+  state.SetItemsProcessed(absorbed);
 }
 BENCHMARK(BM_AggregateUpdate);
 

@@ -37,7 +37,11 @@
 # run unshared, and covers the one compile path every CQ takes: the
 # planner (`planner_test`), the sharing decision and the cases where a
 # shared CQ must answer like its unshared twin (`continuous_query_test`),
-# and the shared-vs-generic property (`property_test`). The storage
+# the shared-vs-generic property (`property_test`), and the aggregate
+# engine both paths run on: its kernels (`aggregates_test`), slice absorb
+# and window close (`shared_aggregation_test`), and the seeded kernel
+# differential against the reference states in tests/agg_state_reference.h
+# (`aggregate_kernel_differential_test`). The storage
 # suite (`storage`) covers the heap read loop every table reader shares
 # (disk, heap, transaction, B+Tree and operator units, DML and VACUUM,
 # window consistency, and the seeded read-path differential against a

@@ -1,6 +1,7 @@
 #include "common/value.h"
 
 #include <cmath>
+#include <cstdint>
 #include <functional>
 
 #include "common/bytes.h"
@@ -240,6 +241,22 @@ Result<Value> Value::Deserialize(const std::string& data, size_t* offset) {
 
 namespace {
 
+Status BigintOutOfRange() {
+  return Status::ExecutionError("bigint out of range");
+}
+Status IntervalOutOfRange() {
+  return Status::ExecutionError("interval out of range");
+}
+
+/// ts + sign * interval, or an error when the result leaves int64.
+Result<Value> CheckedTimestamp(int64_t ts, int64_t interval, int sign) {
+  int64_t r = 0;
+  const bool overflow = sign > 0 ? __builtin_add_overflow(ts, interval, &r)
+                                 : __builtin_sub_overflow(ts, interval, &r);
+  if (overflow) return Status::ExecutionError("timestamp out of range");
+  return Value::Timestamp(r);
+}
+
 // Shared helper for the numeric arithmetic cases. `iop` may fail (division
 // by zero); `dop` is infallible.
 template <typename IntOp, typename DoubleOp>
@@ -262,19 +279,29 @@ Result<Value> NumericBinary(const Value& a, const Value& b, IntOp iop,
 Result<Value> ValueAdd(const Value& a, const Value& b) {
   if (a.is_null() || b.is_null()) return Value::Null();
   if (a.type() == DataType::kTimestamp && b.type() == DataType::kInterval) {
-    return Value::Timestamp(a.AsTimestampMicros() + b.AsIntervalMicros());
+    return CheckedTimestamp(a.AsTimestampMicros(), b.AsIntervalMicros(), +1);
   }
   if (a.type() == DataType::kInterval && b.type() == DataType::kTimestamp) {
-    return Value::Timestamp(b.AsTimestampMicros() + a.AsIntervalMicros());
+    return CheckedTimestamp(b.AsTimestampMicros(), a.AsIntervalMicros(), +1);
   }
   if (a.type() == DataType::kInterval && b.type() == DataType::kInterval) {
-    return Value::Interval(a.AsIntervalMicros() + b.AsIntervalMicros());
+    int64_t r = 0;
+    if (__builtin_add_overflow(a.AsIntervalMicros(), b.AsIntervalMicros(),
+                               &r)) {
+      return IntervalOutOfRange();
+    }
+    return Value::Interval(r);
   }
   if (a.type() == DataType::kString && b.type() == DataType::kString) {
     return Value::String(a.AsString() + b.AsString());
   }
   return NumericBinary(
-      a, b, [](int64_t x, int64_t y) -> Result<Value> { return Value::Int64(x + y); },
+      a, b,
+      [](int64_t x, int64_t y) -> Result<Value> {
+        int64_t r = 0;
+        if (__builtin_add_overflow(x, y, &r)) return BigintOutOfRange();
+        return Value::Int64(r);
+      },
       [](double x, double y) -> Result<Value> { return Value::Double(x + y); },
       "+");
 }
@@ -282,16 +309,23 @@ Result<Value> ValueAdd(const Value& a, const Value& b) {
 Result<Value> ValueSub(const Value& a, const Value& b) {
   if (a.is_null() || b.is_null()) return Value::Null();
   if (a.type() == DataType::kTimestamp && b.type() == DataType::kInterval) {
-    return Value::Timestamp(a.AsTimestampMicros() - b.AsIntervalMicros());
+    return CheckedTimestamp(a.AsTimestampMicros(), b.AsIntervalMicros(), -1);
   }
-  if (a.type() == DataType::kTimestamp && b.type() == DataType::kTimestamp) {
-    return Value::Interval(a.AsTimestampMicros() - b.AsTimestampMicros());
-  }
-  if (a.type() == DataType::kInterval && b.type() == DataType::kInterval) {
-    return Value::Interval(a.AsIntervalMicros() - b.AsIntervalMicros());
+  if ((a.type() == DataType::kTimestamp && b.type() == DataType::kTimestamp) ||
+      (a.type() == DataType::kInterval && b.type() == DataType::kInterval)) {
+    int64_t r = 0;
+    if (__builtin_sub_overflow(a.AsInt64(), b.AsInt64(), &r)) {
+      return IntervalOutOfRange();
+    }
+    return Value::Interval(r);
   }
   return NumericBinary(
-      a, b, [](int64_t x, int64_t y) -> Result<Value> { return Value::Int64(x - y); },
+      a, b,
+      [](int64_t x, int64_t y) -> Result<Value> {
+        int64_t r = 0;
+        if (__builtin_sub_overflow(x, y, &r)) return BigintOutOfRange();
+        return Value::Int64(r);
+      },
       [](double x, double y) -> Result<Value> { return Value::Double(x - y); },
       "-");
 }
@@ -307,7 +341,12 @@ Result<Value> ValueMul(const Value& a, const Value& b) {
         static_cast<int64_t>(b.AsIntervalMicros() * a.AsDouble()));
   }
   return NumericBinary(
-      a, b, [](int64_t x, int64_t y) -> Result<Value> { return Value::Int64(x * y); },
+      a, b,
+      [](int64_t x, int64_t y) -> Result<Value> {
+        int64_t r = 0;
+        if (__builtin_mul_overflow(x, y, &r)) return BigintOutOfRange();
+        return Value::Int64(r);
+      },
       [](double x, double y) -> Result<Value> { return Value::Double(x * y); },
       "*");
 }
@@ -323,6 +362,8 @@ Result<Value> ValueDiv(const Value& a, const Value& b) {
       a, b,
       [](int64_t x, int64_t y) -> Result<Value> {
         if (y == 0) return Status::ExecutionError("division by zero");
+        // INT64_MIN / -1 is the one quotient that does not fit (and traps).
+        if (y == -1 && x == INT64_MIN) return BigintOutOfRange();
         return Value::Int64(x / y);
       },
       [](double x, double y) -> Result<Value> {
@@ -337,6 +378,7 @@ Result<Value> ValueMod(const Value& a, const Value& b) {
       a, b,
       [](int64_t x, int64_t y) -> Result<Value> {
         if (y == 0) return Status::ExecutionError("modulo by zero");
+        if (y == -1) return Value::Int64(0);  // INT64_MIN % -1 traps
         return Value::Int64(x % y);
       },
       [](double x, double y) -> Result<Value> {

@@ -103,7 +103,7 @@ Result<BoundExprPtr> ExprBinder::BindAggregateCall(const sql::Expr& expr) {
                    InferAggregateType(call.function, call.star, input_type));
   // Validate the aggregate/DISTINCT combination eagerly.
   RETURN_IF_ERROR(
-      MakeAggState(call.function, call.star, call.distinct).status());
+      ResolveAggregate(call.function, call.star, call.distinct).status());
 
   // Reuse an identical prior call (e.g. HAVING count(*) > 1 with count(*)
   // already in the select list) — this is intra-query sharing.

@@ -38,6 +38,22 @@ void ColumnBatch::Reserve(size_t rows) {
   row_bytes_.reserve(rows);
 }
 
+void ColumnBatch::Clear() {
+  for (Column& c : columns_) {
+    c.tags.clear();
+    c.fixed.clear();
+    c.offsets.assign(1, 0);
+    c.arena.clear();
+    c.nulls.clear();
+    c.null_count = 0;
+    c.seen_tag = kUnseen;
+  }
+  row_count_ = 0;
+  row_bytes_.clear();
+  total_row_bytes_ = 0;
+  torn_.clear();
+}
+
 void ColumnBatch::AppendCell(Column* c, DataType t, int64_t fixed_payload) {
   const size_t row = c->tags.size();
   c->tags.push_back(static_cast<uint8_t>(t));
@@ -107,52 +123,61 @@ void ColumnBatch::AppendRow(const Row& row) {
     return;
   }
   for (size_t col = 0; col < columns_.size(); ++col) {
-    const Value& v = row[col];
-    switch (v.type()) {
-      case DataType::kNull:
-        AppendNull(col);
-        break;
-      case DataType::kBool:
-        AppendBool(col, v.AsBool());
-        break;
-      case DataType::kInt64:
-        AppendInt64(col, v.AsInt64());
-        break;
-      case DataType::kDouble:
-        AppendDouble(col, v.AsDouble());
-        break;
-      case DataType::kString:
-        AppendString(col, v.AsString());
-        break;
-      case DataType::kTimestamp:
-        AppendTimestamp(col, v.AsTimestampMicros());
-        break;
-      case DataType::kInterval:
-        AppendInterval(col, v.AsIntervalMicros());
-        break;
-    }
+    AppendValue(col, row[col]);
   }
   CommitRow();
 }
 
-Value ColumnBatch::GetValue(size_t col, RowIndex row) const {
-  switch (tag(col, row)) {
+void ColumnBatch::AppendValue(size_t col, const Value& v) {
+  switch (v.type()) {
+    case DataType::kNull:
+      AppendNull(col);
+      break;
+    case DataType::kBool:
+      AppendBool(col, v.AsBool());
+      break;
+    case DataType::kInt64:
+      AppendInt64(col, v.AsInt64());
+      break;
+    case DataType::kDouble:
+      AppendDouble(col, v.AsDouble());
+      break;
+    case DataType::kString:
+      AppendString(col, v.AsString());
+      break;
+    case DataType::kTimestamp:
+      AppendTimestamp(col, v.AsTimestampMicros());
+      break;
+    case DataType::kInterval:
+      AppendInterval(col, v.AsIntervalMicros());
+      break;
+  }
+}
+
+Value CellValue(DataType tag, int64_t fixed, std::string_view str) {
+  switch (tag) {
     case DataType::kNull:
       return Value::Null();
     case DataType::kBool:
-      return Value::Bool(fixed(col, row) != 0);
+      return Value::Bool(fixed != 0);
     case DataType::kInt64:
-      return Value::Int64(fixed(col, row));
+      return Value::Int64(fixed);
     case DataType::kDouble:
-      return Value::Double(dbl(col, row));
+      return Value::Double(column_batch_internal::BitsToDouble(fixed));
     case DataType::kString:
-      return Value::String(std::string(str(col, row)));
+      return Value::String(std::string(str));
     case DataType::kTimestamp:
-      return Value::Timestamp(fixed(col, row));
+      return Value::Timestamp(fixed);
     case DataType::kInterval:
-      return Value::Interval(fixed(col, row));
+      return Value::Interval(fixed);
   }
   return Value::Null();
+}
+
+Value ColumnBatch::GetValue(size_t col, RowIndex row) const {
+  const DataType t = tag(col, row);
+  return CellValue(t, fixed(col, row),
+                   t == DataType::kString ? str(col, row) : std::string_view());
 }
 
 const Row* ColumnBatch::FindTorn(RowIndex row) const {

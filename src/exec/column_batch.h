@@ -44,6 +44,9 @@ class ColumnBatch {
   /// string payload sizes are unknown until append).
   void Reserve(size_t rows);
 
+  /// Drops every row, keeping the arrays' capacity for refilling.
+  void Clear();
+
   size_t num_columns() const { return columns_.size(); }
   size_t row_count() const { return row_count_; }
   bool empty() const { return row_count_ == 0; }
@@ -73,6 +76,8 @@ class ColumnBatch {
   void AppendString(size_t col, std::string_view v);
   void AppendTimestamp(size_t col, int64_t micros);
   void AppendInterval(size_t col, int64_t micros);
+  /// Appends `v` with its own type (any of the above).
+  void AppendValue(size_t col, const Value& v);
   /// Seals the current row (advances row_count, finalizes its byte
   /// estimate). Call after appending one cell to every column.
   void CommitRow();
@@ -182,7 +187,41 @@ inline size_t DoubleHash(double d) {
 
 inline constexpr size_t kNullHash = 0x9e3779b97f4a7c15ull;
 
+inline double BitsToDouble(int64_t bits) {
+  double d;
+  std::memcpy(&d, &bits, sizeof(d));
+  return d;
+}
+
 }  // namespace column_batch_internal
+
+/// The Value of a cell held as a tag, a fixed-width payload (doubles
+/// bit-cast) and, for strings, its bytes.
+Value CellValue(DataType tag, int64_t fixed, std::string_view str);
+
+/// Value::Compare(a, b) == 0 for two cells held as a tag and a fixed-width
+/// payload (doubles bit-cast), as ColumnBatch holds them: NULL equals NULL,
+/// numbers compare across int64 and double, and doubles are equal unless
+/// one is less than the other (so NaN equals NaN). `str_a`/`str_b` return
+/// a string cell's bytes and are called only for strings.
+template <typename StrA, typename StrB>
+inline bool CellsEqual(DataType ta, int64_t fa, DataType tb, int64_t fb,
+                       StrA&& str_a, StrB&& str_b) {
+  if (ta == DataType::kNull || tb == DataType::kNull) return ta == tb;
+  if (IsNumericType(ta) && IsNumericType(tb)) {
+    if (ta == DataType::kInt64 && tb == DataType::kInt64) return fa == fb;
+    const double a = ta == DataType::kDouble
+                         ? column_batch_internal::BitsToDouble(fa)
+                         : static_cast<double>(fa);
+    const double b = tb == DataType::kDouble
+                         ? column_batch_internal::BitsToDouble(fb)
+                         : static_cast<double>(fb);
+    return !(a < b) && !(b < a);
+  }
+  if (ta != tb) return false;
+  if (ta == DataType::kString) return str_a() == str_b();
+  return fa == fb;
+}
 
 inline size_t ColumnBatch::CellHash(size_t col, RowIndex row) const {
   switch (tag(col, row)) {
@@ -203,32 +242,15 @@ inline size_t ColumnBatch::CellHash(size_t col, RowIndex row) const {
 
 inline bool ColumnBatch::CellEquals(size_t col, RowIndex row,
                                     const Value& v) const {
-  const DataType t = tag(col, row);
-  // Group-key semantics (Value::Compare == 0): NULL equals NULL, numeric
-  // types compare cross-type, everything else needs matching tags.
-  if (t == DataType::kNull || v.is_null()) {
-    return t == DataType::kNull && v.is_null();
+  int64_t vbits = v.AsInt64();
+  if (v.type() == DataType::kDouble) {
+    const double d = v.AsDouble();
+    std::memcpy(&vbits, &d, sizeof(d));
   }
-  if (IsNumericType(t) && IsNumericType(v.type())) {
-    if (t == DataType::kInt64 && v.type() == DataType::kInt64) {
-      return fixed(col, row) == v.AsInt64();
-    }
-    const double a = t == DataType::kDouble
-                         ? dbl(col, row)
-                         : static_cast<double>(fixed(col, row));
-    return a == v.AsDouble();
-  }
-  if (t != v.type()) return false;
-  switch (t) {
-    case DataType::kBool:
-    case DataType::kTimestamp:
-    case DataType::kInterval:
-      return fixed(col, row) == v.AsInt64();
-    case DataType::kString:
-      return str(col, row) == v.AsString();
-    default:
-      return false;  // unreachable: numeric handled above, null handled above
-  }
+  return CellsEqual(
+      tag(col, row), fixed(col, row), v.type(), vbits,
+      [&] { return str(col, row); },
+      [&] { return std::string_view(v.AsString()); });
 }
 
 /// A predicate compiled for batch evaluation. Comparisons of a column

@@ -1,6 +1,7 @@
 #include "exec/expr.h"
 
 #include <cmath>
+#include <cstdint>
 
 #include "common/time.h"
 
@@ -231,11 +232,19 @@ Result<Value> BoundExpr::Eval(const Row& row, const EvalContext& ctx) const {
       ASSIGN_OR_RETURN(Value v, children[0]->Eval(row, ctx));
       if (unary_op == sql::UnaryOp::kNegate) {
         if (v.is_null()) return Value::Null();
-        if (v.type() == DataType::kInt64) return Value::Int64(-v.AsInt64());
+        if (v.type() == DataType::kInt64) {
+          if (v.AsInt64() == INT64_MIN) {
+            return Status::ExecutionError("bigint out of range");
+          }
+          return Value::Int64(-v.AsInt64());
+        }
         if (v.type() == DataType::kDouble) {
           return Value::Double(-v.AsDouble());
         }
         if (v.type() == DataType::kInterval) {
+          if (v.AsIntervalMicros() == INT64_MIN) {
+            return Status::ExecutionError("interval out of range");
+          }
           return Value::Interval(-v.AsIntervalMicros());
         }
         return Status::ExecutionError("cannot negate non-numeric value");

@@ -4,6 +4,7 @@
 #include <iterator>
 #include <limits>
 
+#include "exec/aggregates.h"
 #include "exec/group_index.h"
 
 namespace streamrel::exec {
@@ -434,73 +435,66 @@ Status HashAggregateNode::Open(ExecContext* ctx) {
   pos_ = 0;
   if (child_ == nullptr) return Status::OK();  // emits the fed groups
   results_.clear();
+  std::vector<AggKind> kinds;
+  kinds.reserve(agg_calls_.size());
+  for (const AggregateCall& call : agg_calls_) {
+    ASSIGN_OR_RETURN(AggKind kind,
+                     ResolveAggregate(call.function, call.star, call.distinct));
+    kinds.push_back(kind);
+  }
+  AggregateTable table(group_exprs_.size(), std::move(kinds));
   RETURN_IF_ERROR(child_->Open(ctx));
 
-  struct Group {
-    std::vector<Value> keys;
-    std::vector<AggStatePtr> states;
-  };
-  std::vector<Group> groups;
-  GroupIndex lookup;
-
-  auto new_states = [&]() -> Result<std::vector<AggStatePtr>> {
-    std::vector<AggStatePtr> states;
-    states.reserve(agg_calls_.size());
-    for (const AggregateCall& call : agg_calls_) {
-      ASSIGN_OR_RETURN(AggStatePtr state,
-                       MakeAggState(call.function, call.star, call.distinct));
-      states.push_back(std::move(state));
+  // The child's rows are evaluated into chunks of key and argument
+  // columns, and each chunk is absorbed through the table's kernels.
+  std::vector<const BoundExpr*> exprs;
+  for (const auto& g : group_exprs_) exprs.push_back(g.get());
+  for (const AggregateCall& call : agg_calls_) {
+    if (call.argument != nullptr) exprs.push_back(call.argument.get());
+  }
+  constexpr size_t kChunkRows = 1024;
+  std::vector<RowIndex> identity(kChunkRows);
+  for (size_t i = 0; i < kChunkRows; ++i) {
+    identity[i] = static_cast<RowIndex>(i);
+  }
+  ColumnBatch chunk(exprs.size());
+  std::vector<CellSource> keys(group_exprs_.size());
+  std::vector<CellSource> args(agg_calls_.size());
+  std::vector<size_t> hashes(kChunkRows);
+  auto flush = [&]() -> Status {
+    const size_t n = chunk.row_count();
+    if (n == 0) return Status::OK();
+    size_t col = 0;
+    for (CellSource& k : keys) k = CellSource{&chunk, col++, identity.data()};
+    for (size_t i = 0; i < agg_calls_.size(); ++i) {
+      args[i] = agg_calls_[i].argument != nullptr
+                    ? CellSource{&chunk, col++, identity.data()}
+                    : CellSource{};
     }
-    return states;
+    AggregateTable::HashKeys(keys, 0, n, hashes.data());
+    int64_t new_bytes = 0;
+    RETURN_IF_ERROR(table.Add(keys, args, hashes.data(), 0, n, &new_bytes));
+    chunk.Clear();
+    return Status::OK();
   };
 
   Row row;
   for (;;) {
     ASSIGN_OR_RETURN(bool has, child_->Next(&row));
     if (!has) break;
-    std::vector<Value> keys;
-    keys.reserve(group_exprs_.size());
-    for (const auto& g : group_exprs_) {
-      ASSIGN_OR_RETURN(Value v, g->Eval(row, ctx->eval));
-      keys.push_back(std::move(v));
+    for (size_t c = 0; c < exprs.size(); ++c) {
+      ASSIGN_OR_RETURN(Value v, exprs[c]->Eval(row, ctx->eval));
+      chunk.AppendValue(c, v);
     }
-    const size_t h = HashValues(keys);
-    const size_t found = lookup.Find(
-        h, [&](size_t idx) { return ValuesEqual(groups[idx].keys, keys); });
-    Group* group = found != GroupIndex::kNone ? &groups[found] : nullptr;
-    if (group == nullptr) {
-      lookup.Insert(h, groups.size());
-      Group g;
-      g.keys = std::move(keys);
-      ASSIGN_OR_RETURN(g.states, new_states());
-      groups.push_back(std::move(g));
-      group = &groups.back();
-    }
-    for (size_t i = 0; i < agg_calls_.size(); ++i) {
-      Value arg = Value::Null();
-      if (agg_calls_[i].argument != nullptr) {
-        ASSIGN_OR_RETURN(arg, agg_calls_[i].argument->Eval(row, ctx->eval));
-      }
-      group->states[i]->Update(arg);
-    }
+    chunk.CommitRow();
+    if (chunk.row_count() == kChunkRows) RETURN_IF_ERROR(flush());
   }
+  RETURN_IF_ERROR(flush());
   child_->Close();
 
   // Scalar aggregation produces one row even on empty input.
-  if (groups.empty() && group_exprs_.empty()) {
-    Group g;
-    ASSIGN_OR_RETURN(g.states, new_states());
-    groups.push_back(std::move(g));
-  }
-
-  results_.reserve(groups.size());
-  for (Group& g : groups) {
-    Row out = std::move(g.keys);
-    for (const AggStatePtr& state : g.states) {
-      out.push_back(state->Final());
-    }
-    results_.push_back(std::move(out));
-  }
+  if (group_exprs_.empty()) table.EnsureScalarGroup();
+  table.Finalize(nullptr, &results_);
   return Status::OK();
 }
 

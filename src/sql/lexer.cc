@@ -1,6 +1,7 @@
 #include "sql/lexer.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 
 #include "common/string_util.h"
@@ -123,7 +124,11 @@ Result<std::vector<Token>> Tokenize(const std::string& sql) {
         tok.float_value = strtod(text.c_str(), nullptr);
       } else {
         tok.type = TokenType::kInteger;
+        errno = 0;
         tok.int_value = strtoll(text.c_str(), nullptr, 10);
+        if (errno == ERANGE) {
+          return Status::ParseError("integer literal out of range: " + text);
+        }
       }
       tok.text = std::move(text);
       tokens.push_back(std::move(tok));

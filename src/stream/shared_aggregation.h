@@ -10,9 +10,9 @@
 #include "common/memory_governor.h"
 #include "common/schema.h"
 #include "common/status.h"
+#include "exec/aggregates.h"
 #include "exec/binder.h"
 #include "exec/column_batch.h"
-#include "exec/group_index.h"
 
 namespace streamrel::stream {
 
@@ -67,8 +67,10 @@ class SliceAggregator {
   /// over the range — arrival order). A slice keeps its groups in
   /// first-arrival order, so absorbing a run in one call or row by row
   /// leaves identical state. Group keys and aggregate arguments that are
-  /// plain column references run columnar (no Row materialization on the
-  /// hot path); anything else is evaluated on a scratch row.
+  /// plain column references are read from the batch; anything else is
+  /// evaluated into a column first, once per batch, so an evaluation
+  /// error leaves every slice untouched. Each slice's run then goes through
+  /// its exec::AggregateTable: one group-resolve pass, one kernel per call.
   Status AddBatch(const exec::ColumnBatch& batch,
                   const exec::SelectionVector& sel,
                   const std::vector<int64_t>& ts, size_t from, size_t to);
@@ -80,7 +82,9 @@ class SliceAggregator {
   /// a member CQ passes its slot mapping so it never pays for aggregates
   /// other members registered. With no group keys, exactly one row is
   /// produced (possibly from zero input). `visible` must be a multiple of
-  /// the slice width. Every call counts one merge in window_merges().
+  /// the slice width. A window of one slice is finalized straight from
+  /// that slice's table; several are merged, in time order, into a scratch
+  /// table first. Every call counts one merge in window_merges().
   Result<std::vector<Row>> ComputeWindow(
       int64_t close, int64_t visible,
       const std::vector<size_t>* slots = nullptr) const;
@@ -125,13 +129,9 @@ class SliceAggregator {
   int64_t max_visible() const { return max_visible_; }
 
  private:
-  struct Group {
-    std::vector<Value> keys;
-    std::vector<exec::AggStatePtr> states;
-  };
   struct Slice {
-    std::vector<Group> groups;
-    exec::GroupIndex lookup;
+    explicit Slice(exec::AggregateTable t) : table(std::move(t)) {}
+    exec::AggregateTable table;
     /// Governor charge attributed to this slice's groups; released whole
     /// when the slice is evicted.
     int64_t bytes = 0;
@@ -143,43 +143,32 @@ class SliceAggregator {
     return rows_absorbed() > 0 || !slices_.empty();
   }
 
-  Result<std::vector<exec::AggStatePtr>> NewStates() const;
-
-  /// Locates or creates `keys`' group in `slice`, preserving insertion
-  /// order.
-  Group* FindOrCreateGroup(Slice* slice, std::vector<Value> keys,
-                           Status* status);
-
-  /// Compiled batch kernels, built lazily on first AddBatch. The call
-  /// union freezes once absorption starts (RegisterCalls refuses new
-  /// slots), so the cache only rebuilds when a member registered more
-  /// union calls before any rows arrived.
+  /// Where AddBatch reads each group key and call argument, built lazily on
+  /// first AddBatch. The call union freezes once absorption starts
+  /// (RegisterCalls refuses new slots), so the cache only rebuilds when a
+  /// member registered more union calls before any rows arrived.
   struct BatchKernels {
     exec::VectorPredicate filter;
-    /// All group exprs are plain column refs: hash/compare cells directly.
-    bool keys_columnar = false;
-    std::vector<size_t> key_cols;
-    struct ArgKernel {
-      enum class Kind { kNone, kColumn, kGeneric };
+    /// A plain column reference reads the batch column; anything else is
+    /// evaluated, once per batch, into column `col` of the computed batch.
+    struct Source {
+      enum class Kind { kNone, kColumn, kComputed };
       Kind kind = Kind::kNone;
-      size_t col = 0;                         // kColumn
-      const exec::BoundExpr* expr = nullptr;  // kGeneric
+      size_t col = 0;
     };
-    std::vector<ArgKernel> args;  // one per union call slot
+    std::vector<Source> keys;
+    std::vector<Source> args;  // one per union call slot
+    std::vector<const exec::BoundExpr*> computed;
   };
   void EnsureBatchKernels();
 
-  /// Deterministic size estimate of one group (keys + fixed per-state
-  /// cost); the governor charge unit for the kAggregator account.
-  static int64_t GroupBytes(const Group& g);
-  /// Records `bytes` against `slice` and the governor.
-  void ChargeSlice(Slice* slice, int64_t bytes);
   void ReleaseAllCharges();
 
   const int64_t slice_width_;
   exec::BoundExprPtr filter_;
   std::vector<exec::BoundExprPtr> group_exprs_;
   std::vector<exec::AggregateCall> calls_;  // the union
+  std::vector<exec::AggKind> kinds_;        // one per union call
   std::map<int64_t, Slice> slices_;         // keyed by slice start time
   // Atomics: bumped under the owning stream's ingest lock, but read by
   // concurrent SHOW STATS holding only the shared engine lock. live_slice_count_ mirrors slices_.size() so
@@ -194,9 +183,14 @@ class SliceAggregator {
   MemoryGovernor* governor_ = nullptr;
   int64_t bytes_held_ = 0;
   std::unique_ptr<BatchKernels> kernels_;  // see EnsureBatchKernels
-  /// AddBatch-local hash staging, kept across calls to avoid reallocating
-  /// per batch. Safe: AddBatch runs under the stream's ingest lock.
-  std::vector<size_t> hash_scratch_;
+  /// AddBatch-local staging, kept across calls to avoid reallocating per
+  /// batch. Safe: AddBatch runs under the stream's ingest lock.
+  std::vector<uint32_t> positions_;
+  std::vector<exec::RowIndex> rows_;      // batch row per absorbed position
+  std::vector<exec::RowIndex> identity_;  // computed-batch row per position
+  std::vector<size_t> hashes_;
+  std::vector<exec::CellSource> key_sources_;
+  std::vector<exec::CellSource> arg_sources_;
 };
 
 }  // namespace streamrel::stream

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include <random>
 #include <string>
 #include <vector>
@@ -248,6 +250,25 @@ TEST(ColumnBatchTest, CellEqualsMatchesValueCompare) {
   EXPECT_TRUE(batch.CellEquals(0, 1, Value::Double(3.0)));
   EXPECT_TRUE(batch.CellEquals(0, 2, Value::Int64(3)));
   EXPECT_TRUE(batch.CellEquals(0, 0, Value::Null()));
+}
+
+TEST(ColumnBatchTest, CellEqualsFollowsCompareForNaN) {
+  // Value::Compare calls two doubles equal unless one is less than the
+  // other, so NaN equals NaN (and every number); -0.0 equals 0.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<Value> values = {Value::Double(nan), Value::Double(-0.0),
+                               Value::Int64(0), Value::Double(5.0),
+                               Value::Null()};
+  ColumnBatch batch(1);
+  for (const Value& v : values) batch.AppendRow(Row{v});
+  for (size_t i = 0; i < values.size(); ++i) {
+    for (const Value& rhs : values) {
+      EXPECT_EQ(batch.CellEquals(0, static_cast<RowIndex>(i), rhs),
+                values[i].Compare(rhs) == 0)
+          << values[i].ToString() << " vs " << rhs.ToString();
+    }
+  }
+  EXPECT_TRUE(batch.CellEquals(0, 0, Value::Double(nan)));
 }
 
 /// Binds `text` against (i bigint, s varchar, d double, ts timestamp) for

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "test_util.h"
 
 namespace streamrel::engine {
@@ -327,6 +329,41 @@ TEST_F(DatabaseTest, Example1DdlFromPaperWorksVerbatim) {
   auto* info = db_.catalog()->GetStream("url_stream");
   ASSERT_NE(info, nullptr);
   EXPECT_EQ(info->cqtime_column, 1u);
+}
+
+TEST_F(DatabaseTest, BigintOverflowFailsTheStatementInsteadOfTheServer) {
+  MustExecute(&db_, "CREATE TABLE t (v bigint, d bigint)");
+  MustExecute(&db_,
+              "INSERT INTO t VALUES (-9223372036854775807 - 1, -1), "
+              "(9223372036854775807, 1)");
+  // INT64_MIN / -1 used to end the process with SIGFPE.
+  for (const char* sql :
+       {"SELECT v / d FROM t", "SELECT (-9223372036854775807 - 1) / -1",
+        "SELECT 9223372036854775807 * 2", "SELECT -v FROM t WHERE d < 0",
+        "SELECT 99999999999999999999"}) {
+    EXPECT_FALSE(db_.Execute(sql).ok()) << sql;
+  }
+  auto mod = MustExecute(&db_, "SELECT v % d FROM t ORDER BY d");
+  ASSERT_EQ(mod.rows.size(), 2u);
+  EXPECT_EQ(mod.rows[0][0].AsInt64(), 0);
+  MustExecute(&db_, "INSERT INTO t VALUES (1, 2)");
+  auto sum = db_.Execute("SELECT sum(v) FROM t WHERE d > 0");
+  ASSERT_FALSE(sum.ok());
+  EXPECT_NE(sum.status().message().find("bigint out of range"),
+            std::string::npos);
+}
+
+TEST_F(DatabaseTest, SharedSumOverflowFailsTheIngest) {
+  MustExecute(&db_, "CREATE STREAM s (v bigint, ts timestamp CQTIME USER)");
+  MustExecute(&db_,
+              "CREATE STREAM totals AS SELECT sum(v) AS n FROM s "
+              "<VISIBLE '1 minute'>");
+  const int64_t t0 = 1'000'000'000'000;
+  Status st =
+      db_.Ingest("s", {Row{Value::Int64(INT64_MAX), Value::Timestamp(t0)},
+                       Row{Value::Int64(1), Value::Timestamp(t0 + 1)}});
+  EXPECT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("bigint out of range"), std::string::npos);
 }
 
 }  // namespace

@@ -57,6 +57,16 @@ TEST(LexerTest, IntegerAndFloat) {
   EXPECT_DOUBLE_EQ(tokens[3].float_value, 0.075);
 }
 
+TEST(LexerTest, IntegerLiteralOutOfRangeIsAParseError) {
+  auto max = Lex("9223372036854775807");
+  ASSERT_EQ(max.size(), 2u);  // the literal and the end token
+  EXPECT_EQ(max[0].int_value, INT64_MAX);
+  auto r = Tokenize("SELECT 99999999999999999999");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kParseError);
+  EXPECT_FALSE(Tokenize("9223372036854775808").ok());
+}
+
 TEST(LexerTest, MultiCharOperators) {
   auto tokens = Lex("<= >= <> != :: ||");
   EXPECT_TRUE(tokens[0].IsOperator("<="));

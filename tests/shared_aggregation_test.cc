@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
+#include "common/memory_governor.h"
 #include "common/time.h"
 #include "exec/operators.h"
 #include "sql/parser.h"
@@ -231,6 +234,62 @@ TEST(SliceAggregatorTest, MultipleWindowWidthsShareOnePipeline) {
   auto wide = agg.ComputeWindow(3 * kMin, 3 * kMin);
   ASSERT_TRUE(wide.ok());
   EXPECT_EQ((*wide)[0][1].AsInt64(), 6);  // all three
+}
+
+TEST(SliceAggregatorTest, NaNKeysGroupAndChargeLikeOtherKeys) {
+  // Four rows keyed NaN form one group, as four rows keyed 5.0 do, so both
+  // charge one group to the kAggregator account and close to one row.
+  auto charge_for = [](double key) {
+    std::vector<exec::BoundExprPtr> groups;
+    groups.push_back(Bind("bytes"));
+    SliceAggregator agg(kMin, nullptr, std::move(groups));
+    MemoryGovernor governor;
+    agg.BindGovernor(&governor);
+    std::vector<exec::AggregateCall> calls;
+    calls.push_back(Call("count", "*"));
+    EXPECT_TRUE(agg.RegisterCalls(std::move(calls)).ok());
+    exec::ColumnBatch batch(3);
+    for (int i = 0; i < 4; ++i) {
+      batch.AppendRow(Row{Value::String("/a"), Value::Timestamp(i),
+                          Value::Double(key)});
+    }
+    EXPECT_TRUE(agg.AddBatch(batch, exec::SelectionVector{0, 1, 2, 3},
+                             {0, 1, 2, 3}, 0, 4)
+                    .ok());
+    auto rows = agg.ComputeWindow(kMin, kMin);
+    EXPECT_TRUE(rows.ok());
+    EXPECT_EQ(rows->size(), 1u);
+    if (!rows->empty()) EXPECT_EQ((*rows)[0][1].AsInt64(), 4);
+    return governor.held(MemoryGovernor::Account::kAggregator);
+  };
+  const int64_t nan_charge =
+      charge_for(std::numeric_limits<double>::quiet_NaN());
+  EXPECT_EQ(nan_charge, charge_for(5.0));
+  EXPECT_GT(nan_charge, 0);
+}
+
+TEST(SliceAggregatorTest, SumOverflowFailsTheAbsorbAndTheMerge) {
+  // Within one slice the absorb fails; across two slices that each hold a
+  // representable sum, the window merge fails.
+  SliceAggregator agg(kMin, nullptr, GroupByUrl());
+  std::vector<exec::AggregateCall> calls;
+  calls.push_back(Call("sum", "bytes"));
+  ASSERT_TRUE(agg.RegisterCalls(std::move(calls)).ok());
+  const int64_t big = std::numeric_limits<int64_t>::max();
+  ASSERT_TRUE(Absorb(&agg, 1, R("/a", 1, big)).ok());
+  Status st = Absorb(&agg, 2, R("/a", 2, 1));
+  EXPECT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("bigint out of range"), std::string::npos);
+
+  SliceAggregator two(kMin, nullptr, GroupByUrl());
+  std::vector<exec::AggregateCall> sum;
+  sum.push_back(Call("sum", "bytes"));
+  ASSERT_TRUE(two.RegisterCalls(std::move(sum)).ok());
+  ASSERT_TRUE(Absorb(&two, 1, R("/a", 1, big)).ok());
+  ASSERT_TRUE(Absorb(&two, kMin + 1, R("/a", kMin + 1, 1)).ok());
+  EXPECT_TRUE(two.ComputeWindow(kMin, kMin).ok());
+  auto merged = two.ComputeWindow(2 * kMin, 2 * kMin);
+  EXPECT_FALSE(merged.ok());
 }
 
 }  // namespace

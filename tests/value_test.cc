@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "common/time.h"
 
 namespace streamrel {
@@ -181,6 +183,42 @@ TEST(ValueArithmeticTest, StringConcatViaAdd) {
   auto r = ValueAdd(Value::String("a"), Value::String("b"));
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->AsString(), "ab");
+}
+
+TEST(ValueArithmeticTest, BigintOverflowIsAnError) {
+  const Value max = Value::Int64(INT64_MAX);
+  const Value min = Value::Int64(INT64_MIN);
+  for (auto r :
+       {ValueAdd(max, Value::Int64(1)), ValueSub(min, Value::Int64(1)),
+        ValueMul(max, Value::Int64(2)), ValueMul(min, Value::Int64(-1)),
+        ValueDiv(min, Value::Int64(-1))}) {
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().message(), "bigint out of range");
+  }
+  // INT64_MIN % -1 is 0 (the hardware instruction traps on it).
+  auto mod = ValueMod(min, Value::Int64(-1));
+  ASSERT_TRUE(mod.ok());
+  EXPECT_EQ(mod->AsInt64(), 0);
+  EXPECT_EQ(ValueAdd(max, Value::Int64(-1))->AsInt64(), INT64_MAX - 1);
+  EXPECT_EQ(ValueDiv(min, Value::Int64(1))->AsInt64(), INT64_MIN);
+}
+
+TEST(ValueArithmeticTest, TimestampAndIntervalOverflowIsAnError) {
+  auto ts = ValueAdd(Value::Timestamp(INT64_MAX - 5), Value::Interval(10));
+  ASSERT_FALSE(ts.ok());
+  EXPECT_EQ(ts.status().message(), "timestamp out of range");
+  EXPECT_FALSE(
+      ValueAdd(Value::Interval(10), Value::Timestamp(INT64_MAX - 5)).ok());
+  EXPECT_FALSE(
+      ValueSub(Value::Timestamp(INT64_MIN + 5), Value::Interval(10)).ok());
+  auto iv = ValueAdd(Value::Interval(INT64_MAX), Value::Interval(1));
+  ASSERT_FALSE(iv.ok());
+  EXPECT_EQ(iv.status().message(), "interval out of range");
+  EXPECT_FALSE(
+      ValueSub(Value::Timestamp(INT64_MIN), Value::Timestamp(1)).ok());
+  EXPECT_EQ(ValueAdd(Value::Timestamp(5), Value::Interval(-5))
+                ->AsTimestampMicros(),
+            0);
 }
 
 TEST(ValueArithmeticTest, IncompatibleTypesError) {
