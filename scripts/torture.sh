@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Runs the torture suites (ctest labels `torture`, `overload`, `net`,
-# `vectorize`, `ha`, `shared` and `storage`) under ASan+UBSan, then the
-# concurrency, vectorize, ha, shared, net and storage labels under TSAN.
+# `vectorize`, `ha`, `shared`, `storage` and `engine`) under ASan+UBSan,
+# then the concurrency, vectorize, ha, shared, net, storage and engine
+# labels under TSAN.
 #
 #   scripts/torture.sh [ctest-args...]
 #
@@ -49,12 +50,17 @@
 # `channel_test`, the sys_* refresh in `system_tables_test`) and the WAL:
 # its one-pass framing and checksum, record batching under the slice cap,
 # every single-bit flip of a record rejected on replay and on shipping
-# (`wal_test`), and replay into tables (`recovery_test`). After
+# (`wal_test`), and replay into tables (`recovery_test`). The engine
+# suite (`engine`) covers value conversions (`value_test`), the Database
+# facade (`database_test`), the runtime's ingest path and the stream's
+# pipeline list it reads after every close step (`runtime_test`), and the
+# stats walk behind SHOW STATS (`metrics_test`). After
 # the ASan+UBSan pass, the concurrency suite (label `concurrency`:
 # concurrent ingest on disjoint streams vs. the control plane, the
 # concurrent-vs-serial-oracle differential, columnar ingest under DDL
 # churn, shared closes under member churn, active-table reads under ingest
-# and VACUUM, network client fan-in) plus the vectorize, ha, shared, net and storage labels run again
+# and VACUUM, network client fan-in) plus the vectorize, ha, shared, net,
+# storage and engine labels run again
 # under TSAN — lock-hierarchy violations (DESIGN decision 11) and loop-/worker-/
 # delivery-thread races (every subscription's pushes pass its gate
 # mutex) surface there, not under ASan. Extra arguments are forwarded to
@@ -77,12 +83,13 @@ cmake --build "$BUILD_DIR" -j "$(nproc)"
 export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_stack_use_after_return=1}"
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1}"
 
-(cd "$BUILD_DIR" && ctest --output-on-failure -L "torture|overload|net|vectorize|ha|shared|storage" "$@")
+(cd "$BUILD_DIR" && ctest --output-on-failure -L "torture|overload|net|vectorize|ha|shared|storage|engine" "$@")
 
-# TSAN leg: the concurrency, vectorize, ha, shared, net and storage labels
-# only (the full-suite TSAN run is scripts/sanitize.sh thread). Races between
-# the ingest threads, the server's event loop + request workers, WAL
-# shipping, and delivery callbacks are precisely what these tests provoke.
+# TSAN leg: the concurrency, vectorize, ha, shared, net, storage and engine
+# labels only (the full-suite TSAN run is scripts/sanitize.sh thread).
+# Races between the ingest threads, the server's event loop + request
+# workers, WAL shipping, and delivery callbacks are precisely what these
+# tests provoke.
 TSAN_BUILD_DIR="build-tsan"
 cmake -B "$TSAN_BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -91,4 +98,4 @@ cmake --build "$TSAN_BUILD_DIR" -j "$(nproc)"
 
 export TSAN_OPTIONS="${TSAN_OPTIONS:-second_deadlock_stack=1}"
 
-(cd "$TSAN_BUILD_DIR" && ctest --output-on-failure -L "concurrency|vectorize|ha|shared|net|storage" "$@")
+(cd "$TSAN_BUILD_DIR" && ctest --output-on-failure -L "concurrency|vectorize|ha|shared|net|storage|engine" "$@")

@@ -14,8 +14,8 @@ namespace streamrel {
 /// where the wrapper opts in (stream locks nest along derived-stream
 /// cascades, which form a forest, so cross-chain deadlock is impossible).
 ///
-/// Fine-grained structure guards (runtime stream-map, catalog maps, metrics
-/// registry, histogram cells) are deliberately NOT ranked: they are leaf
+/// Fine-grained structure guards (runtime stream-map, catalog maps,
+/// histograms) are deliberately NOT ranked: they are leaf
 /// mutexes held for a few map operations with the invariant that no other
 /// lock is ever acquired while one is held, so they can be taken from any
 /// point in the hierarchy.

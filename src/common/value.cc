@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <optional>
 
 #include "common/bytes.h"
 #include "common/time.h"
@@ -114,6 +115,32 @@ std::string Value::ToString() const {
   return "?";
 }
 
+namespace {
+
+Status BigintOutOfRange() {
+  return Status::ExecutionError("bigint out of range");
+}
+Status IntervalOutOfRange() {
+  return Status::ExecutionError("interval out of range");
+}
+
+/// `d` truncated toward zero, or nullopt where that leaves int64 (NaN
+/// included), where a bare static_cast is undefined. Both bounds are exact
+/// doubles: -2^63 is INT64_MIN, and every double below 2^63 fits.
+std::optional<int64_t> TruncateToInt64(double d) {
+  if (!(d >= -0x1p63 && d < 0x1p63)) return std::nullopt;
+  return static_cast<int64_t>(d);
+}
+
+/// An interval of `micros`, truncated toward zero.
+Result<Value> IntervalFromMicros(double micros) {
+  const std::optional<int64_t> v = TruncateToInt64(micros);
+  if (!v) return IntervalOutOfRange();
+  return Value::Interval(*v);
+}
+
+}  // namespace
+
 Result<Value> Value::CastTo(DataType target) const {
   if (is_null() || type_ == target) return *this;
   switch (target) {
@@ -127,7 +154,9 @@ Result<Value> Value::CastTo(DataType target) const {
       break;
     case DataType::kInt64:
       if (type_ == DataType::kDouble) {
-        return Value::Int64(static_cast<int64_t>(d_));
+        const std::optional<int64_t> v = TruncateToInt64(d_);
+        if (!v) return BigintOutOfRange();
+        return Value::Int64(*v);
       }
       if (type_ == DataType::kBool) return Value::Int64(i_);
       if (type_ == DataType::kTimestamp || type_ == DataType::kInterval) {
@@ -241,13 +270,6 @@ Result<Value> Value::Deserialize(const std::string& data, size_t* offset) {
 
 namespace {
 
-Status BigintOutOfRange() {
-  return Status::ExecutionError("bigint out of range");
-}
-Status IntervalOutOfRange() {
-  return Status::ExecutionError("interval out of range");
-}
-
 /// ts + sign * interval, or an error when the result leaves int64.
 Result<Value> CheckedTimestamp(int64_t ts, int64_t interval, int sign) {
   int64_t r = 0;
@@ -333,12 +355,10 @@ Result<Value> ValueSub(const Value& a, const Value& b) {
 Result<Value> ValueMul(const Value& a, const Value& b) {
   if (a.is_null() || b.is_null()) return Value::Null();
   if (a.type() == DataType::kInterval && IsNumericType(b.type())) {
-    return Value::Interval(
-        static_cast<int64_t>(a.AsIntervalMicros() * b.AsDouble()));
+    return IntervalFromMicros(a.AsIntervalMicros() * b.AsDouble());
   }
   if (IsNumericType(a.type()) && b.type() == DataType::kInterval) {
-    return Value::Interval(
-        static_cast<int64_t>(b.AsIntervalMicros() * a.AsDouble()));
+    return IntervalFromMicros(b.AsIntervalMicros() * a.AsDouble());
   }
   return NumericBinary(
       a, b,
@@ -356,7 +376,7 @@ Result<Value> ValueDiv(const Value& a, const Value& b) {
   if (a.type() == DataType::kInterval && IsNumericType(b.type())) {
     double d = b.AsDouble();
     if (d == 0) return Status::ExecutionError("interval division by zero");
-    return Value::Interval(static_cast<int64_t>(a.AsIntervalMicros() / d));
+    return IntervalFromMicros(a.AsIntervalMicros() / d);
   }
   return NumericBinary(
       a, b,

@@ -576,89 +576,68 @@ EngineStats Database::StatsSnapshot() {
   // source read below is either atomic, internally locked, or mutated only
   // under the exclusive engine lock.
   SharedLockGuard lock(&engine_lock_);
-  stream::MetricsRegistry* metrics = runtime_.metrics();
-  runtime_.RefreshMetricsGauges();
   EngineStats stats;
   stats.wal_records = wal_->record_count();
   stats.wal_bytes = wal_->byte_size();
   stats.disk = disk_->stats();
-  metrics->GetGauge("engine", "wal", "records")->Set(stats.wal_records);
-  metrics->GetGauge("engine", "wal", "bytes")->Set(stats.wal_bytes);
-  metrics->GetGauge("engine", "disk", "page_reads")
-      ->Set(stats.disk.page_reads);
-  metrics->GetGauge("engine", "disk", "page_writes")
-      ->Set(stats.disk.page_writes);
-  metrics->GetGauge("engine", "disk", "cache_hits")
-      ->Set(stats.disk.cache_hits);
-  metrics->GetGauge("engine", "disk", "bytes_read")
-      ->Set(stats.disk.bytes_read);
-  metrics->GetGauge("engine", "disk", "bytes_written")
-      ->Set(stats.disk.bytes_written);
-  metrics->GetGauge("engine", "disk", "simulated_io_micros")
-      ->Set(stats.disk.simulated_io_micros);
-  metrics->GetGauge("recovery", "wal", "replays")->Set(recoveries_);
-  metrics->GetGauge("recovery", "wal", "rows_replayed")
-      ->Set(last_replay_rows_);
-  metrics->GetGauge("recovery", "wal", "txns_replayed")
-      ->Set(last_replay_txns_);
-  metrics->GetGauge("recovery", "wal", "torn_tails")
-      ->Set(wal_->torn_tails_seen());
-  metrics->GetGauge("recovery", "wal", "corrupt_tails")
-      ->Set(wal_->corrupt_tails_seen());
-  metrics->GetGauge("recovery", "wal", "midlog_corruptions")
-      ->Set(wal_->midlog_corruptions_seen());
+  std::vector<stream::MetricSample>& out = stats.metrics;
+  runtime_.AppendStats(&out);
+  auto add = [&out](const char* scope, const char* name, const char* metric,
+                    int64_t value) {
+    out.push_back(stream::MetricSample{scope, name, metric, value});
+  };
+  add("engine", "wal", "records", stats.wal_records);
+  add("engine", "wal", "bytes", stats.wal_bytes);
+  add("engine", "disk", "page_reads", stats.disk.page_reads);
+  add("engine", "disk", "page_writes", stats.disk.page_writes);
+  add("engine", "disk", "cache_hits", stats.disk.cache_hits);
+  add("engine", "disk", "bytes_read", stats.disk.bytes_read);
+  add("engine", "disk", "bytes_written", stats.disk.bytes_written);
+  add("engine", "disk", "simulated_io_micros",
+      stats.disk.simulated_io_micros);
+  add("recovery", "wal", "replays", recoveries_);
+  add("recovery", "wal", "rows_replayed", last_replay_rows_);
+  add("recovery", "wal", "txns_replayed", last_replay_txns_);
+  add("recovery", "wal", "torn_tails", wal_->torn_tails_seen());
+  add("recovery", "wal", "corrupt_tails", wal_->corrupt_tails_seen());
+  add("recovery", "wal", "midlog_corruptions",
+      wal_->midlog_corruptions_seen());
   // Replication (standby side): role plus the shipped-WAL apply counters.
   // applied_bytes is the offset into the PRIMARY's log this engine has
   // made durable — the primary subtracts it from its synced size for the
   // lag gauges it publishes under the same scope.
-  metrics->GetGauge("repl", "standby", "role")
-      ->Set(repl_role_.load(std::memory_order_acquire));
-  metrics->GetGauge("repl", "standby", "applied_bytes")
-      ->Set(repl_applied_bytes_.load(std::memory_order_relaxed));
-  metrics->GetGauge("repl", "standby", "applied_records")
-      ->Set(repl_applied_records_.load(std::memory_order_relaxed));
-  metrics->GetGauge("repl", "standby", "applies")
-      ->Set(repl_applies_.load(std::memory_order_relaxed));
-  metrics->GetGauge("repl", "standby", "apply_errors")
-      ->Set(repl_apply_errors_.load(std::memory_order_relaxed));
+  add("repl", "standby", "role", repl_role_.load(std::memory_order_acquire));
+  add("repl", "standby", "applied_bytes",
+      repl_applied_bytes_.load(std::memory_order_relaxed));
+  add("repl", "standby", "applied_records",
+      repl_applied_records_.load(std::memory_order_relaxed));
+  add("repl", "standby", "applies",
+      repl_applies_.load(std::memory_order_relaxed));
+  add("repl", "standby", "apply_errors",
+      repl_apply_errors_.load(std::memory_order_relaxed));
   const FaultInjector::Totals faults = FaultInjector::Instance().totals();
-  metrics->GetGauge("recovery", "faults", "hits")->Set(faults.hits);
-  metrics->GetGauge("recovery", "faults", "fires")->Set(faults.fires);
-  metrics->GetGauge("recovery", "faults", "crashes")->Set(faults.crashes);
+  add("recovery", "faults", "hits", faults.hits);
+  add("recovery", "faults", "fires", faults.fires);
+  add("recovery", "faults", "crashes", faults.crashes);
   // Lock-contention counters (DESIGN decision 11 / OBSERVABILITY): how
   // often each tier of the hierarchy was taken and how often (and, for the
-  // engine rwlock, how long) an acquisition had to block.
-  metrics->GetGauge("engine", "lock", "shared_acquisitions")
-      ->Set(engine_lock_.shared_acquisitions());
-  metrics->GetGauge("engine", "lock", "shared_contended")
-      ->Set(engine_lock_.shared_contended());
-  metrics->GetGauge("engine", "lock", "shared_wait_micros")
-      ->Set(engine_lock_.shared_wait_micros());
-  metrics->GetGauge("engine", "lock", "exclusive_acquisitions")
-      ->Set(engine_lock_.exclusive_acquisitions());
-  metrics->GetGauge("engine", "lock", "exclusive_contended")
-      ->Set(engine_lock_.exclusive_contended());
-  metrics->GetGauge("engine", "lock", "exclusive_wait_micros")
-      ->Set(engine_lock_.exclusive_wait_micros());
-  metrics->GetGauge("engine", "lock", "sys_acquisitions")
-      ->Set(sys_mu_.acquisitions());
-  metrics->GetGauge("engine", "lock", "sys_contended")
-      ->Set(sys_mu_.contended());
-  metrics->GetGauge("engine", "lock", "dml_acquisitions")
-      ->Set(runtime_.dml_lock()->acquisitions());
-  metrics->GetGauge("engine", "lock", "dml_contended")
-      ->Set(runtime_.dml_lock()->contended());
-  int64_t stream_acquisitions = 0;
-  int64_t stream_contended = 0;
-  runtime_.StreamLockStats(&stream_acquisitions, &stream_contended);
-  metrics->GetGauge("engine", "lock", "stream_acquisitions")
-      ->Set(stream_acquisitions);
-  metrics->GetGauge("engine", "lock", "stream_contended")
-      ->Set(stream_contended);
-  stats.metrics = metrics->Snapshot();
-  for (const auto& [key, provider] : stats_providers_) {
-    provider(&stats.metrics);
-  }
+  // engine rwlock, how long) an acquisition had to block. The runtime
+  // reports its DML and stream locks itself.
+  add("engine", "lock", "shared_acquisitions",
+      engine_lock_.shared_acquisitions());
+  add("engine", "lock", "shared_contended", engine_lock_.shared_contended());
+  add("engine", "lock", "shared_wait_micros",
+      engine_lock_.shared_wait_micros());
+  add("engine", "lock", "exclusive_acquisitions",
+      engine_lock_.exclusive_acquisitions());
+  add("engine", "lock", "exclusive_contended",
+      engine_lock_.exclusive_contended());
+  add("engine", "lock", "exclusive_wait_micros",
+      engine_lock_.exclusive_wait_micros());
+  add("engine", "lock", "sys_acquisitions", sys_mu_.acquisitions());
+  add("engine", "lock", "sys_contended", sys_mu_.contended());
+  stream::SortSamples(&out);
+  for (const auto& [key, provider] : stats_providers_) provider(&out);
   return stats;
 }
 
@@ -822,7 +801,7 @@ Result<QueryResult> Database::ExecuteShowStats(
         return Status::NotFound("stream '" + stmt.name + "' not found");
       }
       // A catalogued stream may not have seen runtime traffic yet; register
-      // it so its metric cells exist and the filter returns rows.
+      // it so the stats walk reaches it and the filter returns rows.
       RETURN_IF_ERROR(runtime_.RegisterStream(stmt.name));
       filter_scope = "stream";
       break;
@@ -866,7 +845,7 @@ Result<QueryResult> Database::ExecuteShowStats(
          (!whole_scope && sample.name != filter_name))) {
       continue;
     }
-    // Timestamp gauges report micros; INT64_MIN means "never set" and
+    // Timestamp samples report micros; INT64_MIN means "never set" and
     // surfaces as NULL rather than a nonsense number.
     Value value = sample.is_timestamp && sample.value == INT64_MIN
                       ? Value::Null()

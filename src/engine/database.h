@@ -37,10 +37,10 @@ struct QueryResult {
   std::string message;  // e.g. "CREATE TABLE", "INSERT 3"
 };
 
-/// Point-in-time engine statistics: the full metrics-registry snapshot
-/// (every per-stream/CQ/channel/aggregator counter and gauge the runtime
-/// tracks) plus storage-layer totals. `SHOW STATS` returns the same data
-/// as rows.
+/// Point-in-time engine statistics: one sample per number the engine keeps
+/// (every per-stream/CQ/channel/aggregator counter and level, read from the
+/// object that keeps it) plus storage-layer totals. `SHOW STATS` returns
+/// the same data as rows.
 struct EngineStats {
   std::vector<stream::MetricSample> metrics;
   storage::DiskStats disk;
@@ -201,8 +201,9 @@ class Database {
   /// interleave.
   Status RefreshSystemTables();
 
-  /// Refreshes pull-style gauges (and WAL/disk totals) and returns the
-  /// complete metrics snapshot. The struct-API twin of `SHOW STATS`.
+  /// Walks the engine's objects into one sample per number, sorted by
+  /// (scope, name, metric), then appends the stats providers' samples. The
+  /// struct-API twin of `SHOW STATS`.
   EngineStats StatsSnapshot();
 
   // --- live subscriptions (the engine side of SUBSCRIBE TO) -----------------
@@ -255,11 +256,11 @@ class Database {
       const std::string& name, int64_t resume_close,
       stream::CqCallback callback, std::vector<ResumeBatch>* backfill);
 
-  /// Extra metric sources folded into StatsSnapshot() (the network server
-  /// publishes its `net` scope this way). Providers run holding the shared
-  /// engine lock and must be thread-safe against themselves (concurrent
-  /// StatsSnapshot calls overlap); re-registering a key replaces the
-  /// provider.
+  /// Extra metric sources appended to StatsSnapshot() after the engine's
+  /// sorted samples (the network server publishes its `net` scope this
+  /// way). Providers run holding the shared engine lock and must be
+  /// thread-safe against themselves (concurrent StatsSnapshot calls
+  /// overlap); re-registering a key replaces the provider.
   using StatsProvider =
       std::function<void(std::vector<stream::MetricSample>*)>;
   void RegisterStatsProvider(const std::string& key, StatsProvider provider);

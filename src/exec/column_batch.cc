@@ -395,30 +395,6 @@ bool VectorPredicate::RowPasses(const Node& node, const ColumnBatch& batch,
   return false;
 }
 
-Status VectorPredicate::Filter(const ColumnBatch& batch,
-                               SelectionVector* sel) const {
-  const size_t n = batch.row_count();
-  if (generic_ != nullptr) {
-    Row scratch;
-    EvalContext ctx;
-    for (RowIndex i = 0; i < n; ++i) {
-      batch.MaterializeRow(i, &scratch);
-      ASSIGN_OR_RETURN(bool keep, EvalPredicate(*generic_, scratch, ctx));
-      if (keep) sel->push_back(i);
-    }
-    return Status::OK();
-  }
-  if (root_.kind == NodeKind::kPassAll) {
-    sel->reserve(sel->size() + n);
-    for (RowIndex i = 0; i < n; ++i) sel->push_back(i);
-    return Status::OK();
-  }
-  for (RowIndex i = 0; i < n; ++i) {
-    if (RowPasses(root_, batch, i)) sel->push_back(i);
-  }
-  return Status::OK();
-}
-
 Status VectorPredicate::FilterPositions(const ColumnBatch& batch,
                                         const SelectionVector& sel,
                                         size_t from, size_t to,
@@ -444,29 +420,6 @@ Status VectorPredicate::FilterPositions(const ColumnBatch& batch,
     if (RowPasses(root_, batch, sel[p])) {
       positions->push_back(static_cast<uint32_t>(p));
     }
-  }
-  return Status::OK();
-}
-
-Status VectorPredicate::FilterSelection(const ColumnBatch& batch,
-                                        const SelectionVector& sel_in,
-                                        SelectionVector* sel_out) const {
-  if (generic_ != nullptr) {
-    Row scratch;
-    EvalContext ctx;
-    for (RowIndex i : sel_in) {
-      batch.MaterializeRow(i, &scratch);
-      ASSIGN_OR_RETURN(bool keep, EvalPredicate(*generic_, scratch, ctx));
-      if (keep) sel_out->push_back(i);
-    }
-    return Status::OK();
-  }
-  if (root_.kind == NodeKind::kPassAll) {
-    sel_out->insert(sel_out->end(), sel_in.begin(), sel_in.end());
-    return Status::OK();
-  }
-  for (RowIndex i : sel_in) {
-    if (RowPasses(root_, batch, i)) sel_out->push_back(i);
   }
   return Status::OK();
 }

@@ -266,31 +266,17 @@ class VectorPredicate {
   /// pointer must outlive this object; it is retained for the fallback.
   static VectorPredicate Compile(const BoundExpr* expr);
 
-  /// Appends the indices of passing rows in [0, batch.row_count()) to
-  /// *sel, in order. NULL and false both reject (EvalPredicate semantics).
-  /// Errors surface exactly where the row path would surface them.
-  Status Filter(const ColumnBatch& batch, SelectionVector* sel) const;
-
-  /// Same, over an input selection (filters sel_in into *sel_out).
-  Status FilterSelection(const ColumnBatch& batch,
-                         const SelectionVector& sel_in,
-                         SelectionVector* sel_out) const;
-
   /// Appends to *positions each p in [from, to) for which row sel[p]
-  /// passes. Callers with per-position side arrays (timestamps, sequence
-  /// numbers) use this to filter without losing the alignment.
+  /// passes, in order. NULL and false both reject (EvalPredicate
+  /// semantics), and errors surface exactly where the row path would
+  /// surface them. Callers with per-position side arrays (timestamps,
+  /// sequence numbers) keep their alignment.
   Status FilterPositions(const ColumnBatch& batch, const SelectionVector& sel,
                          size_t from, size_t to,
                          std::vector<uint32_t>* positions) const;
 
   /// True when the whole predicate runs columnar (no per-row Eval).
   bool vectorized() const { return generic_ == nullptr; }
-
-  /// True when every row passes (no WHERE clause). Callers iterate the
-  /// selection directly instead of materializing a positions vector.
-  bool pass_all() const {
-    return generic_ == nullptr && root_.kind == NodeKind::kPassAll;
-  }
 
  private:
   enum class NodeKind {

@@ -122,6 +122,9 @@ Result<Value> EvalScalarFunction(const std::string& name,
     if (args.size() != 1) return arity_error();
     if (args[0].is_null()) return Value::Null();
     if (args[0].type() == DataType::kInt64) {
+      if (args[0].AsInt64() == INT64_MIN) {  // -INT64_MIN does not fit
+        return Status::ExecutionError("bigint out of range");
+      }
       return Value::Int64(std::abs(args[0].AsInt64()));
     }
     return Value::Double(std::abs(args[0].AsDouble()));

@@ -462,10 +462,7 @@ void Server::DispatchFrame(const ConnPtr& conn, Frame frame) {
                                          " from client"));
       break;
   }
-  {
-    std::lock_guard<std::mutex> lock(hist_mu_);
-    request_micros_.Record(ElapsedMicros(start));
-  }
+  request_micros_.Record(ElapsedMicros(start));
 }
 
 void Server::DoQuery(const ConnPtr& conn, uint64_t request_id,
@@ -1019,16 +1016,7 @@ void Server::AppendNetStats(
   add("subscriptions", "pushes_disconnected", s.pushes_disconnected);
   add("subscriptions", "slow_disconnects", s.slow_disconnects);
   add("subscriptions", "send_queue_bytes", s.send_queue_bytes);
-  {
-    std::lock_guard<std::mutex> lock(hist_mu_);
-    add("requests", "request_micros_count", request_micros_.count());
-    add("requests", "request_micros_total", request_micros_.sum());
-    add("requests", "request_micros_min", request_micros_.min());
-    add("requests", "request_micros_max", request_micros_.max());
-    add("requests", "request_micros_p50", request_micros_.Percentile(0.50));
-    add("requests", "request_micros_p95", request_micros_.Percentile(0.95));
-    add("requests", "request_micros_p99", request_micros_.Percentile(0.99));
-  }
+  request_micros_.AppendSamples("net", "requests", "request_micros", samples);
   // Primary-side shipping counters live under scope `repl` (not `net`),
   // joining the engine's standby-side gauges so `SHOW STATS FOR REPL`
   // reads the whole pair's health from either end.

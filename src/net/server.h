@@ -288,8 +288,8 @@ class Server {
     std::atomic<int64_t> subscriptions_active{0};
   } counters_;
 
-  /// Per-request wall-time histogram (decode to response-enqueue).
-  mutable std::mutex hist_mu_;
+  /// Per-request wall-time histogram (decode to response-enqueue);
+  /// internally locked.
   stream::Histogram request_micros_;
 };
 

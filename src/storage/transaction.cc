@@ -89,11 +89,6 @@ bool TransactionManager::IsVisible(TxnId xmin, TxnId xmax,
   return xmax == kInvalidTxn || !CommittedInLocked(xmax, snap, reader);
 }
 
-uint64_t TransactionManager::last_commit_seq() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return next_commit_seq_ - 1;
-}
-
 Result<int64_t> TransactionManager::CommitTime(TxnId txn) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = txns_.find(txn);

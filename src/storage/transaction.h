@@ -62,8 +62,6 @@ class TransactionManager {
   /// True if `txn` is committed in `snap`, or is `reader` itself.
   bool CommittedIn(TxnId txn, const Snapshot& snap, TxnId reader) const;
 
-  uint64_t last_commit_seq() const;
-
   /// Commit time (micros) of a committed transaction, or kNotFound if the
   /// transaction is unknown, active, or aborted. Subscription resume uses
   /// this to group a channel table's rows back into the windows that

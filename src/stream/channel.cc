@@ -171,11 +171,6 @@ Status Channel::Persist(int64_t close, const std::vector<Row>& rows) {
   batches_persisted_.fetch_add(1, std::memory_order_relaxed);
   rows_persisted_.fetch_add(static_cast<int64_t>(rows.size()),
                             std::memory_order_relaxed);
-  if (batches_metric_ != nullptr) batches_metric_->Add();
-  if (rows_metric_ != nullptr) {
-    rows_metric_->Add(static_cast<int64_t>(rows.size()));
-  }
-  if (watermark_metric_ != nullptr) watermark_metric_->Set(close);
   return Status::OK();
 }
 

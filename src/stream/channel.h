@@ -11,7 +11,6 @@
 #include "common/status.h"
 #include "storage/transaction.h"
 #include "storage/wal.h"
-#include "stream/metrics.h"
 
 namespace streamrel::stream {
 
@@ -60,15 +59,6 @@ class Channel {
     return rows_persisted_.load(std::memory_order_relaxed);
   }
 
-  /// Optional observability hookup: mirrors persisted batch/row counts and
-  /// the last commit watermark into registry-owned metrics. Any pointer
-  /// may be null.
-  void BindMetrics(Counter* batches, Counter* rows, Gauge* commit_watermark) {
-    batches_metric_ = batches;
-    rows_metric_ = rows;
-    watermark_metric_ = commit_watermark;
-  }
-
  private:
   /// Writes one batch in one logged transaction that commits at `close`,
   /// then advances the watermark to it.
@@ -80,13 +70,10 @@ class Channel {
   storage::WriteAheadLog* wal_;
   // Atomics: mutated under the source stream's ingest lock (plus the DML
   // lock for the table write), but read by concurrent sys_channels
-  // refreshes holding only the shared engine lock.
+  // refreshes and SHOW STATS holding only the shared engine lock.
   std::atomic<int64_t> watermark_{INT64_MIN};
   std::atomic<int64_t> batches_persisted_{0};
   std::atomic<int64_t> rows_persisted_{0};
-  Counter* batches_metric_ = nullptr;
-  Counter* rows_metric_ = nullptr;
-  Gauge* watermark_metric_ = nullptr;
 };
 
 /// The one table write path (DESIGN.md, "The write path"): every writer

@@ -1,79 +1,12 @@
 #include "stream/continuous_query.h"
 
+#include <algorithm>
 #include <chrono>
 
 #include "common/string_util.h"
 #include "exec/operators.h"
 
 namespace streamrel::stream {
-
-// --- SliceAggregatorRegistry -------------------------------------------------
-
-Result<SliceAggregatorRegistry::Registration> SliceAggregatorRegistry::Attach(
-    const std::string& stream_name, const std::string& label,
-    const std::string& signature, int64_t slice_width,
-    exec::BoundExprPtr filter, std::vector<exec::BoundExprPtr> group_exprs,
-    std::vector<exec::AggregateCall> calls) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (Entry& entry : pipelines_) {
-    if (entry.signature != signature ||
-        !entry.aggregator->CanAccept(calls)) {
-      continue;
-    }
-    ASSIGN_OR_RETURN(std::vector<size_t> mapping,
-                     entry.aggregator->RegisterCalls(std::move(calls)));
-    Registration reg;
-    reg.aggregator = entry.aggregator.get();
-    reg.slot_mapping = std::move(mapping);
-    return reg;
-  }
-  // No compatible pipeline: open a fresh one. A CQ whose aggregates are
-  // missing from a live pipeline cannot share it (its history cannot be
-  // backfilled), so it starts a new one that future CQs can join.
-  auto aggregator = std::make_unique<SliceAggregator>(
-      slice_width, std::move(filter), std::move(group_exprs));
-  ASSIGN_OR_RETURN(std::vector<size_t> mapping,
-                   aggregator->RegisterCalls(std::move(calls)));
-  Registration reg;
-  reg.aggregator = aggregator.get();
-  reg.slot_mapping = std::move(mapping);
-  by_stream_[ToLower(stream_name)].push_back(aggregator.get());
-  pipelines_.push_back(Entry{label + "#" + std::to_string(++created_),
-                             signature, ToLower(stream_name),
-                             std::move(aggregator)});
-  return reg;
-}
-
-std::string SliceAggregatorRegistry::Detach(SliceAggregator* aggregator) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (aggregator->RemoveMember() > 0) return "";
-  for (auto it = pipelines_.begin(); it != pipelines_.end(); ++it) {
-    if (it->aggregator.get() != aggregator) continue;
-    std::erase(by_stream_[it->stream], aggregator);
-    std::string name = std::move(it->name);
-    pipelines_.erase(it);
-    return name;
-  }
-  return "";
-}
-
-const std::vector<SliceAggregator*>& SliceAggregatorRegistry::ForStream(
-    const std::string& stream_name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return by_stream_[ToLower(stream_name)];
-}
-
-std::vector<SliceAggregatorRegistry::PipelineRef>
-SliceAggregatorRegistry::Pipelines() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<PipelineRef> refs;
-  refs.reserve(pipelines_.size());
-  for (const Entry& entry : pipelines_) {
-    refs.push_back(
-        PipelineRef{entry.name, entry.stream, entry.aggregator.get()});
-  }
-  return refs;
-}
 
 // --- ContinuousQuery build ---------------------------------------------------
 
@@ -96,8 +29,8 @@ bool ReadsClose(const exec::BoundExpr& e) {
 
 Result<std::unique_ptr<ContinuousQuery>> ContinuousQuery::Build(
     std::string name, const sql::SelectStmt& stmt,
-    const catalog::Catalog* catalog, const storage::TransactionManager* txns,
-    SliceAggregatorRegistry* registry, bool allow_shared) {
+    const catalog::Catalog* catalog,
+    const storage::TransactionManager* txns) {
   exec::Planner planner(catalog);
   ASSIGN_OR_RETURN(exec::PlannedQuery plan, planner.PlanSelect(stmt));
   if (!plan.is_continuous()) {
@@ -114,14 +47,12 @@ Result<std::unique_ptr<ContinuousQuery>> ContinuousQuery::Build(
   cq->output_schema_ = plan.output_schema;
   cq->txns_ = txns;
   cq->plan_ = std::make_unique<exec::PlannedQuery>(std::move(plan));
-  if (allow_shared && registry != nullptr) {
-    RETURN_IF_ERROR(cq->Share(catalog, registry));
-  }
   return cq;
 }
 
 Status ContinuousQuery::Share(const catalog::Catalog* catalog,
-                              SliceAggregatorRegistry* registry) {
+                              std::vector<SharedPipeline>* pipelines,
+                              int64_t* created) {
   const exec::StreamLeaf& leaf = plan_->stream_leaves[0];
   const catalog::StreamInfo* stream = catalog->GetStream(leaf.stream_name);
   if (stream == nullptr || stream->is_derived ||
@@ -175,16 +106,28 @@ Status ContinuousQuery::Share(const catalog::Catalog* catalog,
   // The stream leaf goes with the aggregate's input.
   exec::HashAggregateNode::Input input = agg->TakeInput();
   plan_->stream_leaves[0].buffer = nullptr;
-  ASSIGN_OR_RETURN(
-      SliceAggregatorRegistry::Registration reg,
-      registry->Attach(stream->name, label, signature, slice_width,
-                       filter != nullptr ? filter->TakePredicate() : nullptr,
-                       std::move(input.group_exprs),
-                       std::move(input.agg_calls)));
-  reg.aggregator->NoteWindowVisible(window_.visible);
-  shared_agg_ = reg.aggregator;
+  auto joined = std::find_if(
+      pipelines->begin(), pipelines->end(), [&](const SharedPipeline& p) {
+        return p.signature == signature &&
+               p.aggregator->CanAccept(input.agg_calls);
+      });
+  if (joined != pipelines->end()) {
+    ASSIGN_OR_RETURN(slot_mapping_, joined->aggregator->RegisterCalls(
+                                        std::move(input.agg_calls)));
+    shared_agg_ = joined->aggregator.get();
+  } else {
+    auto aggregator = std::make_unique<SliceAggregator>(
+        slice_width, filter != nullptr ? filter->TakePredicate() : nullptr,
+        std::move(input.group_exprs));
+    ASSIGN_OR_RETURN(slot_mapping_, aggregator->RegisterCalls(
+                                        std::move(input.agg_calls)));
+    shared_agg_ = aggregator.get();
+    pipelines->push_back(
+        SharedPipeline{label + "#" + std::to_string(++*created),
+                       std::move(signature), std::move(aggregator)});
+  }
+  shared_agg_->NoteWindowVisible(window_.visible);
   fed_ = agg;
-  slot_mapping_ = std::move(reg.slot_mapping);
   exec::AppendKey(window_.visible, &program_key_);
   exec::AppendKey(static_cast<int64_t>(slot_mapping_.size()), &program_key_);
   for (size_t slot : slot_mapping_) {
@@ -198,7 +141,6 @@ Status ContinuousQuery::Share(const catalog::Catalog* catalog,
 
 Status ContinuousQuery::OnWindowClose(const WindowBatch& batch,
                                       CloseMemo* memo) {
-  windows_evaluated_.fetch_add(1, std::memory_order_relaxed);
   auto start = std::chrono::steady_clock::now();
   std::vector<Row> own;
   const std::vector<Row>* out = &own;
@@ -211,19 +153,12 @@ Status ContinuousQuery::OnWindowClose(const WindowBatch& batch,
     leaf->SetBatch(nullptr);
     RETURN_IF_ERROR(run);
   }
-  int64_t eval_micros =
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - start)
-          .count();
-  eval_micros_total_.fetch_add(eval_micros, std::memory_order_relaxed);
-  if (windows_metric_ != nullptr) windows_metric_->Add();
-  if (eval_metric_ != nullptr) eval_metric_->Record(eval_micros);
+  eval_micros_.Record(std::chrono::duration_cast<std::chrono::microseconds>(
+                          std::chrono::steady_clock::now() - start)
+                          .count());
   if (batch.close_micros > emit_watermark_.load(std::memory_order_relaxed)) {
     rows_emitted_.fetch_add(static_cast<int64_t>(out->size()),
                             std::memory_order_relaxed);
-    if (rows_metric_ != nullptr) {
-      rows_metric_->Add(static_cast<int64_t>(out->size()));
-    }
     RETURN_IF_ERROR(Deliver(batch.close_micros, *out));
   }
   return Status::OK();

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -24,67 +23,15 @@ namespace streamrel::stream {
 using CqCallback =
     std::function<Status(int64_t close, const std::vector<Row>& rows)>;
 
-/// A registry of shared slice-aggregation pipelines, keyed by an exact
-/// signature: stream, slice width, and the bound WHERE filter and GROUP BY
-/// keys. CQs with equal signatures attach to the same SliceAggregator; a
-/// CQ that would need to add aggregates to a pipeline that has already
-/// absorbed rows gets a fresh one (no backfill). Each pipeline is named
-/// "<label>#<n>" for observability, where `n` counts the pipelines the
-/// registry has created.
-class SliceAggregatorRegistry {
- public:
-  struct Registration {
-    SliceAggregator* aggregator = nullptr;  // owned by the registry
-    std::vector<size_t> slot_mapping;       // CQ call -> union slot
-  };
-
-  /// Finds or creates the pipeline for `signature`, registering `calls`.
-  /// A new pipeline is named after `label`.
-  Result<Registration> Attach(const std::string& stream_name,
-                              const std::string& label,
-                              const std::string& signature,
-                              int64_t slice_width,
-                              exec::BoundExprPtr filter,
-                              std::vector<exec::BoundExprPtr> group_exprs,
-                              std::vector<exec::AggregateCall> calls);
-
-  /// Removes one member from `aggregator`. The last member's departure
-  /// destroys the pipeline: it leaves ForStream (no more absorbing) and
-  /// releases its governor charge. Returns the destroyed pipeline's name,
-  /// or "" while members remain.
-  std::string Detach(SliceAggregator* aggregator);
-
-  /// All pipelines attached to `stream_name` (ingest fan-out). The
-  /// returned vector reference is node-stable across concurrent lookups
-  /// (the map entry, once created, never moves) and is only mutated by
-  /// Attach and Detach, which run under the exclusive engine lock.
-  const std::vector<SliceAggregator*>& ForStream(
-      const std::string& stream_name);
-
-  size_t pipeline_count() const { return pipelines_.size(); }
-
-  /// One live pipeline, for observability enumeration.
-  struct PipelineRef {
-    std::string key;     // the pipeline's name ("<label>#<n>")
-    std::string stream;  // lowercased source stream
-    const SliceAggregator* aggregator = nullptr;
-  };
-  std::vector<PipelineRef> Pipelines() const;
-
- private:
-  struct Entry {
-    std::string name;
-    std::string signature;
-    std::string stream;
-    std::unique_ptr<SliceAggregator> aggregator;
-  };
-  /// Leaf mutex guarding the containers: ForStream lazily inserts an empty
-  /// per-stream vector during shared-mode ingest, which can race another
-  /// stream's ingest doing the same. Held only for container operations.
-  mutable std::mutex mu_;
-  std::vector<Entry> pipelines_;  // creation order: Attach tries oldest first
-  int64_t created_ = 0;
-  std::map<std::string, std::vector<SliceAggregator*>> by_stream_;
+/// One shared slice-aggregation pipeline of a raw stream. CQs whose exact
+/// signatures (slice width, and the bound WHERE filter and GROUP BY keys)
+/// are equal attach to the same SliceAggregator; the last member's
+/// departure destroys it. A stream keeps its pipelines oldest first, on
+/// its runtime state.
+struct SharedPipeline {
+  std::string name;       // "<label>#<n>"; n counts pipelines engine-wide
+  std::string signature;  // the label plus the exact filter and keys
+  std::unique_ptr<SliceAggregator> aggregator;
 };
 
 /// The window-close work that shared-strategy CQs share within one close
@@ -139,21 +86,30 @@ class ContinuousQuery {
  public:
   ~ContinuousQuery() = default;
 
-  /// Builds a CQ from an analyzed statement. Shares it when
-  /// `allow_shared` and its plan allows; otherwise it is generic.
-  /// `registry` may be null only when `allow_shared` is false.
+  /// Builds a generic CQ from an analyzed statement; Share may then move
+  /// its aggregation into a pipeline of its stream.
   static Result<std::unique_ptr<ContinuousQuery>> Build(
       std::string name, const sql::SelectStmt& stmt,
       const catalog::Catalog* catalog,
-      const storage::TransactionManager* txns,
-      SliceAggregatorRegistry* registry, bool allow_shared);
+      const storage::TransactionManager* txns);
+
+  /// Moves the plan's aggregation into one of `pipelines`, its stream's,
+  /// when the plan allows it (see the class comment); leaves the CQ
+  /// generic otherwise. The CQ joins the oldest pipeline with its exact
+  /// signature that can still take its calls. A CQ whose aggregates are
+  /// missing from a pipeline that has absorbed rows cannot join it (its
+  /// history cannot be backfilled), so it appends a fresh one named
+  /// "<label>#<++*created>" that later CQs can join.
+  Status Share(const catalog::Catalog* catalog,
+               std::vector<SharedPipeline>* pipelines, int64_t* created);
 
   const std::string& name() const { return name_; }
   const Schema& output_schema() const { return output_schema_; }
   const std::string& stream_name() const { return stream_name_; }
   const WindowSpec& window() const { return window_; }
   bool is_shared() const { return shared_agg_ != nullptr; }
-  /// The shared pipeline this CQ reads (null on the generic path).
+  /// The shared pipeline this CQ reads (null on the generic path); owned
+  /// by its stream's pipeline list.
   SliceAggregator* shared_aggregator() const { return shared_agg_; }
 
   /// Registers a delivery callback; the returned id can later detach it
@@ -171,8 +127,6 @@ class ContinuousQuery {
                   [id](const CallbackEntry& e) { return e.id == id; });
   }
 
-  size_t callback_count() const { return callbacks_.size(); }
-
   /// Generic path: evaluates the plan over one closed window's contents.
   /// Shared path: reads the shared aggregator as of the batch close (the
   /// batch rows themselves are ignored — the aggregator already saw them),
@@ -189,27 +143,15 @@ class ContinuousQuery {
     return emit_watermark_.load(std::memory_order_relaxed);
   }
 
-  /// Total windows evaluated / rows emitted (for tests and benchmarks).
-  int64_t windows_evaluated() const {
-    return windows_evaluated_.load(std::memory_order_relaxed);
-  }
-
-  /// Wall time spent evaluating windows (not counting delivery callbacks).
-  int64_t eval_micros_total() const {
-    return eval_micros_total_.load(std::memory_order_relaxed);
-  }
+  /// Windows evaluated successfully, and the wall time spent evaluating
+  /// them (not counting delivery callbacks): the count and the sum of
+  /// eval_micros().
+  int64_t windows_evaluated() const { return eval_micros_.count(); }
+  int64_t eval_micros_total() const { return eval_micros_.sum(); }
+  /// Per-close evaluation latency of every successful window close.
+  const Histogram& eval_micros() const { return eval_micros_; }
   int64_t rows_emitted() const {
     return rows_emitted_.load(std::memory_order_relaxed);
-  }
-
-  /// Optional observability hookup: mirrors window closes, rows emitted,
-  /// and per-close eval latency into registry-owned metrics. Any pointer
-  /// may be null.
-  void BindMetrics(Counter* windows_closed, Counter* rows_emitted,
-                   Histogram* eval_micros) {
-    windows_metric_ = windows_closed;
-    rows_metric_ = rows_emitted;
-    eval_metric_ = eval_micros;
   }
 
   /// Base tables this CQ's plan references (lowercased; empty for the
@@ -222,11 +164,6 @@ class ContinuousQuery {
  private:
   ContinuousQuery() = default;
 
-  /// Moves the plan's aggregation into a pipeline of `registry` when the
-  /// plan allows it (see the class comment); leaves the CQ generic
-  /// otherwise.
-  Status Share(const catalog::Catalog* catalog,
-               SliceAggregatorRegistry* registry);
   /// Returns the rows to deliver: `*own` on a dedicated pipeline, else a
   /// memo entry this or an identical member made.
   Result<const std::vector<Row>*> EvaluateShared(int64_t close,
@@ -248,22 +185,18 @@ class ContinuousQuery {
   Schema output_schema_;
   std::vector<CallbackEntry> callbacks_;
   int64_t next_callback_id_ = 1;
-  // Atomics: bumped under the owning stream's ingest lock but read by
-  // concurrent SHOW STATS / sys_cqs refreshes that hold only the shared
-  // engine lock.
+  // Atomics (and an internally locked histogram): bumped under the owning
+  // stream's ingest lock but read by concurrent SHOW STATS / sys_cqs
+  // refreshes that hold only the shared engine lock.
   std::atomic<int64_t> emit_watermark_{INT64_MIN};
-  std::atomic<int64_t> windows_evaluated_{0};
-  std::atomic<int64_t> eval_micros_total_{0};
   std::atomic<int64_t> rows_emitted_{0};
-  Counter* windows_metric_ = nullptr;
-  Counter* rows_metric_ = nullptr;
-  Histogram* eval_metric_ = nullptr;
+  Histogram eval_micros_{Histogram::LatencyMicrosBounds()};
 
   const storage::TransactionManager* txns_ = nullptr;
   std::unique_ptr<exec::PlannedQuery> plan_;
 
   // Shared path.
-  SliceAggregator* shared_agg_ = nullptr;  // owned by the registry
+  SliceAggregator* shared_agg_ = nullptr;  // owned by the stream
   exec::HashAggregateNode* fed_ = nullptr;  // in plan_, fed each close
   std::vector<size_t> slot_mapping_;        // local agg slot -> union slot
   /// Exact encoding of VISIBLE, the slot mapping and the operators above

@@ -2,8 +2,19 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <string_view>
+#include <tuple>
 
 namespace streamrel::stream {
+
+namespace {
+
+/// A histogram's samples, in the order AppendSamples emits them.
+constexpr std::string_view kHistogramSuffixes[] = {
+    "_count", "_total", "_min", "_max", "_p50", "_p95", "_p99"};
+
+}  // namespace
 
 Histogram::Histogram(std::vector<int64_t> bounds)
     : bounds_(std::move(bounds)), buckets_(bounds_.size() + 1, 0) {}
@@ -26,6 +37,10 @@ void Histogram::Record(int64_t value) {
 
 int64_t Histogram::Percentile(double q) const {
   std::lock_guard<std::mutex> lock(mu_);
+  return PercentileLocked(q);
+}
+
+int64_t Histogram::PercentileLocked(double q) const {
   if (count_ == 0) return 0;
   // In double throughout, so no product of a value and a count overflows.
   const double rank = std::clamp(q, 0.0, 1.0) * static_cast<double>(count_);
@@ -49,97 +64,46 @@ int64_t Histogram::Percentile(double q) const {
   return max_;
 }
 
-Counter* MetricsRegistry::GetCounter(const std::string& scope,
-                                     const std::string& name,
-                                     const std::string& metric) {
+void Histogram::AppendSamples(const std::string& scope,
+                              const std::string& name,
+                              const std::string& metric,
+                              std::vector<MetricSample>* out) const {
   std::lock_guard<std::mutex> lock(mu_);
-  Cell& cell = cells_[Key(scope, name, metric)];
-  if (cell.counter == nullptr) cell.counter = std::make_unique<Counter>();
-  return cell.counter.get();
-}
-
-Gauge* MetricsRegistry::GetGauge(const std::string& scope,
-                                 const std::string& name,
-                                 const std::string& metric) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Cell& cell = cells_[Key(scope, name, metric)];
-  if (cell.gauge == nullptr) cell.gauge = std::make_unique<Gauge>();
-  return cell.gauge.get();
-}
-
-Gauge* MetricsRegistry::GetWatermarkGauge(const std::string& scope,
-                                          const std::string& name,
-                                          const std::string& metric) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Cell& cell = cells_[Key(scope, name, metric)];
-  cell.is_timestamp = true;
-  if (cell.gauge == nullptr) {
-    cell.gauge = std::make_unique<Gauge>();
-    cell.gauge->Set(INT64_MIN);
-  }
-  return cell.gauge.get();
-}
-
-Histogram* MetricsRegistry::GetHistogram(const std::string& scope,
-                                         const std::string& name,
-                                         const std::string& metric) {
-  return GetHistogram(scope, name, metric, Histogram::LatencyMicrosBounds());
-}
-
-Histogram* MetricsRegistry::GetHistogram(const std::string& scope,
-                                         const std::string& name,
-                                         const std::string& metric,
-                                         std::vector<int64_t> bounds) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Cell& cell = cells_[Key(scope, name, metric)];
-  if (cell.histogram == nullptr) {
-    cell.histogram = std::make_unique<Histogram>(std::move(bounds));
-  }
-  return cell.histogram.get();
-}
-
-void MetricsRegistry::RemoveObject(const std::string& scope,
-                                   const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = cells_.lower_bound(Key(scope, name, ""));
-  while (it != cells_.end() && std::get<0>(it->first) == scope &&
-         std::get<1>(it->first) == name) {
-    it = cells_.erase(it);
+  const int64_t values[] = {count_,
+                            sum_,
+                            count_ == 0 ? 0 : min_,
+                            count_ == 0 ? 0 : max_,
+                            PercentileLocked(0.50),
+                            PercentileLocked(0.95),
+                            PercentileLocked(0.99)};
+  for (size_t i = 0; i < std::size(values); ++i) {
+    out->push_back(MetricSample{
+        scope, name, metric + std::string(kHistogramSuffixes[i]), values[i]});
   }
 }
 
-std::vector<MetricSample> MetricsRegistry::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<MetricSample> samples;
-  samples.reserve(cells_.size() * 2);
-  for (const auto& [key, cell] : cells_) {
-    const auto& [scope, name, metric] = key;
-    auto emit = [&](const std::string& suffix, int64_t value,
-                    bool is_timestamp = false) {
-      MetricSample s;
-      s.scope = scope;
-      s.name = name;
-      s.metric = suffix.empty() ? metric : metric + suffix;
-      s.value = value;
-      s.is_timestamp = is_timestamp;
-      samples.push_back(std::move(s));
-    };
-    if (cell.counter != nullptr) emit("", cell.counter->value());
-    if (cell.gauge != nullptr) {
-      emit("", cell.gauge->value(), cell.is_timestamp);
+void SortSamples(std::vector<MetricSample>* samples) {
+  // (scope, name, the metric without a histogram suffix, the suffix's
+  // rank): a histogram sorts at its own name, its samples in emission
+  // order. A plain metric has rank 0.
+  using Key = std::tuple<std::string_view, std::string_view,
+                         std::string_view, size_t>;
+  auto key = [](const MetricSample& s) {
+    const std::string_view metric = s.metric;
+    for (size_t i = 0; i < std::size(kHistogramSuffixes); ++i) {
+      if (metric.ends_with(kHistogramSuffixes[i])) {
+        return Key(s.scope, s.name,
+                   metric.substr(0, metric.size() -
+                                        kHistogramSuffixes[i].size()),
+                   i + 1);
+      }
     }
-    if (cell.histogram != nullptr) {
-      const Histogram& h = *cell.histogram;
-      emit("_count", h.count());
-      emit("_total", h.sum());
-      emit("_min", h.min());
-      emit("_max", h.max());
-      emit("_p50", h.Percentile(0.50));
-      emit("_p95", h.Percentile(0.95));
-      emit("_p99", h.Percentile(0.99));
-    }
-  }
-  return samples;
+    return Key(s.scope, s.name, metric, 0);
+  };
+  std::sort(samples->begin(), samples->end(),
+            [&](const MetricSample& a, const MetricSample& b) {
+              return key(a) < key(b);
+            });
 }
 
 }  // namespace streamrel::stream

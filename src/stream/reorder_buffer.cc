@@ -37,7 +37,6 @@ void ReorderBuffer::ReleaseCharge(int64_t bytes) {
 Status ReorderBuffer::Push(int64_t ts, Row row) {
   if (watermark_ != INT64_MIN && ts < watermark_ - slack_) {
     ++rejected_;
-    if (rejected_metric_ != nullptr) rejected_metric_->Add();
     return Status::InvalidArgument(
         "row at " + std::to_string(ts) + " is earlier than the slack bound (" +
         std::to_string(watermark_ - slack_) + ")");
@@ -45,9 +44,6 @@ Status ReorderBuffer::Push(int64_t ts, Row row) {
   ChargeRow(row);
   pending_[ts].push_back(std::move(row));
   ++buffered_;
-  if (buffered_metric_ != nullptr) {
-    buffered_metric_->Set(static_cast<int64_t>(buffered_));
-  }
   if (ts > watermark_) watermark_ = ts;
   // Everything at or before watermark - slack can no longer be displaced.
   return ReleaseUpTo(watermark_ - slack_);
@@ -82,13 +78,7 @@ Status ReorderBuffer::ReleaseUpTo(int64_t bound) {
   }
   buffered_ -= batch.size();
   ReleaseCharge(batch_bytes);
-  if (buffered_metric_ != nullptr) {
-    buffered_metric_->Set(static_cast<int64_t>(buffered_));
-  }
   released_ += static_cast<int64_t>(batch.size());
-  if (released_metric_ != nullptr) {
-    released_metric_->Add(static_cast<int64_t>(batch.size()));
-  }
   return Status::OK();
 }
 

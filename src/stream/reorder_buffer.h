@@ -9,7 +9,6 @@
 #include "common/memory_governor.h"
 #include "common/schema.h"
 #include "common/status.h"
-#include "stream/metrics.h"
 
 namespace streamrel::stream {
 
@@ -57,15 +56,6 @@ class ReorderBuffer {
   /// Rows rejected at Push for being older than the slack bound.
   int64_t rows_rejected() const { return rejected_; }
 
-  /// Optional observability hookup: mirrors released/rejected counts and
-  /// the buffered-row level into registry-owned metrics. Any pointer may
-  /// be null.
-  void BindMetrics(Counter* released, Counter* rejected, Gauge* buffered) {
-    released_metric_ = released;
-    rejected_metric_ = rejected;
-    buffered_metric_ = buffered;
-  }
-
   /// Charges pending-row bytes to `governor` (kReorder account) from now
   /// on; already-pending rows are charged immediately. nullptr detaches.
   void BindGovernor(MemoryGovernor* governor);
@@ -84,9 +74,6 @@ class ReorderBuffer {
   int64_t rejected_ = 0;
   int64_t bytes_buffered_ = 0;
   MemoryGovernor* governor_ = nullptr;
-  Counter* released_metric_ = nullptr;
-  Counter* rejected_metric_ = nullptr;
-  Gauge* buffered_metric_ = nullptr;
 };
 
 }  // namespace streamrel::stream

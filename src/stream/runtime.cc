@@ -24,10 +24,7 @@ const char* OverloadPolicyName(OverloadPolicy policy) {
 StreamRuntime::StreamRuntime(catalog::Catalog* catalog,
                              storage::TransactionManager* txns,
                              storage::WriteAheadLog* wal)
-    : catalog_(catalog), txns_(txns), wal_(wal) {
-  engine_rows_metric_ =
-      metrics_.GetCounter("engine", "runtime", "rows_ingested");
-}
+    : catalog_(catalog), txns_(txns), wal_(wal) {}
 
 StreamRuntime::StreamState* StreamRuntime::GetState(const std::string& name) {
   std::lock_guard<std::mutex> lock(maps_mu_);
@@ -51,28 +48,16 @@ Status StreamRuntime::RegisterStream(const std::string& name) {
     std::lock_guard<std::mutex> lock(maps_mu_);
     if (streams_.count(key)) return Status::OK();
   }
-  // Metric cells are created before taking maps_mu_: the registry has its
-  // own leaf mutex and cell creation is idempotent, so losing the insert
-  // race below just means this state object (bound to the same cells) is
-  // discarded.
+  // Losing a concurrent registration race just discards this state.
   auto state = std::make_unique<StreamState>();
   state->info = info;
-  state->rows_ingested_metric = metrics_.GetCounter(
-      "stream", key, "rows_ingested");
-  state->batches_published_metric = metrics_.GetCounter(
-      "stream", key, "batches_published");
-  state->rows_published_metric = metrics_.GetCounter(
-      "stream", key, "rows_published");
-  state->watermark_metric = metrics_.GetWatermarkGauge(
-      "stream", key, "watermark");
   std::lock_guard<std::mutex> lock(maps_mu_);
   streams_.try_emplace(std::move(key), std::move(state));
   return Status::OK();
 }
 
-Status StreamRuntime::AttachCqSubscription(ContinuousQuery* cq) {
-  RETURN_IF_ERROR(RegisterStream(cq->stream_name()));
-  StreamState* state = GetState(cq->stream_name());
+Status StreamRuntime::AttachCqSubscription(ContinuousQuery* cq,
+                                           StreamState* state) {
   if (cq->window().kind == WindowSpec::Kind::kSlices &&
       !state->info->is_derived) {
     return Status::InvalidArgument(
@@ -98,17 +83,18 @@ Result<ContinuousQuery*> StreamRuntime::CreateCq(const std::string& name,
                                  "' exists");
   }
   ASSIGN_OR_RETURN(std::unique_ptr<ContinuousQuery> cq,
-                   ContinuousQuery::Build(name, stmt, catalog_, txns_,
-                                          &registry_, allow_shared));
+                   ContinuousQuery::Build(name, stmt, catalog_, txns_));
   ContinuousQuery* ptr = cq.get();
-  RETURN_IF_ERROR(AttachCqSubscription(ptr));
+  RETURN_IF_ERROR(RegisterStream(ptr->stream_name()));
+  StreamState* state = GetState(ptr->stream_name());
+  if (allow_shared) {
+    RETURN_IF_ERROR(
+        ptr->Share(catalog_, &state->pipelines, &pipelines_created_));
+  }
+  RETURN_IF_ERROR(AttachCqSubscription(ptr, state));
   if (ptr->is_shared()) {
     ptr->shared_aggregator()->BindGovernor(&governor_);
   }
-  ptr->BindMetrics(metrics_.GetCounter("cq", key, "windows_closed"),
-                   metrics_.GetCounter("cq", key, "rows_emitted"),
-                   metrics_.GetHistogram("cq", key, "eval_micros"));
-  metrics_.GetGauge("cq", key, "is_shared")->Set(ptr->is_shared() ? 1 : 0);
   cqs_.emplace(std::move(key), std::move(cq));
   return ptr;
 }
@@ -120,22 +106,22 @@ Status StreamRuntime::DropCq(const std::string& name) {
     return Status::NotFound("continuous query '" + name + "' not found");
   }
   ContinuousQuery* cq = it->second.get();
+  // A running CQ's stream stays registered: it has this subscription.
   StreamState* state = GetState(cq->stream_name());
-  if (state != nullptr) {
-    for (auto sit = state->subs.begin(); sit != state->subs.end(); ++sit) {
-      if (sit->cq == cq) {
-        state->subs.erase(sit);
-        break;
-      }
+  for (auto sit = state->subs.begin(); sit != state->subs.end(); ++sit) {
+    if (sit->cq == cq) {
+      state->subs.erase(sit);
+      break;
     }
   }
   SliceAggregator* pipeline = cq->shared_aggregator();
   cqs_.erase(it);
-  metrics_.RemoveObject("cq", key);
-  if (pipeline != nullptr) {
-    // The last member's departure takes the pipeline's metrics with it.
-    const std::string dropped = registry_.Detach(pipeline);
-    if (!dropped.empty()) metrics_.RemoveObject("aggregator", dropped);
+  // The last member's departure destroys the pipeline: it stops absorbing
+  // and releases its governor charge.
+  if (pipeline != nullptr && pipeline->RemoveMember() == 0) {
+    std::erase_if(state->pipelines, [pipeline](const SharedPipeline& p) {
+      return p.aggregator.get() == pipeline;
+    });
   }
   return Status::OK();
 }
@@ -183,10 +169,6 @@ Status StreamRuntime::StartChannel(const std::string& name) {
     return Status::AlreadyExists("channel '" + name + "' already running");
   }
   auto channel = std::make_unique<Channel>(*info, table, txns_, wal_);
-  channel->BindMetrics(
-      metrics_.GetCounter("channel", key, "batches_persisted"),
-      metrics_.GetCounter("channel", key, "rows_persisted"),
-      metrics_.GetWatermarkGauge("channel", key, "commit_watermark"));
   GetState(info->from_stream)->channels.push_back(channel.get());
   channels_.emplace(std::move(key), std::move(channel));
   return Status::OK();
@@ -214,7 +196,6 @@ Status StreamRuntime::StopChannel(const std::string& name) {
     }
   }
   channels_.erase(it);
-  metrics_.RemoveObject("channel", ToLower(name));
   return Status::OK();
 }
 
@@ -254,11 +235,8 @@ Status StreamRuntime::UnregisterStream(const std::string& name) {
     return Status::InvalidArgument("stream '" + name + "' is in use by " +
                                    in_use);
   }
-  {
-    std::lock_guard<std::mutex> lock(maps_mu_);
-    streams_.erase(ToLower(name));
-  }
-  metrics_.RemoveObject("stream", ToLower(name));
+  std::lock_guard<std::mutex> lock(maps_mu_);
+  streams_.erase(ToLower(name));
   return Status::OK();
 }
 
@@ -468,7 +446,6 @@ Status StreamRuntime::DispatchBatch(StreamState* state,
                                     const exec::ColumnBatch& batch,
                                     const exec::SelectionVector& sel,
                                     const std::vector<int64_t>& ts) {
-  catalog::StreamInfo* info = state->info;
   // The in-flight columnar payload is charged as one batch, not per row;
   // released when the batch has been fully dispatched (the slices and
   // window buffers it feeds carry their own accounts).
@@ -498,12 +475,6 @@ Status StreamRuntime::DispatchBatch(StreamState* state,
     }
     return rows;
   };
-
-  // Re-resolved after every close step: a delivery callback may re-enter
-  // the engine and create a CQ on this stream, growing (and reallocating)
-  // the registry's pipeline vector.
-  const std::vector<SliceAggregator*>* pipelines =
-      &registry_.ForStream(info->name);
 
   // `due` is the earliest boundary at which a watermark-driven (shared)
   // subscription acts; INT64_MIN while one has not started its close
@@ -545,8 +516,11 @@ Status StreamRuntime::DispatchBatch(StreamState* state,
       p = std::min(first, n - 1);
     }
     if (ts[p] >= due) {
-      for (SliceAggregator* agg : *pipelines) {
-        RETURN_IF_ERROR(agg->AddBatch(batch, sel, ts, absorbed, p + 1));
+      // Read afresh at each absorb: a delivery callback in the previous
+      // close step may have added a pipeline.
+      for (const SharedPipeline& pipeline : state->pipelines) {
+        RETURN_IF_ERROR(
+            pipeline.aggregator->AddBatch(batch, sel, ts, absorbed, p + 1));
       }
       absorbed = p + 1;
     }
@@ -558,11 +532,10 @@ Status StreamRuntime::DispatchBatch(StreamState* state,
           sub.window_op->StartAt(ts[p]);
           return sub.window_op->AdvanceTime(ts[p], closed);
         }));
-    pipelines = &registry_.ForStream(info->name);
     schedule();
   }
-  for (SliceAggregator* agg : *pipelines) {
-    RETURN_IF_ERROR(agg->AddBatch(batch, sel, ts, absorbed, n));
+  for (const SharedPipeline& pipeline : state->pipelines) {
+    RETURN_IF_ERROR(pipeline.aggregator->AddBatch(batch, sel, ts, absorbed, n));
   }
   return FinishIngest(state, n, admitted);
 }
@@ -575,11 +548,6 @@ Status StreamRuntime::FinishIngest(
     const int64_t count = static_cast<int64_t>(n);
     rows_ingested_.fetch_add(count, std::memory_order_relaxed);
     state->overload.rows_admitted.fetch_add(count, std::memory_order_relaxed);
-    if (metrics_.enabled()) {
-      state->rows_ingested_metric->Add(count);
-      engine_rows_metric_->Add(count);
-      state->watermark_metric->Set(final_wm);
-    }
   }
   EvictSlices(*state, final_wm);
   if (state->channels.empty() && state->client_subs.empty()) {
@@ -606,8 +574,9 @@ void StreamRuntime::EvictSlices(const StreamState& state, int64_t watermark) {
   // Nothing is evictable before the first row or heartbeat sets the
   // watermark (and INT64_MIN - max_visible would overflow).
   if (watermark == INT64_MIN) return;
-  for (SliceAggregator* agg : registry_.ForStream(state.info->name)) {
-    agg->EvictBefore(watermark - agg->max_visible());
+  for (const SharedPipeline& pipeline : state.pipelines) {
+    SliceAggregator& agg = *pipeline.aggregator;
+    agg.EvictBefore(watermark - agg.max_visible());
   }
 }
 
@@ -624,7 +593,6 @@ Status StreamRuntime::AdvanceTime(const std::string& stream,
         return sub.window_op->AdvanceTime(watermark, closed);
       }));
   state->watermark.store(watermark, std::memory_order_relaxed);
-  if (metrics_.enabled()) state->watermark_metric->Set(watermark);
   EvictSlices(*state, watermark);
   return Status::OK();
 }
@@ -644,11 +612,9 @@ Status StreamRuntime::PublishBatch(const std::string& stream, int64_t close,
         return sub.window_op->AddBatch(close, rows, closed);
       }));
   state->watermark.store(close, std::memory_order_relaxed);
-  if (metrics_.enabled()) {
-    state->batches_published_metric->Add();
-    state->rows_published_metric->Add(static_cast<int64_t>(rows.size()));
-    state->watermark_metric->Set(close);
-  }
+  state->batches_published.fetch_add(1, std::memory_order_relaxed);
+  state->rows_published.fetch_add(static_cast<int64_t>(rows.size()),
+                                  std::memory_order_relaxed);
   for (Channel* channel : state->channels) {
     // OnBatch dedups closes at or below the channel watermark, so a retry
     // after a transient failure re-applies only the unpersisted batch.
@@ -965,109 +931,108 @@ std::vector<std::string> StreamRuntime::CqNames() const {
   return names;
 }
 
-void StreamRuntime::StreamLockStats(int64_t* acquisitions,
-                                    int64_t* contended) const {
-  *acquisitions = 0;
-  *contended = 0;
-  std::lock_guard<std::mutex> lock(maps_mu_);
-  for (const auto& [key, state] : streams_) {
-    *acquisitions += state->mu.acquisitions();
-    *contended += state->mu.contended();
-  }
-}
-
-void StreamRuntime::RefreshMetricsGauges() {
+void StreamRuntime::AppendStats(std::vector<MetricSample>* out) const {
+  auto add = [out](const char* scope, const std::string& name,
+                   const char* metric, int64_t value,
+                   bool is_timestamp = false) {
+    out->push_back(MetricSample{scope, name, metric, value, is_timestamp});
+  };
+  auto load = [](const std::atomic<int64_t>& a) {
+    return a.load(std::memory_order_relaxed);
+  };
+  // cqs_ and channels_ change only under the exclusive engine lock.
   int64_t shared = 0;
   for (const auto& [key, cq] : cqs_) {
     if (cq->is_shared()) ++shared;
-    metrics_.GetWatermarkGauge("cq", key, "emit_watermark")
-        ->Set(cq->emit_watermark());
+    add("cq", key, "windows_closed", cq->windows_evaluated());
+    add("cq", key, "rows_emitted", cq->rows_emitted());
+    add("cq", key, "is_shared", cq->is_shared() ? 1 : 0);
+    add("cq", key, "emit_watermark", cq->emit_watermark(), true);
+    cq->eval_micros().AppendSamples("cq", key, "eval_micros", out);
   }
-  int64_t stream_count;
-  {
-    std::lock_guard<std::mutex> lock(maps_mu_);
-    stream_count = static_cast<int64_t>(streams_.size());
+  for (const auto& [key, channel] : channels_) {
+    add("channel", key, "batches_persisted", channel->batches_persisted());
+    add("channel", key, "rows_persisted", channel->rows_persisted());
+    add("channel", key, "commit_watermark", channel->watermark(), true);
   }
-  metrics_.GetGauge("engine", "runtime", "streams")->Set(stream_count);
-  metrics_.GetGauge("engine", "runtime", "cqs")
-      ->Set(static_cast<int64_t>(cqs_.size()));
-  metrics_.GetGauge("engine", "runtime", "cqs_shared")->Set(shared);
-  metrics_.GetGauge("engine", "runtime", "cqs_generic")
-      ->Set(static_cast<int64_t>(cqs_.size()) - shared);
-  metrics_.GetGauge("engine", "runtime", "channels")
-      ->Set(static_cast<int64_t>(channels_.size()));
-  metrics_.GetGauge("engine", "runtime", "shared_pipelines")
-      ->Set(static_cast<int64_t>(registry_.pipeline_count()));
 
+  int64_t streams = 0;
+  int64_t pipelines = 0;
+  int64_t stream_acquisitions = 0;
+  int64_t stream_contended = 0;
   {
-    // maps_mu_ is held across the walk so a concurrent lazy registration
-    // cannot invalidate the iterator; the registry calls below only nest
-    // its own leaf mutex (the one permitted leaf-under-leaf pairing).
+    // Held across the walk so a concurrent lazy registration cannot
+    // invalidate the iterator. A stream's subscription and pipeline lists
+    // change only under the exclusive engine lock.
     std::lock_guard<std::mutex> lock(maps_mu_);
-    for (const auto& [key, state_ptr] : streams_) {
-      const StreamState& state = *state_ptr;
-      metrics_.GetGauge("stream", key, "cq_subscriptions")
-          ->Set(static_cast<int64_t>(state.subs.size()));
-      metrics_.GetGauge("stream", key, "channels")
-          ->Set(static_cast<int64_t>(state.channels.size()));
-      metrics_.GetGauge("stream", key, "client_subscriptions")
-          ->Set(static_cast<int64_t>(state.client_subs.size()));
-      state.watermark_metric->Set(
-          state.watermark.load(std::memory_order_relaxed));
-      metrics_.GetGauge("overload", key, "rows_admitted")
-          ->Set(state.overload.rows_admitted.load(std::memory_order_relaxed));
-      metrics_.GetGauge("overload", key, "rows_shed")
-          ->Set(state.overload.rows_shed.load(std::memory_order_relaxed));
-      metrics_.GetGauge("overload", key, "rows_quarantined")
-          ->Set(state.overload.rows_quarantined.load(
-              std::memory_order_relaxed));
-      metrics_.GetGauge("overload", key, "blocked_micros")
-          ->Set(state.overload.blocked_micros.load(
-              std::memory_order_relaxed));
+    for (const auto& [key, state] : streams_) {
+      ++streams;
+      stream_acquisitions += state->mu.acquisitions();
+      stream_contended += state->mu.contended();
+      const StreamState::AtomicOverload& o = state->overload;
+      // Every admitted row of a stream is an ingested row.
+      add("stream", key, "rows_ingested", load(o.rows_admitted));
+      add("stream", key, "batches_published", load(state->batches_published));
+      add("stream", key, "rows_published", load(state->rows_published));
+      add("stream", key, "watermark", load(state->watermark), true);
+      add("stream", key, "cq_subscriptions",
+          static_cast<int64_t>(state->subs.size()));
+      add("stream", key, "channels",
+          static_cast<int64_t>(state->channels.size()));
+      add("stream", key, "client_subscriptions",
+          static_cast<int64_t>(state->client_subs.size()));
+      add("overload", key, "rows_admitted", load(o.rows_admitted));
+      add("overload", key, "rows_shed", load(o.rows_shed));
+      add("overload", key, "rows_quarantined", load(o.rows_quarantined));
+      add("overload", key, "blocked_micros", load(o.blocked_micros));
+      for (const SharedPipeline& pipeline : state->pipelines) {
+        ++pipelines;
+        const SliceAggregator& agg = *pipeline.aggregator;
+        const std::string& name = pipeline.name;
+        add("aggregator", name, "member_cqs", agg.member_cqs());
+        add("aggregator", name, "window_merges", agg.window_merges());
+        add("aggregator", name, "evals_reused", agg.evals_reused());
+        add("aggregator", name, "rows_absorbed", agg.rows_absorbed());
+        add("aggregator", name, "live_slices",
+            static_cast<int64_t>(agg.live_slices()));
+        add("aggregator", name, "union_calls",
+            static_cast<int64_t>(agg.union_call_count()));
+        add("aggregator", name, "slice_width_micros", agg.slice_width());
+      }
     }
   }
 
-  metrics_.GetGauge("overload", "governor", "bytes_held")
-      ->Set(governor_.held());
-  metrics_.GetGauge("overload", "governor", "bytes_budget")
-      ->Set(governor_.budget());
-  metrics_.GetGauge("overload", "governor", "bytes_peak")
-      ->Set(governor_.peak_held());
-  metrics_.GetGauge("overload", "governor", "bytes_window")
-      ->Set(governor_.held(MemoryGovernor::Account::kWindow));
-  metrics_.GetGauge("overload", "governor", "bytes_aggregator")
-      ->Set(governor_.held(MemoryGovernor::Account::kAggregator));
-  metrics_.GetGauge("overload", "governor", "bytes_reorder")
-      ->Set(governor_.held(MemoryGovernor::Account::kReorder));
-  metrics_.GetGauge("overload", "governor", "bytes_net_send_queue")
-      ->Set(governor_.held(MemoryGovernor::Account::kNetSendQueue));
-  metrics_.GetGauge("overload", "governor", "bytes_ingest_batch")
-      ->Set(governor_.held(MemoryGovernor::Account::kIngestBatch));
-  metrics_.GetGauge("overload", "retry", "retries")
-      ->Set(retries_.load(std::memory_order_relaxed));
-  metrics_.GetGauge("overload", "retry", "exhausted")
-      ->Set(retries_exhausted_.load(std::memory_order_relaxed));
-  metrics_.GetGauge("overload", "quarantine", "rows_dropped")
-      ->Set(quarantine_dropped_.load(std::memory_order_relaxed));
+  add("engine", "runtime", "rows_ingested", rows_ingested());
+  add("engine", "runtime", "streams", streams);
+  add("engine", "runtime", "cqs", static_cast<int64_t>(cqs_.size()));
+  add("engine", "runtime", "cqs_shared", shared);
+  add("engine", "runtime", "cqs_generic",
+      static_cast<int64_t>(cqs_.size()) - shared);
+  add("engine", "runtime", "channels", static_cast<int64_t>(channels_.size()));
+  add("engine", "runtime", "shared_pipelines", pipelines);
+  // The runtime's own ranked locks (DESIGN decision 11): the table-write
+  // lock and the per-stream ingest locks, summed.
+  add("engine", "lock", "dml_acquisitions", dml_mu_.acquisitions());
+  add("engine", "lock", "dml_contended", dml_mu_.contended());
+  add("engine", "lock", "stream_acquisitions", stream_acquisitions);
+  add("engine", "lock", "stream_contended", stream_contended);
 
-  // Shared pipelines report under their names ("<label>#<n>"); DropCq
-  // removes a pipeline's metrics when its last member leaves.
-  for (const auto& ref : registry_.Pipelines()) {
-    metrics_.GetGauge("aggregator", ref.key, "member_cqs")
-        ->Set(ref.aggregator->member_cqs());
-    metrics_.GetGauge("aggregator", ref.key, "window_merges")
-        ->Set(ref.aggregator->window_merges());
-    metrics_.GetGauge("aggregator", ref.key, "evals_reused")
-        ->Set(ref.aggregator->evals_reused());
-    metrics_.GetGauge("aggregator", ref.key, "rows_absorbed")
-        ->Set(ref.aggregator->rows_absorbed());
-    metrics_.GetGauge("aggregator", ref.key, "live_slices")
-        ->Set(static_cast<int64_t>(ref.aggregator->live_slices()));
-    metrics_.GetGauge("aggregator", ref.key, "union_calls")
-        ->Set(static_cast<int64_t>(ref.aggregator->union_call_count()));
-    metrics_.GetGauge("aggregator", ref.key, "slice_width_micros")
-        ->Set(ref.aggregator->slice_width());
-  }
+  using Account = MemoryGovernor::Account;
+  add("overload", "governor", "bytes_held", governor_.held());
+  add("overload", "governor", "bytes_budget", governor_.budget());
+  add("overload", "governor", "bytes_peak", governor_.peak_held());
+  add("overload", "governor", "bytes_window", governor_.held(Account::kWindow));
+  add("overload", "governor", "bytes_aggregator",
+      governor_.held(Account::kAggregator));
+  add("overload", "governor", "bytes_reorder",
+      governor_.held(Account::kReorder));
+  add("overload", "governor", "bytes_net_send_queue",
+      governor_.held(Account::kNetSendQueue));
+  add("overload", "governor", "bytes_ingest_batch",
+      governor_.held(Account::kIngestBatch));
+  add("overload", "retry", "retries", load(retries_));
+  add("overload", "retry", "exhausted", load(retries_exhausted_));
+  add("overload", "quarantine", "rows_dropped", load(quarantine_dropped_));
 }
 
 }  // namespace streamrel::stream

@@ -74,7 +74,8 @@ class StreamRuntime {
 
   /// Creates and starts a named CQ over `stmt`. `allow_shared` gates the
   /// shared slice-aggregation strategy (benchmarks flip it off to measure
-  /// the sharing win).
+  /// the sharing win); a shared CQ joins or opens a pipeline of its
+  /// stream.
   Result<ContinuousQuery*> CreateCq(const std::string& name,
                                     const sql::SelectStmt& stmt,
                                     bool allow_shared = true);
@@ -249,21 +250,13 @@ class StreamRuntime {
 
   // --- observability ---------------------------------------------------------
 
-  MetricsRegistry* metrics() { return &metrics_; }
-  const MetricsRegistry* metrics() const { return &metrics_; }
-
-  /// Pulls structural state (live slices, pipeline membership, subscriber
-  /// counts, watermarks, object counts) into registry gauges. Hot-path
-  /// counters are pushed inline; call this before taking a Snapshot so the
-  /// pull-style gauges are current too. Runs safely under a shared engine
-  /// hold concurrent with ingest.
-  void RefreshMetricsGauges();
-
-  /// Lock-contention accounting for the internal ranked locks, surfaced
-  /// under `engine/lock` in SHOW STATS.
-  const OrderedMutex* dml_lock() const { return &dml_mu_; }
-  /// Sums acquisitions/contended over every per-stream ingest lock.
-  void StreamLockStats(int64_t* acquisitions, int64_t* contended) const;
+  /// Appends one sample per runtime number, read from the object that
+  /// keeps it: each stream (with its admission counters and its shared
+  /// pipelines), CQ and channel, the governor, the retry and quarantine
+  /// counters, the object counts, and the DML and stream-lock counters.
+  /// A dropped object's samples go with it. Unordered. Runs under a shared
+  /// engine hold, concurrent with ingest.
+  void AppendStats(std::vector<MetricSample>* out) const;
 
  private:
   struct Subscription {
@@ -300,12 +293,14 @@ class StreamRuntime {
       CqCallback callback;
     };
     std::vector<ClientSub> client_subs;
-    // Cached metric cells (owned by metrics_; stable until the stream is
-    // unregistered). Bound in RegisterStream.
-    Counter* rows_ingested_metric = nullptr;
-    Counter* batches_published_metric = nullptr;
-    Counter* rows_published_metric = nullptr;
-    Gauge* watermark_metric = nullptr;
+    /// The stream's shared slice-aggregation pipelines, oldest first (raw
+    /// streams only). Like `subs`, mutated only under the exclusive engine
+    /// lock.
+    std::vector<SharedPipeline> pipelines;
+    /// A derived stream's published batches and rows, bumped under its
+    /// ingest lock and read by SHOW STATS with no stream lock.
+    std::atomic<int64_t> batches_published{0};
+    std::atomic<int64_t> rows_published{0};
     /// Overload admission state. The policy is mutated only under the
     /// exclusive engine lock, but a network subscriber flushing the pushes
     /// held before its ack reads it with no engine lock; counters are
@@ -344,7 +339,7 @@ class StreamRuntime {
   template <typename Advance>
   Status CloseStep(StreamState* state, Advance&& advance);
 
-  Status AttachCqSubscription(ContinuousQuery* cq);
+  Status AttachCqSubscription(ContinuousQuery* cq, StreamState* state);
 
   /// Registers `stream` if needed and returns its state. Derived streams
   /// are refused: their data comes from their defining query, so neither
@@ -431,10 +426,9 @@ class StreamRuntime {
   std::atomic<int64_t> next_client_sub_id_{1};
   std::map<std::string, std::unique_ptr<ContinuousQuery>> cqs_;
   std::map<std::string, std::unique_ptr<Channel>> channels_;
-  SliceAggregatorRegistry registry_;
+  /// Shared pipelines created engine-wide: the n of "<label>#<n>".
+  int64_t pipelines_created_ = 0;
   std::atomic<int64_t> rows_ingested_{0};
-  MetricsRegistry metrics_;
-  Counter* engine_rows_metric_ = nullptr;  // engine-wide ingest total
 
   /// Serializes table writes (rank kDml): SQL DML and channel sinks.
   OrderedMutex dml_mu_{LockRank::kDml, /*allow_same_rank=*/false,

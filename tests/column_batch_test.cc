@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <numeric>
 
 #include <random>
 #include <string>
@@ -271,6 +272,17 @@ TEST(ColumnBatchTest, CellEqualsFollowsCompareForNaN) {
   EXPECT_TRUE(batch.CellEquals(0, 0, Value::Double(nan)));
 }
 
+/// The rows of `batch` that `pred` passes: FilterPositions over the
+/// identity selection, where each position is its row's index.
+Result<SelectionVector> PassingRows(const VectorPredicate& pred,
+                                    const ColumnBatch& batch) {
+  SelectionVector all(batch.row_count());
+  std::iota(all.begin(), all.end(), RowIndex{0});
+  std::vector<uint32_t> positions;
+  RETURN_IF_ERROR(pred.FilterPositions(batch, all, 0, all.size(), &positions));
+  return positions;
+}
+
 /// Binds `text` against (i bigint, s varchar, d double, ts timestamp) for
 /// the filter-kernel tests.
 class VectorPredicateTest : public ::testing::Test {
@@ -300,9 +312,8 @@ class VectorPredicateTest : public ::testing::Test {
     VectorPredicate pred = VectorPredicate::Compile(expr.get());
     EXPECT_EQ(pred.vectorized(), expect_vectorized) << text;
 
-    SelectionVector sel;
-    Status st = pred.Filter(batch, &sel);
-    ASSERT_TRUE(st.ok()) << text << ": " << st.ToString();
+    Result<SelectionVector> sel = PassingRows(pred, batch);
+    ASSERT_TRUE(sel.ok()) << text << ": " << sel.status().ToString();
 
     SelectionVector expected;
     EvalContext ctx;
@@ -313,7 +324,7 @@ class VectorPredicateTest : public ::testing::Test {
       ASSERT_TRUE(pass.ok());
       if (*pass) expected.push_back(r);
     }
-    EXPECT_EQ(sel, expected) << text;
+    EXPECT_EQ(*sel, expected) << text;
   }
 
   ColumnBatch RandomBatch(uint32_t seed, int rows) {
@@ -388,22 +399,28 @@ TEST_F(VectorPredicateTest, EdgeSelections) {
   // No predicate at all: everything passes.
   VectorPredicate pass_all = VectorPredicate::Compile(nullptr);
   EXPECT_TRUE(pass_all.vectorized());
-  SelectionVector sel;
-  ASSERT_TRUE(pass_all.Filter(batch, &sel).ok());
-  EXPECT_EQ(sel.size(), batch.row_count());
+  Result<SelectionVector> sel = PassingRows(pass_all, batch);
+  ASSERT_TRUE(sel.ok());
+  EXPECT_EQ(sel->size(), batch.row_count());
 }
 
-TEST_F(VectorPredicateTest, FilterSelectionAndPositions) {
+TEST_F(VectorPredicateTest, ChainedFilterPositions) {
   ColumnBatch batch = RandomBatch(53, 100);
   BoundExprPtr gt = Bind("i > 30");
   BoundExprPtr eq = Bind("s = 'u2'");
   VectorPredicate pred_gt = VectorPredicate::Compile(gt.get());
   VectorPredicate pred_eq = VectorPredicate::Compile(eq.get());
 
-  SelectionVector first, second;
-  ASSERT_TRUE(pred_gt.Filter(batch, &first).ok());
-  ASSERT_TRUE(pred_eq.FilterSelection(batch, first, &second).ok());
-  for (RowIndex r : second) {
+  Result<SelectionVector> passed = PassingRows(pred_gt, batch);
+  ASSERT_TRUE(passed.ok());
+  const SelectionVector& first = *passed;
+  // The second filter runs over the first's selection; its positions
+  // index into that selection.
+  std::vector<uint32_t> second;
+  ASSERT_TRUE(
+      pred_eq.FilterPositions(batch, first, 0, first.size(), &second).ok());
+  for (uint32_t p : second) {
+    const RowIndex r = first[p];
     EXPECT_FALSE(batch.is_null(0, r));
     EXPECT_GT(batch.fixed(0, r), 30);
     EXPECT_EQ(batch.str(1, r), "u2");

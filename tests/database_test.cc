@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 
 #include "test_util.h"
 
@@ -351,6 +352,33 @@ TEST_F(DatabaseTest, BigintOverflowFailsTheStatementInsteadOfTheServer) {
   ASSERT_FALSE(sum.ok());
   EXPECT_NE(sum.status().message().find("bigint out of range"),
             std::string::npos);
+}
+
+TEST_F(DatabaseTest, OutOfRangeConversionsFailTheStatement) {
+  // Each of these used to return -9223372036854775808 (for the intervals,
+  // in microseconds).
+  const std::pair<const char*, const char*> kCases[] = {
+      {"SELECT CAST(1e300 AS bigint)", "bigint out of range"},
+      {"SELECT CAST(9.3e18 AS bigint)", "bigint out of range"},
+      {"SELECT CAST(CAST('nan' AS double) AS bigint)", "bigint out of range"},
+      {"SELECT interval '1 day' * 1e300", "interval out of range"},
+      {"SELECT interval '1 day' / 1e-300", "interval out of range"},
+      {"SELECT abs(-9223372036854775807 - 1)", "bigint out of range"},
+  };
+  for (const auto& [sql, message] : kCases) {
+    auto r = db_.Execute(sql);
+    if (r.ok()) {
+      ADD_FAILURE() << sql << " returned " << RowStrings(*r)[0];
+      continue;
+    }
+    EXPECT_NE(r.status().message().find(message), std::string::npos)
+        << sql << ": " << r.status().ToString();
+  }
+  auto in_range = MustExecute(
+      &db_, "SELECT CAST(-2.9 AS bigint), abs(-9223372036854775807)");
+  ASSERT_EQ(in_range.rows.size(), 1u);
+  EXPECT_EQ(in_range.rows[0][0].AsInt64(), -2);
+  EXPECT_EQ(in_range.rows[0][1].AsInt64(), INT64_MAX);
 }
 
 TEST_F(DatabaseTest, SharedSumOverflowFailsTheIngest) {

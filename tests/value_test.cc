@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 
 #include "common/time.h"
@@ -79,6 +80,26 @@ TEST(ValueTest, CastStringToInterval) {
   auto r = Value::String("1 week").CastTo(DataType::kInterval);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->AsIntervalMicros(), kMicrosPerWeek);
+}
+
+TEST(ValueTest, CastOutOfRangeDoubleToBigintIsAnError) {
+  // Each of these used to read -9223372036854775808.
+  for (double d : {1e300, 9.3e18, -9.3e18, 9223372036854775808.0,
+                   std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    auto r = Value::Double(d).CastTo(DataType::kInt64);
+    ASSERT_FALSE(r.ok()) << d;
+    EXPECT_EQ(r.status().message(), "bigint out of range") << d;
+  }
+  // The ends of the range still cast, and a cast truncates toward zero.
+  EXPECT_EQ(Value::Double(-9223372036854775808.0)
+                .CastTo(DataType::kInt64)
+                ->AsInt64(),
+            INT64_MIN);
+  EXPECT_EQ(Value::Double(9223372036854774784.0)
+                .CastTo(DataType::kInt64)
+                ->AsInt64(),
+            9223372036854774784);
+  EXPECT_EQ(Value::Double(-2.9).CastTo(DataType::kInt64)->AsInt64(), -2);
 }
 
 TEST(ValueTest, CastNullIsNull) {
@@ -177,6 +198,24 @@ TEST(ValueArithmeticTest, IntervalTimesNumber) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->type(), DataType::kInterval);
   EXPECT_EQ(r->AsIntervalMicros(), 300);
+}
+
+TEST(ValueArithmeticTest, IntervalScaledOutOfRangeIsAnError) {
+  const Value day = Value::Interval(kMicrosPerDay);
+  // Each of these used to read -9223372036854775808 microseconds.
+  for (auto r : {ValueMul(day, Value::Double(1e300)),
+                 ValueMul(Value::Double(1e300), day),
+                 ValueMul(day, Value::Double(std::nan(""))),
+                 ValueMul(day, Value::Int64(INT64_MAX)),
+                 ValueDiv(day, Value::Double(1e-300)),
+                 ValueDiv(day, Value::Double(std::nan("")))}) {
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().message(), "interval out of range");
+  }
+  EXPECT_EQ(ValueMul(day, Value::Double(0.5))->AsIntervalMicros(),
+            kMicrosPerDay / 2);
+  EXPECT_EQ(ValueDiv(day, Value::Double(-4))->AsIntervalMicros(),
+            -kMicrosPerDay / 4);
 }
 
 TEST(ValueArithmeticTest, StringConcatViaAdd) {
